@@ -14,6 +14,7 @@ during integration (the failing step index goes to stderr).
 """
 
 import argparse
+import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -23,7 +24,7 @@ import numpy as np
 from . import maxbloch, registry
 from .expconfig import ConfigError, ExperimentConfig, load_config
 from .numkit import DomainError, poly_roots
-from .solver import NumericalError, SolverConfig, convergence_order, integrate
+from .solver import NumericalError, SolverConfig, _max_errors, convergence_order, integrate
 from .stability import (
     classify_equilibrium,
     cubic_from_gains,
@@ -129,16 +130,7 @@ def _experiment_config(args):
         target = _target_from_args(args)
         if target is not None:
             changes["target"] = target
-        if changes:
-            base = {
-                "system": cfg.system, "alpha": cfg.alpha, "h": cfg.h,
-                "steps": cfg.steps, "x0": cfg.x0, "epsilon": cfg.epsilon,
-                "gains": cfg.gains, "target": cfg.target, "seed": cfg.seed,
-                "output_dir": cfg.output_dir,
-            }
-            base.update(changes)
-            cfg = ExperimentConfig(**base)
-        return cfg
+        return dataclasses.replace(cfg, **changes)
     missing = [name for name in ("system", "alpha", "h", "steps")
                if getattr(args, name) is None]
     if missing:
@@ -291,30 +283,23 @@ def _cmd_convergence(args):
         )
     sysdef = registry.build_system(args.system)
     hs = list(args.h_list)
+    rep = None
     if len(hs) >= 3:
         rep = convergence_order(sysdef, args.alpha, oracle, hs, args.tau,
                                 [args.x0], t_min=args.t_min)
-        print(f"{'h':>12} {'max error':>16}")
-        for h, err in zip(rep.h_values, rep.max_errors):
-            print(f"{h:>12.6g} {err:>16.6e}")
-        if rep.degenerate:
-            print("errors are identically zero at solver precision; order undefined")
-        else:
-            print(f"fitted order: {rep.slope:.4f} (fit residual {rep.residual:.2e})")
-        return 0
-    # too few step sizes for a fit: error table only
+        errors = rep.max_errors
+    else:
+        errors = _max_errors(sysdef, args.alpha, oracle, hs, args.tau,
+                             [args.x0], t_min=args.t_min)
     print(f"{'h':>12} {'max error':>16}")
-    for h in hs:
-        n_steps = round(args.tau / h)
-        cfg = SolverConfig(alpha=args.alpha, h=h, n_steps=n_steps, x0=[args.x0])
-        traj = integrate(sysdef, cfg)
-        worst = 0.0
-        for t, state in zip(traj.times, traj.states):
-            if t < args.t_min - 1e-12:
-                continue
-            worst = max(worst, float(np.max(np.abs(state - oracle(t)))))
-        print(f"{h:>12.6g} {worst:>16.6e}")
-    print("order: not fitted (need at least three halving step sizes)")
+    for h, err in zip(hs, errors):
+        print(f"{h:>12.6g} {err:>16.6e}")
+    if rep is None:
+        print("order: not fitted (need at least three halving step sizes)")
+    elif rep.degenerate:
+        print("errors are identically zero at solver precision; order undefined")
+    else:
+        print(f"fitted order: {rep.slope:.4f} (fit residual {rep.residual:.2e})")
     return 0
 
 

@@ -26,7 +26,7 @@ overrides the stored seed when a file is loaded.
 
 import configparser
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "serialize_config", "load_config"]
@@ -150,9 +150,5 @@ def load_config(path, env=None):
             seed = int(override)
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer: {override!r}") from exc
-        cfg = ExperimentConfig(
-            system=cfg.system, alpha=cfg.alpha, h=cfg.h, steps=cfg.steps,
-            x0=cfg.x0, epsilon=cfg.epsilon, gains=cfg.gains, target=cfg.target,
-            seed=seed, output_dir=cfg.output_dir,
-        )
+        cfg = replace(cfg, seed=seed)
     return cfg

@@ -12,6 +12,7 @@ constant matrices below. Its equilibria form exactly two families:
 the degenerate member of the second family.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -131,9 +132,7 @@ def controlled_system(k, x_e):
     """Feedback-controlled model pinned at an equilibrium of either family."""
     target = as_state(x_e, 5)
     family_of(target)
-    wrapped = controlled(system(), k, target)
-    return SystemDef(name=CONTROLLED_SYSTEM_NAME, dim=5,
-                     field=wrapped.field, jacobian=wrapped.jacobian)
+    return dataclasses.replace(controlled(system(), k, target), name=CONTROLLED_SYSTEM_NAME)
 
 
 def controlled_field(x, k, x_e):

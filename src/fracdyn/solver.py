@@ -30,6 +30,11 @@ the unanchored variant for comparison.
 The memory term makes a single integration sequential and O(N^2) overall;
 field values are cached so the field itself is evaluated exactly twice per
 accepted step. Distinct runs share no state.
+
+Each run builds one private `_Scheme` from `predictor_weights` and
+`corrector_weights`; its `advance` is the one step kernel of `integrate`
+and `step`. Field values are kept as a d x (N + 1) array, so both history
+sums are products of contiguous rows with contiguous weight tails.
 """
 
 import math
@@ -88,8 +93,8 @@ class SolverConfig:
         object.__setattr__(self, "h", float(self.h))
         object.__setattr__(self, "n_steps", int(self.n_steps))
         object.__setattr__(self, "x0", tuple(float(v) for v in as_state(self.x0)))
-        if self.h <= 0.0:
-            raise ValueError("step size must be positive")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError("step size must be positive and finite")
         if not 1 <= self.n_steps <= MAX_STEPS:
             raise ValueError(f"step count must lie in 1..{MAX_STEPS}")
         if self.predictor_anchor not in (PREDICTOR_WITH_X0, PREDICTOR_AS_PRINTED):
@@ -153,25 +158,18 @@ def corrector_weights(n, alpha):
     alpha = validate_alpha(alpha)
     if n < 0:
         raise IndexError("n must be non-negative")
-    idx = np.arange(n + 2, dtype=float)
-    p = idx ** alpha
-    q = idx ** (alpha + 1.0)
+    q = np.arange(n + 2, dtype=float) ** (alpha + 1.0)
     out = np.empty(n + 1)
-    out[0] = q[n] - (n - alpha) * p[n + 1]
-    if n >= 1:
-        # second difference of d^(alpha+1); index j maps to d = n - j
-        r = q[2:] + q[:-2] - 2.0 * q[1:-1]
-        out[1:] = r[: n][::-1]
+    out[0] = _first_corrector_weights(n, alpha)
+    # second difference of d^(alpha+1); index j maps to d = n - j
+    out[1:] = (q[2:] + q[:-2] - 2.0 * q[1:-1])[::-1]
     return out
 
 
-def _tables(n_steps, alpha):
-    idx = np.arange(n_steps + 2, dtype=float)
-    p = idx ** alpha
-    q = idx ** (alpha + 1.0)
-    bdiff = np.diff(p)
-    r = q[2:] + q[:-2] - 2.0 * q[1:-1]
-    return p, q, bdiff, r
+def _first_corrector_weights(n, alpha):
+    """a[0, n+1] for an integer n or an array of them."""
+    n = np.asarray(n, dtype=float)
+    return n ** (alpha + 1.0) - (n - alpha) * (n + 1.0) ** alpha
 
 
 def _eval_field(sys, x, step_index, t, stage):
@@ -191,24 +189,40 @@ def _eval_field(sys, x, step_index, t, stage):
     return out
 
 
-def _advance(sys, x0, anchor, F, n, alpha, p, q, r, bdiff, cp, cc, t_next):
-    """One predictor/corrector update given cached field values F[0..n]."""
-    bw = bdiff[: n + 1][::-1]
-    xp = anchor + cp * (bw @ F[: n + 1])
-    fp = _eval_field(sys, xp, n + 1, t_next, "predictor")
-    a0 = q[n] - (n - alpha) * p[n + 1]
-    if n >= 1:
-        acc = a0 * F[0] + r[: n][::-1] @ F[1 : n + 1] + fp
-    else:
-        acc = a0 * F[0] + fp
-    xc = x0 + cc * acc
-    if not np.isfinite(xc).all():
-        raise NumericalError(
-            f"non-finite corrected state at step {n + 1} (t = {t_next:.10g})",
-            n + 1,
-            t_next,
-        )
-    return xp, xc
+class _Scheme:
+    """Weights and constants of one run of up to N = n_steps steps.
+
+    `b` and `a` are predictor_weights(N, alpha) and corrector_weights(N, alpha),
+    so step n reads the contiguous tails b[N-n:] (j = 0..n) and a[N-n+1:]
+    (j = 1..n); a0[n] is its j = 0 corrector weight.
+    """
+
+    def __init__(self, cfg, dim, n_steps):
+        self.h = cfg.h
+        self.n_steps = n_steps
+        self.b = predictor_weights(n_steps, cfg.alpha)
+        self.a = corrector_weights(n_steps, cfg.alpha)
+        self.a0 = _first_corrector_weights(np.arange(n_steps), cfg.alpha)
+        self.cp = cfg.h ** cfg.alpha / math.gamma(cfg.alpha + 1.0)
+        self.cc = cfg.h ** cfg.alpha / math.gamma(cfg.alpha + 2.0)
+        self.x0 = as_state(cfg.x0, dim)
+        self.anchor = self.x0 if cfg.predictor_anchor == PREDICTOR_WITH_X0 else np.zeros(dim)
+
+    def advance(self, sys, FT, n):
+        """Predictor and corrector for step n + 1 from field values FT[:, 0..n]."""
+        tail = self.n_steps - n
+        t_next = (n + 1) * self.h
+        xp = self.anchor + self.cp * (FT[:, : n + 1] @ self.b[tail:])
+        fp = _eval_field(sys, xp, n + 1, t_next, "predictor")
+        acc = self.a0[n] * FT[:, 0] + FT[:, 1 : n + 1] @ self.a[tail + 1 :] + fp
+        xc = self.x0 + self.cc * acc
+        if not np.isfinite(xc).all():
+            raise NumericalError(
+                f"non-finite corrected state at step {n + 1} (t = {t_next:.10g})",
+                n + 1,
+                t_next,
+            )
+        return xp, xc
 
 
 def step(sys, cfg, history, n):
@@ -223,15 +237,11 @@ def step(sys, cfg, history, n):
         raise ValueError("history states must be an (m, dim) array")
     if not 0 <= n < states.shape[0]:
         raise ValueError(f"history holds {states.shape[0]} states, step n={n} needs 0..n")
-    x0 = as_state(cfg.x0, sys.dim)
-    F = np.empty((n + 1, sys.dim))
+    scheme = _Scheme(cfg, sys.dim, n + 1)
+    FT = np.empty((sys.dim, n + 1))
     for j in range(n + 1):
-        F[j] = _eval_field(sys, states[j], j, j * cfg.h, "history")
-    p, q, bdiff, r = _tables(n, cfg.alpha)
-    cp = cfg.h ** cfg.alpha / math.gamma(cfg.alpha + 1.0)
-    cc = cfg.h ** cfg.alpha / math.gamma(cfg.alpha + 2.0)
-    anchor = x0 if cfg.predictor_anchor == PREDICTOR_WITH_X0 else np.zeros_like(x0)
-    return _advance(sys, x0, anchor, F, n, cfg.alpha, p, q, r, bdiff, cp, cc, (n + 1) * cfg.h)
+        FT[:, j] = _eval_field(sys, states[j], j, j * cfg.h, "history")
+    return scheme.advance(sys, FT, n)
 
 
 def integrate(sys, cfg, keep_predictor=False):
@@ -241,28 +251,22 @@ def integrate(sys, cfg, keep_predictor=False):
     failures (NaN/Inf from the field) raise NumericalError carrying the
     failing step index and time.
     """
-    x0 = as_state(cfg.x0, sys.dim)
     n_steps = cfg.n_steps
     h = cfg.h
-    alpha = cfg.alpha
-    p, q, bdiff, r = _tables(n_steps, alpha)
-    cp = h ** alpha / math.gamma(alpha + 1.0)
-    cc = h ** alpha / math.gamma(alpha + 2.0)
-    anchor = x0 if cfg.predictor_anchor == PREDICTOR_WITH_X0 else np.zeros_like(x0)
+    scheme = _Scheme(cfg, sys.dim, n_steps)
 
     states = np.empty((n_steps + 1, sys.dim))
-    states[0] = x0
-    F = np.empty_like(states)
-    F[0] = _eval_field(sys, x0, 0, 0.0, "initial")
+    states[0] = scheme.x0
+    FT = np.empty((sys.dim, n_steps + 1))
+    FT[:, 0] = _eval_field(sys, scheme.x0, 0, 0.0, "initial")
     preds = np.empty((n_steps, sys.dim)) if keep_predictor else None
 
     for n in range(n_steps):
-        t_next = (n + 1) * h
-        xp, xc = _advance(sys, x0, anchor, F, n, alpha, p, q, r, bdiff, cp, cc, t_next)
+        xp, xc = scheme.advance(sys, FT, n)
         if preds is not None:
             preds[n] = xp
         states[n + 1] = xc
-        F[n + 1] = _eval_field(sys, xc, n + 1, t_next, "corrector")
+        FT[:, n + 1] = _eval_field(sys, xc, n + 1, (n + 1) * h, "corrector")
 
     times = np.arange(n_steps + 1, dtype=float) * h
     return Trajectory(times=times, states=states, predictor_states=preds)
@@ -282,6 +286,31 @@ class ConvergenceReport:
     slope: Optional[float]
     residual: Optional[float]
     degenerate: bool
+
+
+def _max_errors(sys, alpha, oracle, h_list, tau, x0, t_min=0.0,
+                predictor_anchor=PREDICTOR_WITH_X0):
+    """Max-norm error against `oracle` on grid points t >= t_min, per step size."""
+    if not (0.0 < tau < math.inf and 0.0 <= t_min < math.inf):
+        raise ValueError("tau must be positive and t_min non-negative, both finite")
+    errors = []
+    for h in h_list:
+        if not 0.0 < h < math.inf:
+            raise ValueError("step sizes must be positive and finite")
+        n_steps = round(tau / h)
+        if abs(n_steps * h - tau) > 1e-9 * tau:
+            raise ValueError(f"step size {h} does not divide the horizon {tau}")
+        cfg = SolverConfig(alpha=alpha, h=h, n_steps=n_steps, x0=x0,
+                           predictor_anchor=predictor_anchor)
+        traj = integrate(sys, cfg)
+        worst = 0.0
+        for t, state in zip(traj.times, traj.states):
+            if t < t_min - 1e-12:
+                continue
+            exact = np.atleast_1d(np.asarray(oracle(t), dtype=float))
+            worst = max(worst, float(np.max(np.abs(state - exact))))
+        errors.append(worst)
+    return errors
 
 
 def convergence_order(sys, alpha, oracle, h_list, tau, x0, t_min=0.0,
@@ -306,24 +335,7 @@ def convergence_order(sys, alpha, oracle, h_list, tau, x0, t_min=0.0,
     for a, b in zip(hs, hs[1:]):
         if not math.isclose(b, a / 2.0, rel_tol=1e-6):
             raise ValueError("step sizes must halve from one run to the next")
-    if tau <= 0.0 or t_min < 0.0:
-        raise ValueError("tau must be positive and t_min non-negative")
-
-    errors = []
-    for h in hs:
-        n_steps = round(tau / h)
-        if abs(n_steps * h - tau) > 1e-9 * tau:
-            raise ValueError(f"step size {h} does not divide the horizon {tau}")
-        cfg = SolverConfig(alpha=alpha, h=h, n_steps=n_steps, x0=x0,
-                           predictor_anchor=predictor_anchor)
-        traj = integrate(sys, cfg)
-        worst = 0.0
-        for t, state in zip(traj.times, traj.states):
-            if t < t_min - 1e-12:
-                continue
-            exact = np.atleast_1d(np.asarray(oracle(t), dtype=float))
-            worst = max(worst, float(np.max(np.abs(state - exact))))
-        errors.append(worst)
+    errors = _max_errors(sys, alpha, oracle, hs, tau, x0, t_min, predictor_anchor)
 
     if max(errors) <= 1e-14:
         return ConvergenceReport(tuple(hs), tuple(errors), None, None, True)

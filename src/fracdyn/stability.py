@@ -68,6 +68,15 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
+def _eigenvalue_array(eigs):
+    values = np.asarray(eigs, dtype=complex).ravel()
+    if values.size == 0:
+        raise ValueError("eigenvalue list is empty")
+    if not np.isfinite(values).all():
+        raise numkit.DomainError("eigenvalues must be finite")
+    return values
+
+
 def matignon_margins(eigs, alpha, zero_tol=ZERO_TOL):
     """Per-eigenvalue margins |arg(lambda)| - alpha*pi/2, None for zeros.
 
@@ -75,9 +84,7 @@ def matignon_margins(eigs, alpha, zero_tol=ZERO_TOL):
     so a configuration stable at some alpha stays stable at any smaller one.
     """
     alpha = validate_alpha(alpha)
-    values = np.asarray(eigs, dtype=complex).ravel()
-    if values.size == 0:
-        raise ValueError("eigenvalue list is empty")
+    values = _eigenvalue_array(eigs)
     half_ray = alpha * math.pi / 2.0
     margins = []
     for lam in values:
@@ -127,9 +134,7 @@ def stability_alpha_threshold(eigs, zero_tol=ZERO_TOL):
     a zero eigenvalue is present. The configuration is asymptotically stable
     for every alpha strictly below the threshold (capped at 1 in practice).
     """
-    values = np.asarray(eigs, dtype=complex).ravel()
-    if values.size == 0:
-        raise ValueError("eigenvalue list is empty")
+    values = _eigenvalue_array(eigs)
     threshold = math.inf
     for lam in values:
         if abs(lam) <= zero_tol:
@@ -238,6 +243,8 @@ def cubic_from_gains(k3, k4, k5, m, n):
     Coefficients are a1 = k3 + k4 + k5, a2 = k3*k4 + k3*k5 + k4*k5 + m^2 + n^2
     and a3 = k3*k4*k5 + k3*n^2 + k4*m^2. Exact input types survive.
     """
+    if not all(math.isfinite(v) for v in (k3, k4, k5, m, n)):
+        raise numkit.DomainError("gains, m and n must be finite")
     if k3 <= 0 or k4 <= 0 or k5 < 0:
         raise numkit.DomainError("gains must satisfy k3 > 0, k4 > 0, k5 >= 0")
     if m * m + n * n == 0:
@@ -344,8 +351,8 @@ def e2_gain_condition(k, m):
     gains = tuple(k)
     if len(gains) != 5:
         raise numkit.DomainError("expected five feedback gains")
-    if any(not g > 0 for g in gains):
-        raise numkit.DomainError("all gains must be strictly positive")
+    if any(not 0 < g < math.inf for g in gains) or not math.isfinite(m):
+        raise numkit.DomainError("gains must be finite and strictly positive, m finite")
     k1, k2, k3, k4, k5 = gains
 
     delta1 = (k1 - k3) ** 2 + 4 * m

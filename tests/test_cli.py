@@ -125,6 +125,13 @@ class TestSimulate:
                      "--h", "0.1", "--steps", "5"]) == 2  # no x0/epsilon
         capsys.readouterr()
 
+    @pytest.mark.parametrize("h", ["nan", "inf"])
+    def test_non_finite_step_size_is_bad_input(self, tmp_path, capsys, h):
+        assert main(["simulate", "--system", "linear-decay", "--alpha", "0.5",
+                     "--h", h, "--steps", "5", "--x0", "1",
+                     "--output", str(tmp_path)]) == 2
+        assert "step size" in capsys.readouterr().err
+
 
 class TestStability:
     def test_uncontrolled_unstable(self, capsys):
@@ -200,6 +207,19 @@ class TestGainsCheck:
         assert "D(P) = 5" in out
         assert "(0, 1)" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["--gains", "1", "1", "1", "1", "1", "--e2", "nan"],
+        ["--gains", "1", "1", "1", "1", "inf", "--e2", "-0.125"],
+        ["--gains", "1.2", "1.2", "0.5", "0.5", "0", "--e1", "nan", "0"],
+        ["--gains", "1.2", "1.2", "nan", "0.5", "0", "--e1", "0.5", "0"],
+        ["--gains", "nan", "1.2", "0.5", "0.5", "0", "--e1", "0.5", "0"],
+    ])
+    def test_non_finite_input_is_bad_input(self, capsys, argv):
+        assert main(["gains-check"] + argv) == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert "stable for" not in captured.out
+
     def test_family_selection_required(self, capsys):
         assert main(["gains-check", "--gains", "1", "1", "1", "1", "1"]) == 2
         assert main(["gains-check", "--gains", "1", "1", "1", "1", "1",
@@ -227,6 +247,18 @@ class TestConvergence:
         assert main(["convergence", "--alpha", "0.65", "--x0", "0.0",
                      "--h-list", "0.04", "0.02", "0.01"]) == 0
         assert "order undefined" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("h_list", [["0.03"], ["0.03", "0.015", "0.0075"]])
+    def test_step_size_must_divide_horizon(self, capsys, h_list):
+        assert main(["convergence", "--alpha", "0.65", "--tau", "1",
+                     "--h-list"] + h_list) == 2
+        assert "does not divide" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", [["--tau", "nan"], ["--tau", "inf"],
+                                        ["--t-min", "nan"], ["--h-list", "0"]])
+    def test_non_finite_or_zero_input_is_bad_input(self, capsys, option):
+        assert main(["convergence", "--alpha", "0.65", "--h-list", "0.1"] + option) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_system_without_oracle_rejected(self, capsys):
         assert main(["convergence", "--system", "maxwell-bloch-5d",

@@ -124,6 +124,9 @@ class TestConfig:
             SolverConfig(alpha=0.0, h=0.1, n_steps=10, x0=[1.0])
         with pytest.raises(ValueError):
             SolverConfig(alpha=0.5, h=0.0, n_steps=10, x0=[1.0])
+        for h in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                SolverConfig(alpha=0.5, h=h, n_steps=10, x0=[1.0])
         with pytest.raises(ValueError):
             SolverConfig(alpha=0.5, h=0.1, n_steps=0, x0=[1.0])
         with pytest.raises(ValueError):
@@ -204,10 +207,11 @@ class TestIntegrate:
         # without the x0 anchor the first predictor is just the weighted sum
         assert abs(traj.predictor_states[0, 0] - (-0.1)) <= 1e-15
 
-    def test_determinism(self):
+    @pytest.mark.parametrize("n_steps", [120, 3000])
+    def test_determinism(self, n_steps):
         target = maxbloch.e1(math.sqrt(3.0) / 4.0, 0.25)
         sys = maxbloch.controlled_system([1.2, 1.2, 0.5, 0.5, 0.0], target)
-        cfg = SolverConfig(alpha=0.65, h=0.01, n_steps=120, x0=target + 0.01)
+        cfg = SolverConfig(alpha=0.65, h=0.01, n_steps=n_steps, x0=target + 0.01)
         first = integrate(sys, cfg)
         second = integrate(sys, cfg)
         assert np.array_equal(first.states, second.states)
@@ -236,6 +240,38 @@ class TestIntegrate:
         with pytest.raises(NumericalError) as err:
             integrate(bad, SolverConfig(alpha=0.5, h=0.1, n_steps=5, x0=[1.0]))
         assert err.value.step_index == 0
+
+
+def direct_abm(sys, cfg):
+    """The scheme as printed in the module docstring, one scalar weight at a time."""
+    alpha, h, N = cfg.alpha, cfg.h, cfg.n_steps
+    x0 = np.asarray(cfg.x0, dtype=float)
+    cp = h ** alpha / math.gamma(alpha + 1.0)
+    cc = h ** alpha / math.gamma(alpha + 2.0)
+    x = [x0]
+    F = [sys.field(x0)]
+    for n in range(N):
+        xp = x0 + cp * sum(predictor_weight(j, n, alpha) * F[j] for j in range(n + 1))
+        acc = sum(corrector_weight(j, n, alpha) * F[j] for j in range(n + 1))
+        x.append(x0 + cc * (acc + sys.field(xp)))
+        F.append(sys.field(x[-1]))
+    return np.array(x)
+
+
+class TestKernelAgainstDirectSum:
+    @pytest.mark.parametrize("alpha", (0.3, 0.65, 1.0))
+    @pytest.mark.parametrize("model", ["controlled", "linear-decay"])
+    def test_integrate_matches_direct_sum(self, model, alpha):
+        if model == "controlled":
+            x0 = maxbloch.e2(-0.125)
+            sys = maxbloch.controlled_system([0.25, 1.5, 0.25, 2.0 / 3.0, 1.0], x0)
+            x0 = x0 + 0.01
+        else:
+            sys, x0 = LINEAR, [1.0]
+        cfg = SolverConfig(alpha=alpha, h=0.05, n_steps=40, x0=x0)
+        expected = direct_abm(sys, cfg)
+        got = integrate(sys, cfg).states
+        assert np.all(np.abs(got - expected) <= 1e-13 * np.maximum(1.0, np.abs(expected)))
 
 
 class TestStep:
@@ -285,3 +321,11 @@ class TestConvergenceOrder:
             convergence_order(LINEAR, 1.0, oracle, [0.04, 0.02], 1.0, [1.0])
         with pytest.raises(ValueError):
             convergence_order(LINEAR, 1.0, oracle, [0.04, 0.03, 0.02], 1.0, [1.0])
+
+    @pytest.mark.parametrize("tau, t_min", [(math.nan, 0.0), (math.inf, 0.0),
+                                            (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_horizon_rejected(self, tau, t_min):
+        oracle = lambda t: math.exp(-t)
+        with pytest.raises(ValueError, match="finite"):
+            convergence_order(LINEAR, 1.0, oracle, [0.04, 0.02, 0.01], tau, [1.0],
+                              t_min=t_min)
