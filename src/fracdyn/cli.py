@@ -7,7 +7,9 @@ Subcommands:
     gains-check  closed-form feedback-gain diagnostics for the controlled
                  Maxwell-Bloch model at either equilibrium family
     convergence  empirical order study against an analytic solution
-    sweep        run several simulate configs concurrently
+    sweep        run several simulate configs, batched: configs that share
+                 (system, alpha, h, steps) are integrated together as one
+                 stacked system, then written out one by one
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical failure
 during integration (the failing step index goes to stderr).
@@ -16,15 +18,22 @@ during integration (the failing step index goes to stderr).
 import argparse
 import dataclasses
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import maxbloch, registry
 from .expconfig import ConfigError, ExperimentConfig, load_config
 from .numkit import DomainError, poly_roots
-from .solver import NumericalError, SolverConfig, _max_errors, convergence_order, integrate
+from .solver import (
+    NumericalError,
+    SolverConfig,
+    Trajectory,
+    _max_errors,
+    convergence_order,
+    integrate,
+)
 from .stability import (
     classify_equilibrium,
     cubic_from_gains,
@@ -34,7 +43,13 @@ from .stability import (
     e2_gain_condition,
 )
 from .svgplot import line_chart
-from .systems import controlled
+from .systems import controlled, stacked
+
+# Largest field history, B*d*(N + 1) float64 values, of one sweep batch:
+# 16 configs of the 5-D model at N=2000. Over a whole 64-config sweep,
+# caps of 2-5 MiB measured no faster and add up to 6 MB of peak memory;
+# 0.5 MiB was slower.
+SWEEP_BATCH_BYTES = 5 * 2**18
 
 
 def _fmt(x):
@@ -91,14 +106,22 @@ def _write_report_kv(path, cfg, traj, target):
     path.write_text("\n".join(f"{k}={v}" for k, v in pairs) + "\n", encoding="utf-8")
 
 
+def _solver_config(cfg, x0):
+    return SolverConfig(alpha=cfg.alpha, h=cfg.h, n_steps=cfg.steps, x0=x0)
+
+
 def _run_experiment(cfg):
     sysdef, x0, target = _resolve(cfg)
-    solver_cfg = SolverConfig(alpha=cfg.alpha, h=cfg.h, n_steps=cfg.steps, x0=x0)
-    traj = integrate(sysdef, solver_cfg)
+    traj = integrate(sysdef, _solver_config(cfg, x0))
+    return _write_artifacts(cfg, traj, target)
+
+
+def _write_artifacts(cfg, traj, target):
+    dim = traj.states.shape[1]
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "trajectory.csv", traj)
-    for i in range(sysdef.dim):
+    for i in range(dim):
         chart = line_chart(traj.states[:, i], y_label=f"x^{i + 1}(n)", x_label="n")
         (outdir / f"fig{i + 1}.svg").write_text(chart, encoding="utf-8")
     _write_report_kv(outdir / "report.kv", cfg, traj, target)
@@ -106,7 +129,7 @@ def _run_experiment(cfg):
     if target is not None:
         print(f"initial distance to target: {_fmt(np.linalg.norm(traj.states[0] - target))}")
         print(f"final distance to target: {_fmt(np.linalg.norm(traj.states[-1] - target))}")
-    print(f"wrote {outdir / 'trajectory.csv'} and {sysdef.dim} figure(s)")
+    print(f"wrote {outdir / 'trajectory.csv'} and {dim} figure(s)")
     return 0
 
 
@@ -303,26 +326,86 @@ def _cmd_convergence(args):
     return 0
 
 
+class _Member(NamedTuple):
+    """A resolved sweep config and its position on the command line."""
+
+    index: int
+    cfg: ExperimentConfig
+    x0: np.ndarray
+    target: Optional[np.ndarray]
+
+
+def _integrate_batch(batch):
+    """Integrate sweep members that share (system, alpha, h, steps) as one
+    stacked system; returns one trajectory per member."""
+    cfg = batch[0].cfg
+    params = {}
+    if cfg.system == maxbloch.CONTROLLED_SYSTEM_NAME:
+        params = {"gains": [m.cfg.gains for m in batch], "target": [m.target for m in batch]}
+    sysdef = stacked(registry.build_system(cfg.system, **params), len(batch))
+    x0 = np.concatenate([m.x0 for m in batch])
+    traj = integrate(sysdef, _solver_config(cfg, x0))
+    states = traj.states.reshape(cfg.steps + 1, len(batch), -1)
+    return [Trajectory(traj.times, states[:, b]) for b in range(len(batch))]
+
+
+def _sweep_group(members, codes):
+    """Integrate one group of sweep members in batches and write their artifacts.
+
+    Batches are consecutive slices of the group, capped by
+    SWEEP_BATCH_BYTES. A batch that fails numerically is rerun member by
+    member. Members that fail on their own get exit code 3 and the rest go
+    back to the front of the queue, so every other config is integrated in
+    the batch it would share in a sweep without the failing ones; if none
+    fails on its own, the single runs are written.
+    """
+    cfg = members[0].cfg
+    cap = max(1, SWEEP_BATCH_BYTES // (8 * members[0].x0.size * (cfg.steps + 1)))
+    pending = list(members)
+    while pending:
+        batch, pending = pending[:cap], pending[cap:]
+        try:
+            trajs = _integrate_batch(batch)
+        except NumericalError:
+            trajs = []
+            for member in batch:
+                try:
+                    trajs += _integrate_batch([member])
+                except NumericalError as exc:
+                    print(f"numerical failure in {cfg.system} run at step "
+                          f"{exc.step_index}: {exc}", file=sys.stderr)
+                    codes[member.index] = 3
+                    trajs.append(None)
+            if any(traj is None for traj in trajs):
+                pending = [m for m, t in zip(batch, trajs) if t is not None] + pending
+                continue
+        for member, traj in zip(batch, trajs):
+            _write_artifacts(member.cfg, traj, member.target)
+
+
 def _cmd_sweep(args):
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     configs = [load_config(path) for path in args.configs]
     outdirs = [Path(cfg.output_dir).resolve() for cfg in configs]
     if len(set(outdirs)) != len(outdirs):
         raise ConfigError("sweep configs must write to disjoint output directories")
-    jobs = args.jobs or min(4, len(configs))
 
-    def run(cfg):
+    codes = [0] * len(configs)
+    groups = {}
+    for index, cfg in enumerate(configs):
         try:
-            return _run_experiment(cfg)
+            _, x0, target = _resolve(cfg)
+            _solver_config(cfg, x0)  # bad alpha, h or steps fail this config only
         except (ConfigError, ValueError) as exc:
             print(f"error in {cfg.system} run: {exc}", file=sys.stderr)
-            return 2
-        except NumericalError as exc:
-            print(f"numerical failure in {cfg.system} run at step "
-                  f"{exc.step_index}: {exc}", file=sys.stderr)
-            return 3
+            codes[index] = 2
+            continue
+        key = (cfg.system, cfg.alpha, cfg.h, cfg.steps)
+        groups.setdefault(key, []).append(_Member(index, cfg, x0, target))
+    for members in groups.values():
+        _sweep_group(members, codes)
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        codes = list(pool.map(run, configs))
     for path, code in zip(args.configs, codes):
         print(f"{path}: {'ok' if code == 0 else f'failed (exit {code})'}")
     return max(codes)
@@ -388,9 +471,11 @@ def _build_parser():
                            "(excludes the t = 0 initial layer)")
     conv.set_defaults(func=_cmd_convergence)
 
-    sweep = subs.add_parser("sweep", help="run several configs concurrently")
+    sweep = subs.add_parser("sweep", help="run several configs, batched")
     sweep.add_argument("configs", nargs="+", help="configuration files")
-    sweep.add_argument("--jobs", type=int, help="worker threads")
+    sweep.add_argument("--jobs", type=int,
+                       help="accepted for compatibility (at least 1); batches run "
+                            "one after another and the value no longer changes the run")
     sweep.set_defaults(func=_cmd_sweep)
 
     return parser

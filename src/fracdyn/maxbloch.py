@@ -58,9 +58,12 @@ A2 = _constant({(3, 4): 1.0, (4, 3): -1.0})
 
 
 def field(x):
-    """Componentwise vector field (x3, x4, x1*x5, x2*x5, -(x1*x3 + x2*x4))."""
-    x1, x2, x3, x4, x5 = np.asarray(x, dtype=float)
-    return np.array([x3, x4, x1 * x5, x2 * x5, -(x1 * x3 + x2 * x4)])
+    """Componentwise vector field (x3, x4, x1*x5, x2*x5, -(x1*x3 + x2*x4)).
+
+    Takes a state of shape (5,) or a batch of shape (B, 5).
+    """
+    x1, x2, x3, x4, x5 = np.asarray(x, dtype=float).T
+    return np.array([x3, x4, x1 * x5, x2 * x5, -(x1 * x3 + x2 * x4)]).T
 
 
 def field_matrix_form(x):
@@ -74,15 +77,17 @@ def field_matrix_form(x):
 
 
 def jacobian(x):
-    """Analytic Jacobian of the field."""
-    x1, x2, x3, x4, x5 = np.asarray(x, dtype=float)
-    return np.array([
-        [0.0, 0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0, 0.0],
-        [x5, 0.0, 0.0, 0.0, x1],
-        [0.0, x5, 0.0, 0.0, x2],
-        [-x3, -x4, -x1, -x2, 0.0],
+    """Analytic Jacobian of the field: (5,) -> (5, 5), (B, 5) -> (B, 5, 5)."""
+    x1, x2, x3, x4, x5 = np.asarray(x, dtype=float).T
+    o, z = np.ones_like(x1), np.zeros_like(x1)
+    out = np.array([
+        [z, z, o, z, z],
+        [z, z, z, o, z],
+        [x5, z, z, z, x1],
+        [z, x5, z, z, x2],
+        [-x3, -x4, -x1, -x2, z],
     ])
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def e1(m, n):
@@ -129,19 +134,26 @@ def system():
 
 
 def controlled_system(k, x_e):
-    """Feedback-controlled model pinned at an equilibrium of either family."""
-    target = as_state(x_e, 5)
-    family_of(target)
-    return dataclasses.replace(controlled(system(), k, target), name=CONTROLLED_SYSTEM_NAME)
+    """Feedback-controlled model pinned at an equilibrium of either family.
+
+    Gains and targets may carry a leading batch axis, as in
+    `systems.controlled`; every target row must belong to a family.
+    """
+    for point in np.atleast_2d(x_e):
+        family_of(point)
+    return dataclasses.replace(controlled(system(), k, x_e), name=CONTROLLED_SYSTEM_NAME)
 
 
 def controlled_field(x, k, x_e):
     """Field of the controlled model, f(x) - k*(x - x_e).
 
-    Named convenience over the generic feedback wrapper; x_e must belong to
-    one of the two equilibrium families.
+    Bitwise equal to `controlled_system(k, x_e).field(x)` without building
+    the system; x_e must belong to one of the two equilibrium families.
     """
-    return controlled_system(k, x_e).field(np.asarray(x, dtype=float))
+    target = as_state(x_e, 5)
+    family_of(target)
+    x = np.asarray(x, dtype=float)
+    return field(x) - as_gains(k, 5) * (x - target)
 
 
 def controlled_jacobian(x, k):

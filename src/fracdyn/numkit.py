@@ -8,7 +8,6 @@ function of its inputs and safe to call concurrently.
 import math
 
 import numpy as np
-import mpmath
 
 __all__ = [
     "DomainError",
@@ -184,6 +183,8 @@ def _ml_sum_float(alpha, z, n_terms):
 
 
 def _ml_sum_mp(alpha, z, n_terms, peak_log):
+    import mpmath  # deferred: only large |z| needs it, and it slows every start-up
+
     digits = int(peak_log / math.log(10.0)) + 30
     with mpmath.workdps(digits):
         a = mpmath.mpf(alpha)

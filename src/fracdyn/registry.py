@@ -27,8 +27,8 @@ def _zero_field_system():
     return SystemDef(
         name=ZERO_FIELD,
         dim=5,
-        field=lambda x: np.zeros(5),
-        jacobian=lambda x: np.zeros((5, 5)),
+        field=lambda x: np.zeros_like(x, dtype=float),
+        jacobian=lambda x: np.zeros(np.shape(x) + (5,)),
     )
 
 
@@ -37,15 +37,16 @@ def _linear_decay_system():
         name=LINEAR_DECAY,
         dim=1,
         field=lambda x: -np.asarray(x, dtype=float),
-        jacobian=lambda x: np.array([[-1.0]]),
+        jacobian=lambda x: np.full(np.shape(x) + (1,), -1.0),
     )
 
 
 def build_system(name, gains=None, target=None):
     """Instantiate a registered system by name.
 
-    The controlled model needs both gains and a target equilibrium point;
-    the other entries take no parameters.
+    The controlled model needs both gains and a target equilibrium point,
+    each optionally with a leading batch axis; the other entries take no
+    parameters. Every field accepts a (d,) state or a (B, d) batch.
     """
     if name == maxbloch.SYSTEM_NAME:
         return maxbloch.system()

@@ -5,6 +5,14 @@ Jacobian; the integrator, the stability classifiers and the command line
 front end all consume this one abstraction. The `controlled` wrapper adds
 the diagonal linear feedback -k*(x - x_e) used to stabilize an otherwise
 unstable equilibrium.
+
+Shape contract: a field takes one state of shape (n,) or a batch of B
+states of shape (B, n) and returns an array of the same shape, row b
+being f(x[b]); a Jacobian maps (n,) to (n, n) and (B, n) to (B, n, n).
+Fields are evaluated row by row with elementwise operations, so a row of
+a batch is bitwise equal to the single evaluation. `stacked` builds on
+this to present B copies of a system as one SystemDef of dimension B*n,
+which the integrator advances like any other system.
 """
 
 from dataclasses import dataclass
@@ -19,6 +27,7 @@ __all__ = [
     "as_gains",
     "is_equilibrium",
     "controlled",
+    "stacked",
     "finite_difference_jacobian",
 ]
 
@@ -60,7 +69,8 @@ class SystemDef:
     """Named autonomous vector field on R^n with an analytic Jacobian.
 
     `field` maps a state vector to f(x) and `jacobian` to the n-by-n matrix
-    of partials. Both are expected to be deterministic and side-effect
+    of partials; both also take a (B, n) batch of states (see the module
+    docstring). Both are expected to be deterministic and side-effect
     free, which makes instances safe to share across concurrent runs.
     """
 
@@ -83,23 +93,40 @@ def is_equilibrium(sys, x, tol=1e-10):
     return float(np.max(np.abs(fx))) <= tol
 
 
+def _rows(value, convert):
+    """Apply `convert` to a single value, or to each row of a 2-D batch."""
+    if np.ndim(value) == 2:
+        return np.array([convert(row) for row in np.asarray(value, dtype=float)])
+    return convert(value)
+
+
 def controlled(sys, k, x_e, equilibrium_tol=1e-8):
     """System with diagonal feedback pinned at an equilibrium of the base.
 
     The returned field is f(x) - k*(x - x_e) componentwise, the Jacobian is
     J(x) - diag(k), and x_e remains an equilibrium. A point that is not an
     equilibrium of the base system (within equilibrium_tol) is rejected.
+
+    Gains and targets may carry a leading batch axis, shape (B, n): row b
+    of a (B, n) state is then fed back with gains k[b] towards x_e[b]. Each
+    row is validated on its own, and every target must be an equilibrium.
     """
-    gains = as_gains(k, sys.dim)
-    target = as_state(x_e, sys.dim)
-    if not is_equilibrium(sys, target, equilibrium_tol):
+    gains = _rows(k, lambda row: as_gains(row, sys.dim))
+    target = _rows(x_e, lambda row: as_state(row, sys.dim))
+    if gains.ndim == target.ndim == 2 and len(gains) != len(target):
         raise ValueError(
-            f"target point is not an equilibrium of {sys.name} "
-            f"(tolerance {equilibrium_tol:g})"
+            f"{len(gains)} gain rows do not match {len(target)} target rows"
         )
+    for point in np.atleast_2d(target):
+        if not is_equilibrium(sys, point, equilibrium_tol):
+            raise ValueError(
+                f"target point is not an equilibrium of {sys.name} "
+                f"(tolerance {equilibrium_tol:g})"
+            )
     base_field = sys.field
     base_jacobian = sys.jacobian
-    shift = np.diag(gains)
+    # diag(k), or one diagonal block per row of batched gains
+    shift = gains[..., :, None] * np.eye(sys.dim)
 
     def field(x):
         x = np.asarray(x, dtype=float)
@@ -110,6 +137,38 @@ def controlled(sys, k, x_e, equilibrium_tol=1e-8):
 
     return SystemDef(
         name=sys.name + "-controlled", dim=sys.dim, field=field, jacobian=jacobian
+    )
+
+
+def stacked(sys, batch):
+    """B copies of a system as one SystemDef of dimension B*n.
+
+    The state is the B row states laid end to end. The field evaluates the
+    base field once on the (B, n) view of the state and flattens the
+    result; the Jacobian is block diagonal. Batching a system whose
+    parameters carry a batch axis (see `controlled`) gives each copy its
+    own parameters.
+    """
+    batch = int(batch)
+    if batch < 1:
+        raise ValueError("batch size must be at least 1")
+    dim = sys.dim
+    base_field = sys.field
+    base_jacobian = sys.jacobian
+    rows = np.arange(batch)
+
+    def field(x):
+        x = np.asarray(x, dtype=float).reshape(batch, dim)
+        return np.asarray(base_field(x), dtype=float).reshape(batch * dim)
+
+    def jacobian(x):
+        x = np.asarray(x, dtype=float).reshape(batch, dim)
+        out = np.zeros((batch, dim, batch, dim))
+        out[rows, :, rows, :] = np.asarray(base_jacobian(x), dtype=float)
+        return out.reshape(batch * dim, batch * dim)
+
+    return SystemDef(
+        name=f"{sys.name}[{batch}]", dim=batch * dim, field=field, jacobian=jacobian
     )
 
 

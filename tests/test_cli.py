@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from fracdyn import cli
 from fracdyn.cli import main
 from fracdyn.expconfig import ExperimentConfig, serialize_config
 
@@ -266,18 +267,35 @@ class TestConvergence:
         capsys.readouterr()
 
 
+def read_csv(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1)
+
+
+def tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 class TestSweep:
-    def _write(self, tmp_path, name, outdir):
-        cfg = ExperimentConfig(
+    GAINS = (1.2, 1.2, 0.5, 0.5, 0.0)
+
+    def _write(self, tmp_path, name, outdir, **changes):
+        fields = dict(
             system="maxwell-bloch-5d-controlled", alpha=0.65, h=0.01, steps=30,
-            epsilon=0.01, gains=(1.2, 1.2, 0.5, 0.5, 0.0),
+            epsilon=0.01, gains=self.GAINS,
             target=("e1", SQRT3_4, 0.25), output_dir=str(outdir),
         )
+        fields.update(changes)
         path = tmp_path / name
-        path.write_text(serialize_config(cfg), encoding="utf-8")
+        path.write_text(serialize_config(ExperimentConfig(**fields)), encoding="utf-8")
         return path
 
-    def test_runs_configs_concurrently(self, tmp_path, capsys):
+    def _plain(self, tmp_path, name, x0, **changes):
+        return self._write(tmp_path, f"{name}.cfg", tmp_path / "out" / name,
+                           system="maxwell-bloch-5d", x0=x0, epsilon=None,
+                           gains=None, target=None, **changes)
+
+    def test_runs_configs_in_batches(self, tmp_path, capsys):
         a = self._write(tmp_path, "a.cfg", tmp_path / "out-a")
         b = self._write(tmp_path, "b.cfg", tmp_path / "out-b")
         assert main(["sweep", str(a), str(b), "--jobs", "2"]) == 0
@@ -291,6 +309,83 @@ class TestSweep:
         assert main(["sweep", str(a), str(b)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        a = self._write(tmp_path, "a.cfg", tmp_path / "out-a")
+        assert main(["sweep", str(a), "--jobs", jobs]) == 2
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "out-a").exists()
+
+    def test_trajectories_match_lone_simulate(self, tmp_path, capsys):
+        gains = [(1.2, 1.2, 0.5, 0.5, 0.0), (0.8, 1.9, 1.1, 0.6, 1.3),
+                 (2.0, 0.5, 0.7, 1.7, 0.9), (1.0, 1.0, 1.0, 1.0, 1.0)]
+        paths = [self._write(tmp_path, f"c{i}.cfg", tmp_path / "sweep" / f"c{i}",
+                             gains=g, steps=400) for i, g in enumerate(gains)]
+        assert main(["sweep", *map(str, paths)]) == 0
+        for i, path in enumerate(paths):
+            assert main(["simulate", "--config", str(path),
+                         "--output", str(tmp_path / "lone" / f"c{i}")]) == 0
+            batched = read_csv(tmp_path / "sweep" / f"c{i}" / "trajectory.csv")
+            lone = read_csv(tmp_path / "lone" / f"c{i}" / "trajectory.csv")
+            assert batched.shape == lone.shape == (401, 7)
+            assert np.all(np.abs(batched - lone) <= 1e-13 * np.maximum(1.0, np.abs(lone)))
+        capsys.readouterr()
+
+    def test_groups_split_by_system_and_steps(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        integrate = cli.integrate
+
+        def recording_integrate(sysdef, cfg):
+            calls.append((sysdef.name, cfg.n_steps))
+            return integrate(sysdef, cfg)
+
+        monkeypatch.setattr(cli, "integrate", recording_integrate)
+        paths = [
+            self._write(tmp_path, "a.cfg", tmp_path / "out" / "a"),
+            self._plain(tmp_path, "b", (0.1, 0.2, 0.3, 0.4, 0.5)),
+            self._write(tmp_path, "c.cfg", tmp_path / "out" / "c", steps=40),
+            self._write(tmp_path, "d.cfg", tmp_path / "out" / "d", gains=(1.0,) * 5),
+            self._plain(tmp_path, "e", (0.5, 0.4, 0.3, 0.2, 0.1)),
+        ]
+        assert main(["sweep", *map(str, paths)]) == 0
+        capsys.readouterr()
+        assert calls == [("maxwell-bloch-5d-controlled[2]", 30),
+                         ("maxwell-bloch-5d[2]", 30),
+                         ("maxwell-bloch-5d-controlled[1]", 40)]
+
+    def test_overflowing_member_fails_alone(self, tmp_path, capsys, monkeypatch):
+        # two plain members per batch, so the failing one shares a batch
+        monkeypatch.setattr(cli, "SWEEP_BATCH_BYTES", 2 * 8 * 5 * 31)
+        plain = [self._plain(tmp_path, f"p{i}", (0.1 * i, 0.2, 0.3, 0.4, -0.5))
+                 for i in range(4)]
+        controlled = self._write(tmp_path, "k.cfg", tmp_path / "out" / "k")
+        bad = self._plain(tmp_path, "bad", (1e200, 1.0, 1.0, 1.0, 1e200))
+        good = plain + [controlled]
+        assert main(["sweep", *map(str, good)]) == 0
+        expected = tree_bytes(tmp_path / "out")
+        capsys.readouterr()
+
+        for name in list(expected):
+            (tmp_path / "out" / name).unlink()
+        argv = ["sweep", *map(str, plain[:2] + [bad] + plain[2:] + [controlled])]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert "numerical failure in maxwell-bloch-5d run at step 0" in captured.err
+        assert f"{bad}: failed (exit 3)" in captured.out
+        assert captured.out.count(": ok") == 5
+        assert tree_bytes(tmp_path / "out") == expected
+
+    def test_rerun_gives_identical_bytes(self, tmp_path, capsys):
+        paths = [self._write(tmp_path, f"c{i}.cfg", tmp_path / "out" / f"c{i}",
+                             epsilon=0.01 * (i + 1)) for i in range(3)]
+        paths.append(self._plain(tmp_path, "p", (0.1, 0.2, 0.3, 0.4, 0.5)))
+        assert main(["sweep", *map(str, paths)]) == 0
+        first = tree_bytes(tmp_path / "out")
+        assert len(first) == 4 * 7
+        assert main(["sweep", *map(str, paths)]) == 0
+        assert tree_bytes(tmp_path / "out") == first
+        capsys.readouterr()
+
 
 class TestEntryPoints:
     def test_help_and_usage_codes(self, capsys):
@@ -298,6 +393,13 @@ class TestEntryPoints:
         assert main([]) == 2
         assert main(["no-such-command"]) == 2
         capsys.readouterr()
+
+    def test_cli_import_leaves_mpmath_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, fracdyn.cli; sys.exit('mpmath' in sys.modules)"],
+        )
+        assert proc.returncode == 0
 
     def test_console_script(self):
         proc = subprocess.run(

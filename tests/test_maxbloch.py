@@ -55,6 +55,34 @@ class TestField:
             assert abs(grad_c2 @ f) <= 1e-13
 
 
+class TestBatchedField:
+    def test_square_batch_unpacks_rows(self, rng):
+        # a (5, 5) input is five states, not five components of length 5
+        xs = rng.uniform(-2.0, 2.0, (5, 5))
+        np.testing.assert_array_equal(maxbloch.field(xs), [maxbloch.field(x) for x in xs])
+        np.testing.assert_array_equal(
+            maxbloch.field(xs)[1], [xs[1, 2], xs[1, 3], xs[1, 0] * xs[1, 4],
+                                    xs[1, 1] * xs[1, 4], -(xs[1, 0] * xs[1, 2] + xs[1, 1] * xs[1, 3])])
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 5), (3, 5)])
+    def test_controlled_field_equals_system_field_bitwise(self, rng, shape):
+        gains = rng.uniform(0.0, 2.0, 5)
+        for target in (maxbloch.e1(0.3, -0.7), maxbloch.e2(-0.125)):
+            x = rng.uniform(-2.0, 2.0, shape)
+            np.testing.assert_array_equal(
+                maxbloch.controlled_field(x, gains, target),
+                maxbloch.controlled_system(gains, target).field(x),
+            )
+
+    def test_controlled_field_keeps_family_check(self):
+        with pytest.raises(ValueError, match="neither equilibrium family"):
+            maxbloch.controlled_field(np.zeros(5), np.ones(5), [1.0, 0.0, 0.0, 1e-6, 0.0])
+
+    def test_batched_controlled_system_checks_every_family(self):
+        with pytest.raises(ValueError, match="neither equilibrium family"):
+            maxbloch.controlled_system(np.ones((2, 5)), [maxbloch.e2(1.0), [1.0, 0.0, 0.0, 1e-6, 0.0]])
+
+
 class TestMatrices:
     def test_exact_entries(self):
         a = np.zeros((5, 5)); a[0, 2] = a[1, 3] = 1.0
