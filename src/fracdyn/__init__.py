@@ -31,12 +31,14 @@ from .solver import (
 )
 from .stability import (
     CubicCoeffs,
+    E1GainReport,
     E2GainReport,
     EquilibriumReport,
     RouthHurwitz,
     Verdict,
     classify_equilibrium,
     cubic_from_gains,
+    e1_gain_condition,
     e2_gain_condition,
     matignon_classify,
     matignon_margins,

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import maxbloch, registry
 from .expconfig import ConfigError, ExperimentConfig, load_config
-from .numkit import DomainError, poly_roots
+from .numkit import DomainError
 from .solver import (
     NumericalError,
     SolverConfig,
@@ -34,14 +34,7 @@ from .solver import (
     convergence_order,
     integrate,
 )
-from .stability import (
-    classify_equilibrium,
-    cubic_from_gains,
-    matignon_classify,
-    routh_hurwitz_cubic,
-    stability_alpha_threshold,
-    e2_gain_condition,
-)
+from .stability import _fmt, _kv_join, classify_equilibrium, e1_gain_condition, e2_gain_condition
 from .svgplot import line_chart
 from .systems import controlled, stacked
 
@@ -50,10 +43,6 @@ from .systems import controlled, stacked
 # caps of 2-5 MiB measured no faster and add up to 6 MB of peak memory;
 # 0.5 MiB was slower.
 SWEEP_BATCH_BYTES = 5 * 2**18
-
-
-def _fmt(x):
-    return f"{float(x):.17g}"
 
 
 def _resolve(cfg):
@@ -76,13 +65,13 @@ def _resolve(cfg):
 
 
 def _write_csv(path, traj):
+    # one format string per row, rows streamed: no text copy of the whole table
     dim = traj.states.shape[1]
-    lines = ["step,t," + ",".join(f"x{i + 1}" for i in range(dim))]
-    for idx in range(traj.states.shape[0]):
-        row = [str(idx), _fmt(traj.times[idx])]
-        row += [_fmt(v) for v in traj.states[idx]]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    row = "%d" + ",%.17g" * (dim + 1) + "\n"
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("step,t," + ",".join(f"x{i + 1}" for i in range(dim)) + "\n")
+        out.writelines(row % (idx, t, *x) for idx, (t, x) in
+                       enumerate(zip(traj.times.tolist(), map(np.ndarray.tolist, traj.states))))
 
 
 def _write_report_kv(path, cfg, traj, target):
@@ -103,7 +92,7 @@ def _write_report_kv(path, cfg, traj, target):
             pairs.append((f"target_{i}", _fmt(v)))
         pairs.append(("initial_distance", _fmt(np.linalg.norm(traj.states[0] - target))))
         pairs.append(("final_distance", _fmt(np.linalg.norm(final - target))))
-    path.write_text("\n".join(f"{k}={v}" for k, v in pairs) + "\n", encoding="utf-8")
+    path.write_text(_kv_join(pairs) + "\n", encoding="utf-8")
 
 
 def _solver_config(cfg, x0):
@@ -134,51 +123,26 @@ def _write_artifacts(cfg, traj, target):
 
 
 def _experiment_config(args):
+    """The config file, if any, with every given flag overriding it."""
+    changes = {"output_dir" if name == "output" else name: getattr(args, name)
+               for name in ("system", "alpha", "h", "steps", "seed", "output")
+               if getattr(args, name) is not None}
+    if args.x0 is not None:
+        changes.update(x0=tuple(args.x0), epsilon=None)
+    if args.epsilon is not None:
+        changes.update(epsilon=args.epsilon, x0=None)
+    if args.gains is not None:
+        changes["gains"] = tuple(args.gains)
+    if args.target_e1 is not None:
+        changes["target"] = ("e1", *args.target_e1)
+    if args.target_e2 is not None:
+        changes["target"] = ("e2", *args.target_e2)
     if args.config:
-        cfg = load_config(args.config)
-        # explicit flags override file values
-        changes = {}
-        for name in ("system", "alpha", "h", "steps", "seed", "output"):
-            value = getattr(args, name, None)
-            if value is not None:
-                changes["output_dir" if name == "output" else name] = value
-        if args.x0 is not None:
-            changes["x0"] = tuple(args.x0)
-            changes["epsilon"] = None
-        if args.epsilon is not None:
-            changes["epsilon"] = args.epsilon
-            changes["x0"] = None
-        if args.gains is not None:
-            changes["gains"] = tuple(args.gains)
-        target = _target_from_args(args)
-        if target is not None:
-            changes["target"] = target
-        return dataclasses.replace(cfg, **changes)
-    missing = [name for name in ("system", "alpha", "h", "steps")
-               if getattr(args, name) is None]
+        return dataclasses.replace(load_config(args.config), **changes)
+    missing = [name for name in ("system", "alpha", "h", "steps") if name not in changes]
     if missing:
         raise ConfigError("missing required options: " + ", ".join(missing))
-    return ExperimentConfig(
-        system=args.system,
-        alpha=args.alpha,
-        h=args.h,
-        steps=args.steps,
-        x0=tuple(args.x0) if args.x0 is not None else None,
-        epsilon=args.epsilon,
-        gains=tuple(args.gains) if args.gains is not None else None,
-        target=_target_from_args(args),
-        seed=args.seed if args.seed is not None else 0,
-        output_dir=args.output if args.output is not None else ".",
-    )
-
-
-def _target_from_args(args):
-    if getattr(args, "target_e1", None) is not None:
-        m, n = args.target_e1
-        return ("e1", m, n)
-    if getattr(args, "target_e2", None) is not None:
-        return ("e2", args.target_e2[0])
-    return None
+    return ExperimentConfig(**changes)
 
 
 def _cmd_simulate(args):
@@ -186,9 +150,6 @@ def _cmd_simulate(args):
 
 
 def _point_from_args(args):
-    given = [x is not None for x in (args.e1, args.e2, args.point)]
-    if sum(given) != 1:
-        raise ConfigError("give exactly one of --e1 M N, --e2 M or --point")
     if args.e1 is not None:
         return maxbloch.e1(args.e1[0], args.e1[1])
     if args.e2 is not None:
@@ -209,92 +170,10 @@ def _cmd_stability(args):
     return 0
 
 
-def _kv_print(pairs):
-    print("\n".join(f"{k}={v}" for k, v in pairs))
-
-
-def _eig_lines(eigs):
-    return [f"  {_fmt(l.real)} {l.imag:+.17g}i" for l in eigs]
-
-
-def _threshold_line(threshold):
-    if threshold <= 0.0:
-        return "argument-test threshold: unstable at every order"
-    if threshold >= 1.0:
-        return "argument-test threshold: stable for every alpha in (0, 1]"
-    return f"argument-test threshold: stable for alpha < {_fmt(threshold)}"
-
-
 def _cmd_gains_check(args):
-    gains = list(args.gains)
-    if args.e2 is not None:
-        rep = e2_gain_condition(gains, args.e2[0])
-        threshold = stability_alpha_threshold(rep.eigenvalues)
-        if args.format == "kv":
-            pairs = [("family", "e2"), ("m", _fmt(rep.m)),
-                     ("delta1", _fmt(rep.delta1)), ("delta2", _fmt(rep.delta2)),
-                     ("u", _fmt(rep.u)), ("v", _fmt(rep.v))]
-            for i, lam in enumerate(rep.eigenvalues, start=1):
-                pairs += [(f"eig_{i}_re", _fmt(lam.real)), (f"eig_{i}_im", _fmt(lam.imag))]
-            pairs += [(f"condition_{k}", "yes" if v else "no")
-                      for k, v in rep.conditions.items()]
-            pairs += [("case", rep.case),
-                      ("case_condition", {True: "yes", False: "no", None: "n/a"}[rep.case_condition]),
-                      ("disagreement", "yes" if rep.disagreement else "no"),
-                      ("stable_all_alpha", "yes" if rep.stable_all_alpha else "no"),
-                      ("alpha_threshold", _fmt(threshold))]
-            if args.alpha is not None:
-                pairs.append(("verdict", str(rep.verdict(args.alpha))))
-            _kv_print(pairs)
-        else:
-            print(f"equilibrium family e2, m = {_fmt(rep.m)}")
-            print(f"delta1 = {_fmt(rep.delta1)}   delta2 = {_fmt(rep.delta2)}")
-            print(f"u = {_fmt(rep.u)}   v = {_fmt(rep.v)}")
-            print("eigenvalues:")
-            print("\n".join(_eig_lines(rep.eigenvalues)))
-            held = [k for k, v in rep.conditions.items() if v] or ["none"]
-            print(f"catalogued conditions held: {', '.join(held)} "
-                  f"(sign case {rep.case})")
-            if rep.disagreement:
-                print("note: catalogued conditions disagree with the eigenvalue "
-                      "verdict; the eigenvalue verdict is authoritative")
-            print("stable for all alpha in (0, 1]: "
-                  + ("yes" if rep.stable_all_alpha else "no"))
-            print(_threshold_line(threshold))
-            if args.alpha is not None:
-                print(f"verdict at alpha = {args.alpha:g}: {rep.verdict(args.alpha)}")
-        return 0
-
-    m, n = args.e1
-    cubic = cubic_from_gains(gains[2], gains[3], gains[4], m, n)
-    rh = routh_hurwitz_cubic(cubic)
-    eigs = [complex(-gains[0]), complex(-gains[1])] + list(poly_roots(cubic.polynomial()))
-    threshold = stability_alpha_threshold(eigs)
-    if args.format == "kv":
-        pairs = [("family", "e1"), ("m", _fmt(m)), ("n", _fmt(n)),
-                 ("a1", _fmt(cubic.a1)), ("a2", _fmt(cubic.a2)), ("a3", _fmt(cubic.a3)),
-                 ("discriminant", _fmt(cubic.discriminant)),
-                 ("routh_hurwitz", str(rh)),
-                 ("alpha_range", rh.alpha_range or "undecided")]
-        for i, lam in enumerate(eigs, start=1):
-            pairs += [(f"eig_{i}_re", _fmt(lam.real)), (f"eig_{i}_im", _fmt(lam.imag))]
-        pairs.append(("alpha_threshold", _fmt(threshold)))
-        if args.alpha is not None:
-            pairs.append(("verdict", str(matignon_classify(eigs, args.alpha))))
-        _kv_print(pairs)
-    else:
-        print(f"equilibrium family e1, m = {_fmt(m)}, n = {_fmt(n)}")
-        print(f"a1 = {_fmt(cubic.a1)}   a2 = {_fmt(cubic.a2)}   a3 = {_fmt(cubic.a3)}")
-        print(f"D(P) = {_fmt(cubic.discriminant)}")
-        range_text = rh.alpha_range
-        print(f"routh-hurwitz: {rh}"
-              + (f" (guaranteed stable for alpha in {range_text})" if range_text else ""))
-        print("eigenvalues:")
-        print("\n".join(_eig_lines(eigs)))
-        print(_threshold_line(threshold))
-        if args.alpha is not None:
-            print(f"verdict at alpha = {args.alpha:g}: "
-                  f"{matignon_classify(eigs, args.alpha)}")
+    rep = (e2_gain_condition(args.gains, *args.e2) if args.e2 is not None
+           else e1_gain_condition(args.gains, *args.e1))
+    print(rep.to_kv(args.alpha) if args.format == "kv" else rep.to_text(args.alpha))
     return 0
 
 
@@ -417,14 +296,16 @@ def _add_simulate_options(sub):
     sub.add_argument("--alpha", type=float, help="fractional order in (0, 1]")
     sub.add_argument("--h", type=float, help="step size")
     sub.add_argument("--steps", type=int, help="number of steps")
-    sub.add_argument("--x0", type=float, nargs="+", help="explicit initial state")
-    sub.add_argument("--epsilon", type=float,
-                     help="offset every target component by this amount instead of --x0")
+    start = sub.add_mutually_exclusive_group()
+    start.add_argument("--x0", type=float, nargs="+", help="explicit initial state")
+    start.add_argument("--epsilon", type=float,
+                       help="offset every target component by this amount instead of --x0")
     sub.add_argument("--gains", type=float, nargs="+", help="feedback gains")
-    sub.add_argument("--target-e1", type=float, nargs=2, metavar=("M", "N"),
-                     help="target equilibrium (M, N, 0, 0, 0)")
-    sub.add_argument("--target-e2", type=float, nargs=1, metavar="M",
-                     help="target equilibrium (0, 0, 0, 0, M)")
+    target = sub.add_mutually_exclusive_group()
+    target.add_argument("--target-e1", type=float, nargs=2, metavar=("M", "N"),
+                        help="target equilibrium (M, N, 0, 0, 0)")
+    target.add_argument("--target-e2", type=float, nargs=1, metavar="M",
+                        help="target equilibrium (0, 0, 0, 0, M)")
     sub.add_argument("--seed", type=int, help="seed recorded with the run")
     sub.add_argument("--output", help="output directory")
 
@@ -443,9 +324,10 @@ def _build_parser():
     stab = subs.add_parser("stability", help="classify an equilibrium")
     stab.add_argument("system", help="registered system name")
     stab.add_argument("--alpha", type=float, required=True)
-    stab.add_argument("--e1", type=float, nargs=2, metavar=("M", "N"))
-    stab.add_argument("--e2", type=float, nargs=1, metavar="M")
-    stab.add_argument("--point", type=float, nargs="+", help="explicit point")
+    point = stab.add_mutually_exclusive_group(required=True)
+    point.add_argument("--e1", type=float, nargs=2, metavar=("M", "N"))
+    point.add_argument("--e2", type=float, nargs=1, metavar="M")
+    point.add_argument("--point", type=float, nargs="+", help="explicit point")
     stab.add_argument("--gains", type=float, nargs="+",
                       help="classify the feedback-controlled system pinned at the point")
     stab.add_argument("--format", choices=("text", "kv"), default="text")
@@ -454,11 +336,12 @@ def _build_parser():
     gc = subs.add_parser("gains-check", help="feedback gain diagnostics")
     gc.add_argument("--gains", type=float, nargs=5, required=True,
                     metavar=("K1", "K2", "K3", "K4", "K5"))
-    gc.add_argument("--e1", type=float, nargs=2, metavar=("M", "N"))
-    gc.add_argument("--e2", type=float, nargs=1, metavar="M")
+    family = gc.add_mutually_exclusive_group(required=True)
+    family.add_argument("--e1", type=float, nargs=2, metavar=("M", "N"))
+    family.add_argument("--e2", type=float, nargs=1, metavar="M")
     gc.add_argument("--alpha", type=float, help="also report the verdict at this order")
     gc.add_argument("--format", choices=("text", "kv"), default="text")
-    gc.set_defaults(func=_cmd_gains_check_dispatch)
+    gc.set_defaults(func=_cmd_gains_check)
 
     conv = subs.add_parser("convergence", help="empirical order study")
     conv.add_argument("--system", default=registry.LINEAR_DECAY)
@@ -479,12 +362,6 @@ def _build_parser():
     sweep.set_defaults(func=_cmd_sweep)
 
     return parser
-
-
-def _cmd_gains_check_dispatch(args):
-    if (args.e1 is None) == (args.e2 is None):
-        raise ConfigError("give exactly one of --e1 M N or --e2 M")
-    return _cmd_gains_check(args)
 
 
 def main(argv=None):

@@ -8,13 +8,13 @@ multiplicity one. Zero eigenvalues have arg 0 = 0 and therefore always
 violate the condition; they are classified unstable rather than assigned
 a margin.
 
-For the feedback-controlled systems two root-free shortcuts are provided:
-a fractional Routh-Hurwitz test on a monic cubic via its discriminant, and
-the closed-form eigenvalue analysis of the diagonal-gain layout whose
-characteristic polynomial splits into a linear factor and two quadratics.
-Both always cross-check against the argument condition on explicit
-eigenvalues; the catalogued inequality cases are reported as diagnostics
-only, never as the verdict.
+Diagonal feedback on the Maxwell-Bloch model has a closed-form analysis
+per equilibrium family: at (m, n, 0, 0, 0) a fractional Routh-Hurwitz test
+on a monic cubic via its discriminant (`e1_gain_condition`), at
+(0, 0, 0, 0, m) a split into a linear factor and two quadratics with the
+catalogued gain windows C1..C5 (`e2_gain_condition`). Both cross-check
+against the argument condition on explicit eigenvalues, which alone gives
+the verdict. Every report renders itself: `to_text` and `to_kv`.
 """
 
 import cmath
@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import numkit
-from .systems import as_state, is_equilibrium, validate_alpha
+from .systems import as_gains, as_state, is_equilibrium, validate_alpha
 
 __all__ = [
     "ZERO_TOL",
@@ -43,6 +43,8 @@ __all__ = [
     "cubic_discriminant",
     "cubic_from_gains",
     "routh_hurwitz_cubic",
+    "E1GainReport",
+    "e1_gain_condition",
     "E2GainReport",
     "e2_gain_condition",
 ]
@@ -66,6 +68,22 @@ class Verdict(enum.Enum):
 
 def _fmt(x):
     return f"{float(x):.17g}"
+
+
+def _yes_no(flag):
+    return "yes" if flag else "no"
+
+
+def _kv_join(pairs):
+    return "\n".join(f"{k}={v}" for k, v in pairs)
+
+
+def _eig_text(lam):
+    return f"{_fmt(lam.real)} {lam.imag:+.17g}i"
+
+
+def _eig_pairs(i, lam):
+    return [(f"eig_{i}_re", _fmt(lam.real)), (f"eig_{i}_im", _fmt(lam.imag))]
 
 
 def _eigenvalue_array(eigs):
@@ -168,7 +186,7 @@ class EquilibriumReport:
         ]
         for lam, margin in zip(self.eigenvalues, self.margins):
             tag = "zero eigenvalue" if margin is None else f"margin {_fmt(margin)}"
-            lines.append(f"  {_fmt(lam.real)} {lam.imag:+.17g}i  {tag}")
+            lines.append(f"  {_eig_text(lam)}  {tag}")
         return "\n".join(lines)
 
     def to_kv(self):
@@ -178,13 +196,11 @@ class EquilibriumReport:
             ("dim", str(len(self.point))),
             ("zero_eigenvalues", str(self.zero_eigs)),
         ]
-        for i, v in enumerate(self.point, start=1):
-            pairs.append((f"point_{i}", _fmt(v)))
+        pairs += [(f"point_{i}", _fmt(v)) for i, v in enumerate(self.point, start=1)]
         for i, (lam, margin) in enumerate(zip(self.eigenvalues, self.margins), start=1):
-            pairs.append((f"eig_{i}_re", _fmt(lam.real)))
-            pairs.append((f"eig_{i}_im", _fmt(lam.imag)))
+            pairs += _eig_pairs(i, lam)
             pairs.append((f"margin_{i}", "undefined" if margin is None else _fmt(margin)))
-        return "\n".join(f"{k}={v}" for k, v in pairs)
+        return _kv_join(pairs)
 
 
 def classify_equilibrium(sys, x_e, alpha, equilibrium_tol=1e-10,
@@ -306,8 +322,91 @@ def routh_hurwitz_cubic(coeffs, alpha=None):
     return RouthHurwitz.NOT_DECIDED
 
 
+class _GainReport:
+    """Shared rendering of the gain reports: the family's head, eigenvalues,
+    the family's tail, the argument-test threshold and, given an order, the
+    verdict. Subclasses supply `eigenvalues`, `_text_sections()` and
+    `_kv_sections()`, each returning (head, tail)."""
+
+    @property
+    def alpha_threshold(self):
+        return stability_alpha_threshold(self.eigenvalues)
+
+    def verdict(self, alpha):
+        return matignon_classify(self.eigenvalues, alpha)
+
+    def to_text(self, alpha=None):
+        head, tail = self._text_sections()
+        threshold = self.alpha_threshold
+        bound = ("unstable at every order" if threshold <= 0.0
+                 else "stable for every alpha in (0, 1]" if threshold >= 1.0
+                 else f"stable for alpha < {_fmt(threshold)}")
+        lines = [*head, "eigenvalues:", *(f"  {_eig_text(lam)}" for lam in self.eigenvalues),
+                 *tail, f"argument-test threshold: {bound}"]
+        if alpha is not None:
+            lines.append(f"verdict at alpha = {alpha:g}: {self.verdict(alpha)}")
+        return "\n".join(lines)
+
+    def to_kv(self, alpha=None):
+        head, tail = self._kv_sections()
+        pairs = list(head)
+        for i, lam in enumerate(self.eigenvalues, start=1):
+            pairs += _eig_pairs(i, lam)
+        pairs += [*tail, ("alpha_threshold", _fmt(self.alpha_threshold))]
+        if alpha is not None:
+            pairs.append(("verdict", str(self.verdict(alpha))))
+        return _kv_join(pairs)
+
+
 @dataclass(frozen=True, eq=False)
-class E2GainReport:
+class E1GainReport(_GainReport):
+    """Closed-form analysis of diagonal feedback at a point (m, n, 0, 0, 0).
+
+    The characteristic polynomial is (lambda + k1)(lambda + k2) times the
+    cubic of `cubic_from_gains`; `routh_hurwitz` is a diagnostic, and the
+    verdict is the argument test on -k1, -k2 and the cubic's roots.
+    """
+
+    m: float
+    n: float
+    cubic: CubicCoeffs
+    routh_hurwitz: RouthHurwitz
+    eigenvalues: tuple
+
+    def _text_sections(self):
+        c, rh = self.cubic, self.routh_hurwitz
+        covered = rh.alpha_range
+        guarantee = f" (guaranteed stable for alpha in {covered})" if covered else ""
+        return [
+            f"equilibrium family e1, m = {_fmt(self.m)}, n = {_fmt(self.n)}",
+            f"a1 = {_fmt(c.a1)}   a2 = {_fmt(c.a2)}   a3 = {_fmt(c.a3)}",
+            f"D(P) = {_fmt(c.discriminant)}",
+            f"routh-hurwitz: {rh}{guarantee}",
+        ], []
+
+    def _kv_sections(self):
+        c, rh = self.cubic, self.routh_hurwitz
+        return [("family", "e1"), ("m", _fmt(self.m)), ("n", _fmt(self.n)),
+                ("a1", _fmt(c.a1)), ("a2", _fmt(c.a2)), ("a3", _fmt(c.a3)),
+                ("discriminant", _fmt(c.discriminant)), ("routh_hurwitz", str(rh)),
+                ("alpha_range", rh.alpha_range or "undecided")], []
+
+
+def e1_gain_condition(k, m, n):
+    """Evaluate the closed-form gain analysis at (m, n, 0, 0, 0).
+
+    Gains must pass `systems.as_gains` (finite, non-negative), and the
+    cubic needs k3 > 0, k4 > 0 and m, n finite, not both zero.
+    """
+    k1, k2, k3, k4, k5 = as_gains(k, 5)
+    cubic = cubic_from_gains(k3, k4, k5, m, n)
+    roots = numkit.poly_roots(cubic.polynomial())
+    eigs = (complex(-k1), complex(-k2)) + tuple(complex(r) for r in roots)
+    return E1GainReport(m, n, cubic, routh_hurwitz_cubic(cubic), eigs)
+
+
+@dataclass(frozen=True, eq=False)
+class E2GainReport(_GainReport):
     """Closed-form analysis of diagonal feedback at a point (0, 0, 0, 0, m).
 
     The characteristic polynomial splits into (lambda + k5) and the two
@@ -317,8 +416,8 @@ class E2GainReport:
     the corner values u = -(k1 - k3)^2 / 4 and v = -(k2 - k4)^2 / 4.
 
     `conditions` evaluates the five catalogued stability windows C1..C5
-    exactly as stated; `case_condition` evaluates the window belonging to
-    the active discriminant sign case. Both are diagnostics. The verdict
+    exactly as stated; `case_condition` is the window belonging to the
+    active discriminant sign case. Both are diagnostics. The verdict
     is always the argument test on the closed-form eigenvalues, and
     `stable_all_alpha` (stability for every order up to 1) is equivalent to
     all eigenvalues having negative real part.
@@ -337,8 +436,29 @@ class E2GainReport:
     disagreement: bool
     stable_all_alpha: bool
 
-    def verdict(self, alpha):
-        return matignon_classify(self.eigenvalues, alpha)
+    def _text_sections(self):
+        held = [k for k, v in self.conditions.items() if v] or ["none"]
+        tail = [f"catalogued conditions held: {', '.join(held)} (sign case {self.case})"]
+        if self.disagreement:
+            tail.append("note: catalogued conditions disagree with the eigenvalue "
+                        "verdict; the eigenvalue verdict is authoritative")
+        tail.append(f"stable for all alpha in (0, 1]: {_yes_no(self.stable_all_alpha)}")
+        return [
+            f"equilibrium family e2, m = {_fmt(self.m)}",
+            f"delta1 = {_fmt(self.delta1)}   delta2 = {_fmt(self.delta2)}",
+            f"u = {_fmt(self.u)}   v = {_fmt(self.v)}",
+        ], tail
+
+    def _kv_sections(self):
+        head = [("family", "e2"), ("m", _fmt(self.m)),
+                ("delta1", _fmt(self.delta1)), ("delta2", _fmt(self.delta2)),
+                ("u", _fmt(self.u)), ("v", _fmt(self.v))]
+        tail = [(f"condition_{k}", _yes_no(v)) for k, v in self.conditions.items()]
+        window = "n/a" if self.case_condition is None else _yes_no(self.case_condition)
+        tail += [("case", self.case), ("case_condition", window),
+                 ("disagreement", _yes_no(self.disagreement)),
+                 ("stable_all_alpha", _yes_no(self.stable_all_alpha))]
+        return head, tail
 
 
 def e2_gain_condition(k, m):
@@ -383,13 +503,13 @@ def e2_gain_condition(k, m):
     if delta1 == 0 and delta2 == 0:
         case, window = "both_zero", True
     elif delta1 > 0 and delta2 > 0:
-        case, window = "both_positive", bool(max(u, v) < m < min(k1 * k3, k2 * k4))
+        case, window = "both_positive", conditions["C2"]
     elif delta1 > 0 and delta2 < 0:
-        case, window = "pos_neg", bool(u < m < min(v, k1 * k3))
+        case, window = "pos_neg", conditions["C3"]
     elif delta1 < 0 and delta2 > 0:
-        case, window = "neg_pos", bool(v < m < min(u, k2 * k4))
+        case, window = "neg_pos", conditions["C4"]
     elif delta1 < 0 and delta2 < 0:
-        case, window = "both_negative", bool(m < min(u, v))
+        case, window = "both_negative", conditions["C5"]
     else:
         # exactly one discriminant on its zero boundary: not catalogued
         case, window = "boundary", None

@@ -1,15 +1,24 @@
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracdyn
 from fracdyn import cli
 from fracdyn.cli import main
 from fracdyn.expconfig import ExperimentConfig, serialize_config
+from fracdyn.solver import Trajectory
 
 SQRT3_4 = math.sqrt(3.0) / 4.0
+
+# child interpreters import the same fracdyn as this test session
+SRC = str(Path(fracdyn.__file__).resolve().parents[1])
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 REFERENCE_RUN = [
     "simulate",
@@ -133,6 +142,38 @@ class TestSimulate:
                      "--output", str(tmp_path)]) == 2
         assert "step size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("conflict", [
+        ["--x0", "0.4", "0.25", "0", "0", "0", "--epsilon", "0.01"],
+        ["--target-e1", repr(SQRT3_4), "0.25", "--target-e2", "-0.125"],
+    ])
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_conflicting_flags_exit_2(self, tmp_path, capsys, conflict, with_config):
+        cfg = ExperimentConfig(
+            system="maxwell-bloch-5d-controlled", alpha=0.65, h=0.01, steps=10,
+            epsilon=0.01, gains=(1.2, 1.2, 0.5, 0.5, 0.0),
+            target=("e1", SQRT3_4, 0.25), output_dir=str(tmp_path / "from-file"),
+        )
+        path = tmp_path / "exp.cfg"
+        path.write_text(serialize_config(cfg), encoding="utf-8")
+        argv = REFERENCE_RUN[:1] + (["--config", str(path)] if with_config else REFERENCE_RUN[1:])
+        argv += ["--output", str(tmp_path / "out")] + conflict
+        assert main(argv) == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "from-file").exists()
+
+    def test_csv_rows_match_per_cell_format(self, tmp_path):
+        edge = [0.0, -0.0, 1e-20, -1e-20, 1e20, -1e20, 5e-324, 0.1, 1 / 3,
+                2.0 ** 53, math.pi, 1e-5, 123456789.123, float("inf"), float("nan")]
+        states = np.array(edge * 5).reshape(15, 5)
+        times = np.linspace(0.0, 1.4, 15)
+        path = tmp_path / "t.csv"
+        cli._write_csv(path, Trajectory(times, states))
+        want = ["step,t,x1,x2,x3,x4,x5"] + [
+            ",".join([str(i), f"{float(t):.17g}"] + [f"{float(v):.17g}" for v in row])
+            for i, (t, row) in enumerate(zip(times, states))
+        ]
+        assert path.read_text(encoding="utf-8") == "\n".join(want) + "\n"
+
 
 class TestStability:
     def test_uncontrolled_unstable(self, capsys):
@@ -168,7 +209,11 @@ class TestStability:
         assert main(["stability", "maxwell-bloch-5d", "--alpha", "0.65"]) == 2
         assert main(["stability", "maxwell-bloch-5d", "--alpha", "0.65",
                      "--e2", "1", "--e1", "1", "0"]) == 2
-        capsys.readouterr()
+        assert main(["stability", "maxwell-bloch-5d", "--alpha", "0.65",
+                     "--e2", "1", "--point", "0", "0", "0", "0", "1"]) == 2
+        assert main(["stability", "maxwell-bloch-5d", "--alpha", "0.65",
+                     "--e1", "1", "0", "--point", "1", "0", "0", "0", "0"]) == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
 
 class TestGainsCheck:
@@ -214,6 +259,7 @@ class TestGainsCheck:
         ["--gains", "1.2", "1.2", "0.5", "0.5", "0", "--e1", "nan", "0"],
         ["--gains", "1.2", "1.2", "nan", "0.5", "0", "--e1", "0.5", "0"],
         ["--gains", "nan", "1.2", "0.5", "0.5", "0", "--e1", "0.5", "0"],
+        ["--gains", "-1", "1", "0.5", "0.5", "0", "--e1", "0.5", "0"],
     ])
     def test_non_finite_input_is_bad_input(self, capsys, argv):
         assert main(["gains-check"] + argv) == 2
@@ -225,7 +271,7 @@ class TestGainsCheck:
         assert main(["gains-check", "--gains", "1", "1", "1", "1", "1"]) == 2
         assert main(["gains-check", "--gains", "1", "1", "1", "1", "1",
                      "--e1", "1", "0", "--e2", "0.5"]) == 2
-        capsys.readouterr()
+        assert "not allowed with argument" in capsys.readouterr().err
 
 
 class TestConvergence:
@@ -398,6 +444,7 @@ class TestEntryPoints:
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, fracdyn.cli; sys.exit('mpmath' in sys.modules)"],
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0
 
@@ -405,7 +452,7 @@ class TestEntryPoints:
         proc = subprocess.run(
             [sys.executable, "-m", "fracdyn.cli", "stability", "maxwell-bloch-5d",
              "--alpha", "0.65", "--e2", "-0.125"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CHILD_ENV,
         )
         assert proc.returncode == 0
         assert "Unstable" in proc.stdout

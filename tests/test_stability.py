@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_multiset_close
 from fracdyn import maxbloch, numkit
@@ -14,6 +16,7 @@ from fracdyn.stability import (
     classify_equilibrium,
     cubic_discriminant,
     cubic_from_gains,
+    e1_gain_condition,
     e2_gain_condition,
     matignon_classify,
     matignon_margins,
@@ -269,6 +272,78 @@ class TestE2GainAnalysis:
             rep = e2_gain_condition(tuple(k), m)
             jac = maxbloch.controlled_jacobian(maxbloch.e2(m), k)
             assert_multiset_close(rep.eigenvalues, numkit.eigenvalues(jac), 1e-8)
+
+
+class TestE1GainAnalysis:
+    def test_reference_case(self):
+        rep = e1_gain_condition((1.2, 1.2, 0.5, 0.5, 0.0), 0.5, 0.0)
+        assert (rep.cubic.a1, rep.cubic.a2, rep.cubic.a3) == (1.0, 0.5, 0.125)
+        assert rep.routh_hurwitz is RouthHurwitz.STABLE_BELOW_TWO_THIRDS
+        assert rep.eigenvalues[:2] == (-1.2, -1.2)
+        assert rep.verdict(0.65) is Verdict.ASYMPTOTICALLY_STABLE
+
+    def test_closed_form_matches_numeric_eigenvalues(self, rng):
+        for _ in range(200):
+            k = rng.uniform(0.05, 2.0, 5)
+            m, n = rng.uniform(-1.0, 1.0, 2)
+            rep = e1_gain_condition(k, m, n)
+            jac = maxbloch.controlled_jacobian(maxbloch.e1(m, n), k)
+            assert_multiset_close(rep.eigenvalues, numkit.eigenvalues(jac), 1e-8)
+
+    @pytest.mark.parametrize("k", [(-1.0, 1.0, 0.5, 0.5, 0.0), (1.0, 1.0, 0.5, 0.5, -0.1),
+                                   (1.0, math.nan, 0.5, 0.5, 0.0), (1.0, 1.0, 0.5, 0.5)])
+    def test_gain_guards(self, k):
+        with pytest.raises(ValueError):
+            e1_gain_condition(k, 0.5, 0.0)
+
+
+GAIN = st.floats(0.01, 3.0)
+PARAM = st.floats(-3.0, 3.0)
+ORDER = st.floats(1e-3, 1.0)
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+CASE_WINDOW = {"both_positive": "C2", "pos_neg": "C3", "neg_pos": "C4", "both_negative": "C5"}
+
+
+def _assert_verdict_follows_threshold(verdict, threshold, alpha):
+    """Asymptotically stable below the threshold and unstable above it, at
+    alpha and at threshold -+ 1e-6 wherever those are orders in (0, 1]."""
+    for a in (alpha, threshold - 1e-6, threshold + 1e-6):
+        if 0.0 < a <= 1.0 and abs(a - threshold) > 5e-7:
+            expected = Verdict.ASYMPTOTICALLY_STABLE if a < threshold else Verdict.UNSTABLE
+            assert verdict(a) is expected, (a, threshold)
+
+
+class TestGainReportProperties:
+    @PROPERTY_SETTINGS
+    @given(st.tuples(GAIN, GAIN, GAIN, GAIN, GAIN), PARAM)
+    def test_e2_case_condition_is_its_catalogued_window(self, k, m):
+        rep = e2_gain_condition(k, m)
+        assume(rep.case in CASE_WINDOW)
+        assert rep.case_condition is rep.conditions[CASE_WINDOW[rep.case]]
+
+    @PROPERTY_SETTINGS
+    @given(st.tuples(GAIN, GAIN, GAIN, GAIN, GAIN), PARAM, ORDER)
+    def test_e2_verdict_follows_threshold(self, k, m, alpha):
+        rep = e2_gain_condition(k, m)
+        _assert_verdict_follows_threshold(rep.verdict, rep.alpha_threshold, alpha)
+
+    @PROPERTY_SETTINGS
+    @given(st.tuples(GAIN, GAIN, GAIN, GAIN, GAIN), PARAM, PARAM, ORDER)
+    def test_e1_verdict_follows_threshold(self, k, m, n, alpha):
+        assume(m * m + n * n > 1e-6)
+        rep = e1_gain_condition(k, m, n)
+        _assert_verdict_follows_threshold(rep.verdict, rep.alpha_threshold, alpha)
+
+    @PROPERTY_SETTINGS
+    @given(st.lists(st.tuples(st.floats(1e-3, 10.0), st.floats(0.0, math.pi)),
+                    min_size=1, max_size=3), ORDER)
+    def test_threshold_splits_conjugate_spectra(self, polar, alpha):
+        # positive gains keep both families' thresholds at 0 or above 1;
+        # conjugate pairs at any angle put it anywhere in [0, 2]
+        eigs = [cmath.rect(r, s * theta) for r, theta in polar for s in (1, -1)]
+        threshold = stability_alpha_threshold(eigs)
+        _assert_verdict_follows_threshold(
+            lambda a: matignon_classify(eigs, a), threshold, alpha)
 
 
 class TestClassifyEquilibrium:
