@@ -12,11 +12,13 @@ Subcommands:
                  stacked system, then written out one by one
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical failure
-during integration (the failing step index goes to stderr).
+during integration (the failing step index goes to stderr), 141 (128 +
+SIGPIPE) when the reader of standard output goes away, as in `| head`.
 """
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -371,10 +373,19 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here rather than at exit
+        return code
     except NumericalError as exc:
         print(f"numerical failure at step {exc.step_index}: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout: stop quietly; output still buffered goes
+        # to devnull, so the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ConfigError, DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -344,7 +344,7 @@ class _GainReport:
         lines = [*head, "eigenvalues:", *(f"  {_eig_text(lam)}" for lam in self.eigenvalues),
                  *tail, f"argument-test threshold: {bound}"]
         if alpha is not None:
-            lines.append(f"verdict at alpha = {alpha:g}: {self.verdict(alpha)}")
+            lines.append(f"verdict at alpha = {_fmt(alpha)}: {self.verdict(alpha)}")
         return "\n".join(lines)
 
     def to_kv(self, alpha=None):
@@ -354,7 +354,7 @@ class _GainReport:
             pairs += _eig_pairs(i, lam)
         pairs += [*tail, ("alpha_threshold", _fmt(self.alpha_threshold))]
         if alpha is not None:
-            pairs.append(("verdict", str(self.verdict(alpha))))
+            pairs += [("alpha", _fmt(alpha)), ("verdict", str(self.verdict(alpha)))]
         return _kv_join(pairs)
 
 

@@ -4,7 +4,12 @@ The output is a pure function of the data: no timestamps, random ids or
 locale-dependent formatting, so identical inputs give identical bytes.
 """
 
+import numpy as np
+
 __all__ = ["line_chart"]
+
+# Polyline points formatted per call: bounds the temporary tuple and string.
+_POINTS_PER_CHUNK = 4096
 
 
 def _ticks(lo, hi, count=5):
@@ -16,21 +21,21 @@ def _ticks(lo, hi, count=5):
 
 def line_chart(values, y_label, x_label="n", title=None, width=720, height=480):
     """SVG text for a line chart of values against their index."""
-    values = [float(v) for v in values]
-    if not values:
-        raise ValueError("cannot plot an empty series")
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError("cannot plot an empty or multi-dimensional series")
     margin = 64.0
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin
 
-    lo, hi = min(values), max(values)
+    lo, hi = float(values.min()), float(values.max())
     if hi - lo == 0.0:
         pad = 0.5 * max(1.0, abs(hi))
     else:
         pad = 0.05 * (hi - lo)
     lo -= pad
     hi += pad
-    last = max(len(values) - 1, 1)
+    last = max(values.size - 1, 1)
 
     def px(i):
         return margin + plot_w * (i / last)
@@ -65,7 +70,7 @@ def line_chart(values, y_label, x_label="n", title=None, width=720, height=480):
             f'<text x="{x0 - 8:.2f}" y="{y + 4:.2f}" text-anchor="end" '
             f'font-family="monospace" font-size="11">{v:.6g}</text>'
         )
-    for i in _ticks(0, len(values) - 1):
+    for i in _ticks(0, values.size - 1):
         idx = int(round(i))
         x = px(idx)
         out.append(
@@ -86,7 +91,14 @@ def line_chart(values, y_label, x_label="n", title=None, width=720, height=480):
         f'font-family="monospace" font-size="13">{y_label}</text>'
     )
 
-    points = " ".join(f"{px(i):.2f},{py(v):.2f}" for i, v in enumerate(values))
+    # the same arithmetic as px and py, one array operation per coordinate
+    xy = np.empty((values.size, 2))
+    xy[:, 0] = margin + plot_w * (np.arange(values.size) / last)
+    xy[:, 1] = height - margin - plot_h * ((values - lo) / (hi - lo))
+    xy = xy.ravel()
+    step = 2 * _POINTS_PER_CHUNK
+    points = " ".join(" ".join(["%.2f,%.2f"] * (chunk.size // 2)) % tuple(chunk.tolist())
+                      for chunk in (xy[i:i + step] for i in range(0, xy.size, step)))
     out.append(
         f'<polyline points="{points}" fill="none" stroke="#1f4e9c" stroke-width="1.5"/>'
     )

@@ -307,6 +307,12 @@ class TestConvergence:
         assert main(["convergence", "--alpha", "0.65", "--h-list", "0.1"] + option) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_long_horizon_oracle(self, capsys):
+        # the oracle's argument reaches -(200 ** 0.65) = -31.3
+        assert main(["convergence", "--alpha", "0.65", "--h-list", "1", "0.5", "0.25",
+                     "--tau", "200", "--x0", "1"]) == 0
+        assert "fitted order:" in capsys.readouterr().out
+
     def test_system_without_oracle_rejected(self, capsys):
         assert main(["convergence", "--system", "maxwell-bloch-5d",
                      "--alpha", "0.65", "--h-list", "0.04", "0.02", "0.01"]) == 2
@@ -447,6 +453,31 @@ class TestEntryPoints:
             env=CHILD_ENV,
         )
         assert proc.returncode == 0
+
+    def test_convergence_run_leaves_mpmath_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from fracdyn.cli import main; "
+             "code = main(['convergence', '--alpha', '0.65', '--h-list', '0.1', '0.05', "
+             "'0.025', '--tau', '20']); sys.exit(code or 10 * ('mpmath' in sys.modules))"],
+            env=CHILD_ENV, capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_closed_stdout_exits_quietly(self):
+        # the reader is gone before the child writes, as after `| head -3`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fracdyn.cli", "stability", "maxwell-bloch-5d",
+                 "--alpha", "0.65", "--e2", "-0.125"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=CHILD_ENV,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""
 
     def test_console_script(self):
         proc = subprocess.run(

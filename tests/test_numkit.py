@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_multiset_close
 from fracdyn import numkit
@@ -15,6 +17,43 @@ def ml_series_oracle(alpha, z, terms=400, dps=50):
         for j in range(terms):
             total += mpmath.mpf(z) ** j / mpmath.gamma(mpmath.mpf(alpha) * j + 1)
         return float(total)
+
+
+def ml_series80(alpha, z, budget=2000):
+    """E_alpha(z) from the power series at 80 digits plus the digits of its
+    largest term; None when the terms stay above 1e-90 for budget terms."""
+    log_z = math.log(abs(z))
+    log_terms = [j * log_z - math.lgamma(alpha * j + 1.0) for j in range(budget)]
+    n_terms = next((j + 1 for j, t in enumerate(log_terms) if t < math.log(1e-90)), None)
+    if n_terms is None:
+        return None
+    with mpmath.workdps(80 + int(max(log_terms[:n_terms]) / math.log(10.0))):
+        a, zz = mpmath.mpf(alpha), mpmath.mpf(z)
+        return float(mpmath.fsum(zz ** j * mpmath.rgamma(a * j + 1) for j in range(n_terms)))
+
+
+def ml_asymptotic_oracle(alpha, x):
+    """E_alpha(-x) from its large-x expansion sum_k (-1)^(k+1) x^-k / Gamma(1 - alpha k).
+
+    The envelope x^-k Gamma(alpha k) / pi bounds the terms; the sum, at 50
+    digits, stops at the envelope's smallest value or at 1e-40 of its first,
+    whichever comes first, and is None when that stop is above 1e-20 of the
+    first. For alpha > 2/3 the expansion leaves out terms of size
+    exp(x^(1/alpha) cos(pi/alpha)), which the caller must keep small.
+    """
+    envelope = lambda k: -k * math.log(x) + math.lgamma(alpha * k)
+    k = 1
+    while envelope(k + 1) < envelope(k) and envelope(k) > envelope(1) + math.log(1e-40):
+        k += 1
+    if envelope(k) > envelope(1) + math.log(1e-20):
+        return None
+    with mpmath.workdps(50):
+        a, xx = mpmath.mpf(alpha), mpmath.mpf(x)
+        return float(mpmath.fsum((-1) ** (j + 1) * xx ** -j * mpmath.rgamma(1 - a * j)
+                                 for j in range(1, k)))
+
+
+ML_ALPHAS = (0.05, 0.1, 0.3, 0.5, 0.65, 0.8, 0.95, 0.99, 0.999, 0.9999)
 
 
 class TestGamma:
@@ -166,13 +205,90 @@ class TestMittagLeffler:
             assert abs(numkit.mittag_leffler(alpha, z)) <= 1.0 + 1e-12
 
     def test_budget_exhaustion_flagged(self):
+        # only z > 0 (and |z| < 1 below alpha = 0.01) uses the series and its budget
         with pytest.raises(numkit.ConvergenceError):
-            numkit.mittag_leffler(0.1, -3.0)
+            numkit.mittag_leffler(0.1, 3.0)
+
+    def test_small_order_and_large_argument_match_references(self):
+        # the series cannot be summed at (0.1, -3) within its budget, nor safely past |z| = 20
+        assert abs(numkit.mittag_leffler(0.1, -3.0) - ml_asymptotic_oracle(0.1, 3.0)) <= 1e-12
+        oracle = ml_series80(0.65, -25.0)
+        assert abs(numkit.mittag_leffler(0.65, -25.0) - oracle) <= 1e-12
 
     def test_domain_guards(self):
-        with pytest.raises(numkit.DomainError):
-            numkit.mittag_leffler(0.65, -25.0)
+        for z in (math.nan, math.inf, -math.inf, 20.5):
+            with pytest.raises(numkit.DomainError):
+                numkit.mittag_leffler(0.65, z)
         with pytest.raises(numkit.DomainError):
             numkit.mittag_leffler(1.2, -1.0)
         with pytest.raises(numkit.DomainError):
             numkit.mittag_leffler(0.0, -1.0)
+        # below alpha = 0.01 only the series, and so only |z| < 1, is available
+        with pytest.raises(numkit.DomainError):
+            numkit.mittag_leffler(0.005, -1.0)
+        assert abs(numkit.mittag_leffler(0.005, -0.5) - ml_series80(0.005, -0.5)) <= 1e-15
+
+    @pytest.mark.parametrize("alpha", ML_ALPHAS)
+    def test_negative_axis_against_80_digit_series(self, alpha):
+        checked = 0
+        for z in (-1e-9, -0.3, -0.9, -1.7, -4.0, -7.0, -11.5, -16.0, -20.0):
+            oracle = ml_series80(alpha, z)
+            if oracle is not None:
+                assert abs(numkit.mittag_leffler(alpha, z) - oracle) <= 1e-12, z
+                checked += 1
+        assert checked >= 3
+
+    @pytest.mark.parametrize("alpha", ML_ALPHAS[:8])
+    def test_negative_axis_against_asymptotic_expansion(self, alpha):
+        # where the series cannot be summed (small alpha) and far beyond z = -20,
+        # at x where the expansion is accurate: near alpha = 1 that takes x >= 100
+        xs = [1.5, 3.0, 10.0] if alpha < 0.2 else [30.0] if alpha < 0.9 else []
+        xs += [100.0, 1e3, 1e4]
+        for x in xs:
+            oracle = ml_asymptotic_oracle(alpha, x)
+            assert oracle is not None, x
+            got = numkit.mittag_leffler(alpha, -x)
+            assert abs(got - oracle) <= 1e-12 * abs(oracle), x
+
+    def test_order_near_one(self):
+        zs = (-1e-6, -0.5, -3.0, -9.0, -20.0)
+        for gap in (1e-5, 1e-8, 1e-12):
+            for z in zs:
+                oracle = ml_series80(1.0 - gap, z)
+                assert abs(numkit.mittag_leffler(1.0 - gap, z) - oracle) <= 1e-13, (gap, z)
+        below_one = math.nextafter(1.0, 0.0)
+        for z in zs:
+            assert abs(numkit.mittag_leffler(below_one, z) - math.exp(z)) <= 1e-13
+            assert numkit.mittag_leffler(1.0, z) == math.exp(z)
+
+    def test_positive_axis_against_extended_precision(self):
+        # the z > 0 cases the removed mpmath branch used to sum
+        for alpha, z in [(0.65, 8.0), (0.8, 15.0), (0.55, 20.0), (0.9, 19.5), (0.35, 4.0)]:
+            oracle = ml_series80(alpha, z)
+            assert abs(numkit.mittag_leffler(alpha, z) - oracle) <= 1e-13 * oracle
+
+    def test_extreme_arguments_finite(self):
+        for alpha in (0.01, 0.05, 0.5, 0.65, 0.999, math.nextafter(1.0, 0.0)):
+            for z in (-1e300, -1.7e308, -5e-324):
+                value = numkit.mittag_leffler(alpha, z)
+                assert math.isfinite(value) and 0.0 <= value <= 1.0
+        # E_alpha(-x) ~ x^-1 / Gamma(1 - alpha): right in size even this far out
+        far = numkit.mittag_leffler(0.5, -1e300)
+        assert 1e-303 < far < 1e-298
+
+    def test_repeatable_bit_for_bit(self):
+        for alpha, z in [(0.1, -3.0), (0.65, -7.0), (0.999, -20.0), (0.65, 8.0)]:
+            first = numkit.mittag_leffler(alpha, z)
+            assert all(numkit.mittag_leffler(alpha, z) == first for _ in range(5))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(0.01, 1.0), st.floats(0.0, 1e300), st.floats(0.0, 1e300))
+    def test_monotone_and_bounded_on_negative_axis(self, alpha, x1, x2):
+        # the quadrature domain; below alpha = 0.01 only |z| < 1 is served
+        assume(x1 != x2)
+        x1, x2 = sorted((x1, x2))
+        e1 = numkit.mittag_leffler(alpha, -x1)
+        e2 = numkit.mittag_leffler(alpha, -x2)
+        assert e2 <= e1 <= 1.0
+        # exp(-x) underflows past x = 745 at alpha = 1
+        assert e2 > 0.0 or (alpha == 1.0 and x2 > 745.0)
