@@ -41,9 +41,11 @@ from .svgplot import line_chart
 from .systems import controlled, stacked
 
 # Largest field history, B*d*(N + 1) float64 values, of one sweep batch:
-# 16 configs of the 5-D model at N=2000. Over a whole 64-config sweep,
-# caps of 2-5 MiB measured no faster and add up to 6 MB of peak memory;
-# 0.5 MiB was slower.
+# 16 configs of the 5-D model at N=2000. The solver's far-field sums wait in
+# the unfilled part of this history, so it also bounds their memory; only
+# the transform temporaries of one block come on top. A 64-config sweep at
+# N=2000 peaks at 34.8 MB with this cap; half of it (32.9 MB) was slower
+# and twice it (38.3 MB) no faster.
 SWEEP_BATCH_BYTES = 5 * 2**18
 
 

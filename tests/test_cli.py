@@ -127,6 +127,21 @@ class TestSimulate:
         assert code == 3
         assert "step" in capsys.readouterr().err
 
+    def test_failure_past_the_first_block_keeps_its_step(self, tmp_path, capsys):
+        # gains just past the step-size stability limit: the error grows
+        # slowly and overflows long after the far-field sums have started
+        code = main([
+            "simulate", "--system", "maxwell-bloch-5d-controlled", "--alpha", "0.65",
+            "--h", "0.01", "--steps", "600", "--epsilon", "0.01",
+            "--gains", *["29.7"] * 5, "--target-e2", "-0.125",
+            "--output", str(tmp_path / "boom"),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure at step 442: "
+            "non-finite predictor field value at step 442 (t = 4.42)\n"
+        )
+
     def test_config_errors_exit_code(self, tmp_path, capsys):
         assert main(["simulate", "--system", "no-such-system", "--alpha", "0.5",
                      "--h", "0.1", "--steps", "5", "--x0", "1",
@@ -426,6 +441,21 @@ class TestSweep:
         assert f"{bad}: failed (exit 3)" in captured.out
         assert captured.out.count(": ok") == 5
         assert tree_bytes(tmp_path / "out") == expected
+
+    def test_member_failing_past_the_first_block_keeps_its_step(self, tmp_path, capsys):
+        e2 = dict(target=("e2", -0.125), gains=(0.25, 1.5, 0.25, 2.0 / 3.0, 1.0), steps=600)
+        paths = [self._write(tmp_path, "a.cfg", tmp_path / "out" / "a", **e2),
+                 self._write(tmp_path, "bad.cfg", tmp_path / "out" / "bad",
+                             **{**e2, "gains": (29.7,) * 5}),
+                 self._write(tmp_path, "b.cfg", tmp_path / "out" / "b", **e2)]
+        assert main(["sweep", *map(str, paths)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "numerical failure in maxwell-bloch-5d-controlled run at step 442: "
+            "non-finite predictor field value at step 442 (t = 4.42)\n"
+        )
+        assert f"{paths[1]}: failed (exit 3)" in captured.out
+        assert captured.out.count(": ok") == 2
 
     def test_rerun_gives_identical_bytes(self, tmp_path, capsys):
         paths = [self._write(tmp_path, f"c{i}.cfg", tmp_path / "out" / f"c{i}",

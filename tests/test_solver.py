@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracdyn import maxbloch, registry
 from fracdyn.numkit import mittag_leffler
 from fracdyn.solver import (
+    _BLOCK,
     MAX_STEPS,
     PREDICTOR_AS_PRINTED,
     NumericalError,
@@ -243,44 +246,78 @@ class TestIntegrate:
 
 
 def direct_abm(sys, cfg):
-    """The scheme as printed in the module docstring, one scalar weight at a time."""
+    """The scheme of the module docstring as a plain double sum.
+
+    Step n takes the tails of the weight vectors of an N-step run, so every
+    weight has the bits the solver uses; it returns the states and the
+    predictor states.
+    """
     alpha, h, N = cfg.alpha, cfg.h, cfg.n_steps
     x0 = np.asarray(cfg.x0, dtype=float)
     cp = h ** alpha / math.gamma(alpha + 1.0)
     cc = h ** alpha / math.gamma(alpha + 2.0)
-    x = [x0]
-    F = [sys.field(x0)]
+    b = predictor_weights(N, alpha)  # b[N - n + j] = b[j, n+1]
+    a = corrector_weights(N, alpha)  # a[N - n + j] = a[j, n+1] for j >= 1
+    steps = np.arange(N, dtype=float)
+    a0 = np.power(steps, alpha + 1.0) - (steps - alpha) * np.power(steps + 1.0, alpha)
+    x = np.empty((N + 1, x0.size))
+    xp = np.empty((N, x0.size))
+    F = np.empty((N + 1, x0.size))
+    x[0] = x0
+    F[0] = sys.field(x0)
     for n in range(N):
-        xp = x0 + cp * sum(predictor_weight(j, n, alpha) * F[j] for j in range(n + 1))
-        acc = sum(corrector_weight(j, n, alpha) * F[j] for j in range(n + 1))
-        x.append(x0 + cc * (acc + sys.field(xp)))
-        F.append(sys.field(x[-1]))
-    return np.array(x)
+        xp[n] = x0 + cp * (b[N - n :] @ F[: n + 1])
+        acc = a0[n] * F[0] + a[N - n + 1 :] @ F[1 : n + 1] + sys.field(xp[n])
+        x[n + 1] = x0 + cc * acc
+        F[n + 1] = sys.field(x[n + 1])
+    return x, xp
+
+
+CONTROLLED_E1 = maxbloch.e1(math.sqrt(3.0) / 4.0, 0.25)
+CONTROLLED_E2 = maxbloch.e2(-0.125)
+# (system, x0) of the controlled runs the history sums are checked on
+CONTROLLED_RUNS = (
+    (maxbloch.controlled_system([1.2, 1.2, 0.5, 0.5, 0.0], CONTROLLED_E1), CONTROLLED_E1 + 0.01),
+    (maxbloch.controlled_system([0.25, 1.5, 0.25, 2.0 / 3.0, 1.0], CONTROLLED_E2),
+     CONTROLLED_E2 + 0.01),
+)
+# inside one block, its edges, the first far-field tiles, and a run whose
+# last tiles are clipped to the steps that exist
+ORACLE_STEPS = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 4 * _BLOCK + 1, 3000)
+
+
+def assert_matches_direct_sum(sys, cfg):
+    states, preds = direct_abm(sys, cfg)
+    traj = integrate(sys, cfg, keep_predictor=True)
+    for got, expected in ((traj.states, states), (traj.predictor_states, preds)):
+        bad = np.abs(got - expected) > 1e-13 * np.maximum(1.0, np.abs(expected))
+        assert not bad.any(), f"{sys.name} from {cfg.x0}, N={cfg.n_steps}: {np.argwhere(bad)[:3]}"
 
 
 class TestKernelAgainstDirectSum:
     @pytest.mark.parametrize("alpha", (0.3, 0.65, 1.0))
     @pytest.mark.parametrize("model", ["controlled", "linear-decay"])
     def test_integrate_matches_direct_sum(self, model, alpha):
-        if model == "controlled":
-            x0 = maxbloch.e2(-0.125)
-            sys = maxbloch.controlled_system([0.25, 1.5, 0.25, 2.0 / 3.0, 1.0], x0)
-            x0 = x0 + 0.01
-        else:
-            sys, x0 = LINEAR, [1.0]
-        cfg = SolverConfig(alpha=alpha, h=0.05, n_steps=40, x0=x0)
-        expected = direct_abm(sys, cfg)
-        got = integrate(sys, cfg).states
-        assert np.all(np.abs(got - expected) <= 1e-13 * np.maximum(1.0, np.abs(expected)))
+        runs = CONTROLLED_RUNS if model == "controlled" else ((LINEAR, [1.0]),)
+        for sys, x0 in runs:
+            for n_steps in ORACLE_STEPS:
+                cfg = SolverConfig(alpha=alpha, h=0.01, n_steps=n_steps, x0=x0)
+                assert_matches_direct_sum(sys, cfg)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.integers(1, 3000), st.floats(0.05, 1.0))
+    def test_any_length_and_order(self, n_steps, alpha):
+        assert_matches_direct_sum(LINEAR, SolverConfig(alpha=alpha, h=0.01,
+                                                       n_steps=n_steps, x0=[1.0]))
 
 
 class TestStep:
     def test_matches_integrate_exactly(self):
         target = maxbloch.e2(-0.125)
         sys = maxbloch.controlled_system([0.25, 1.5, 0.25, 2.0 / 3.0, 1.0], target)
-        cfg = SolverConfig(alpha=0.65, h=0.02, n_steps=20, x0=target + 0.01)
+        cfg = SolverConfig(alpha=0.65, h=0.02, n_steps=4 * _BLOCK + 2, x0=target + 0.01)
         traj = integrate(sys, cfg, keep_predictor=True)
-        for n in (0, 5, 19):
+        for n in (0, 5, 19, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 1, 4 * _BLOCK + 1):
             prefix = Trajectory(times=traj.times[: n + 1], states=traj.states[: n + 1])
             xp, xc = step(sys, cfg, prefix, n)
             assert np.array_equal(xp, traj.predictor_states[n])
