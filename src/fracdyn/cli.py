@@ -8,8 +8,9 @@ Subcommands:
                  Maxwell-Bloch model at either equilibrium family
     convergence  empirical order study against an analytic solution
     sweep        run several simulate configs, batched: configs that share
-                 (system, alpha, h, steps) are integrated together as one
-                 stacked system, then written out one by one
+                 (system, alpha, h, steps) are integrated together from a
+                 (B, d) initial state, then written out one by one, each
+                 with the bytes its lone simulate writes
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical failure
 during integration (the failing step index goes to stderr), 141 (128 +
@@ -38,7 +39,7 @@ from .solver import (
 )
 from .stability import _fmt, _kv_join, classify_equilibrium, e1_gain_condition, e2_gain_condition
 from .svgplot import line_chart
-from .systems import controlled, stacked
+from .systems import controlled
 
 # Largest field history, B*d*(N + 1) float64 values, of one sweep batch:
 # 16 configs of the 5-D model at N=2000. The solver's far-field sums wait in
@@ -219,34 +220,30 @@ class _Member(NamedTuple):
 
 
 def _integrate_batch(batch):
-    """Integrate sweep members that share (system, alpha, h, steps) as one
-    stacked system; returns one trajectory per member."""
+    """Integrate sweep members that share (system, alpha, h, steps) from one
+    (B, d) initial state; returns one trajectory per member."""
     cfg = batch[0].cfg
     params = {}
     if cfg.system == maxbloch.CONTROLLED_SYSTEM_NAME:
         params = {"gains": [m.cfg.gains for m in batch], "target": [m.target for m in batch]}
-    sysdef = stacked(registry.build_system(cfg.system, **params), len(batch))
-    x0 = np.concatenate([m.x0 for m in batch])
-    traj = integrate(sysdef, _solver_config(cfg, x0))
-    states = traj.states.reshape(cfg.steps + 1, len(batch), -1)
-    return [Trajectory(traj.times, states[:, b]) for b in range(len(batch))]
+    sysdef = registry.build_system(cfg.system, **params)
+    traj = integrate(sysdef, _solver_config(cfg, [m.x0 for m in batch]))
+    return [Trajectory(traj.times, traj.states[:, b]) for b in range(len(batch))]
 
 
 def _sweep_group(members, codes):
     """Integrate one group of sweep members in batches and write their artifacts.
 
     Batches are consecutive slices of the group, capped by
-    SWEEP_BATCH_BYTES. A batch that fails numerically is rerun member by
-    member. Members that fail on their own get exit code 3 and the rest go
-    back to the front of the queue, so every other config is integrated in
-    the batch it would share in a sweep without the failing ones; if none
-    fails on its own, the single runs are written.
+    SWEEP_BATCH_BYTES. A member's trajectory is bitwise the same in any
+    batch, so a batch that fails numerically is rerun member by member:
+    members that fail on their own get exit code 3, and the others are
+    written as they are.
     """
     cfg = members[0].cfg
     cap = max(1, SWEEP_BATCH_BYTES // (8 * members[0].x0.size * (cfg.steps + 1)))
-    pending = list(members)
-    while pending:
-        batch, pending = pending[:cap], pending[cap:]
+    for start in range(0, len(members), cap):
+        batch = members[start : start + cap]
         try:
             trajs = _integrate_batch(batch)
         except NumericalError:
@@ -259,11 +256,9 @@ def _sweep_group(members, codes):
                           f"{exc.step_index}: {exc}", file=sys.stderr)
                     codes[member.index] = 3
                     trajs.append(None)
-            if any(traj is None for traj in trajs):
-                pending = [m for m, t in zip(batch, trajs) if t is not None] + pending
-                continue
         for member, traj in zip(batch, trajs):
-            _write_artifacts(member.cfg, traj, member.target)
+            if traj is not None:
+                _write_artifacts(member.cfg, traj, member.target)
 
 
 def _cmd_sweep(args):

@@ -44,6 +44,10 @@ floating-point sums; results stay within 1e-12 relative of the direct
 sum (at most 1e-15 measured). Field values are cached so the field
 itself is evaluated exactly twice per accepted step. Distinct runs share
 no state.
+
+A (B, d) x0 is a batch of B runs that share (system, alpha, h, N): the
+field takes (B, d) states, each member takes its own near-window product
+and far-field rows, so member b is bitwise equal to the lone run from x0[b].
 """
 
 import math
@@ -52,7 +56,7 @@ from typing import Optional
 
 import numpy as np
 
-from .systems import SystemDef, as_state, validate_alpha
+from .systems import SystemDef, as_states, validate_alpha
 
 __all__ = [
     "PREDICTOR_WITH_X0",
@@ -83,7 +87,7 @@ MAX_STEPS = 10**6
 # 128 and 512 measured no faster.
 _BLOCK = 256
 # Rows of F that one far-field FFT call transforms together, chosen so each
-# temporary holds about this many values: short blocks of a stacked sweep
+# temporary holds about this many values: short blocks of a (B, d) batch
 # go in a few calls, long blocks row by row to bound peak memory.
 _FFT_VALUES = 2**13
 
@@ -99,7 +103,10 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Discretization parameters: order, step size, step count, initial state."""
+    """Discretization parameters: order, step size, step count, initial state.
+
+    x0 is one state (d,) or a batch of B states (B, d), kept as tuples.
+    """
 
     alpha: float
     h: float
@@ -111,7 +118,9 @@ class SolverConfig:
         object.__setattr__(self, "alpha", validate_alpha(self.alpha))
         object.__setattr__(self, "h", float(self.h))
         object.__setattr__(self, "n_steps", int(self.n_steps))
-        object.__setattr__(self, "x0", tuple(float(v) for v in as_state(self.x0)))
+        x0 = as_states(self.x0)
+        rows = x0.tolist()
+        object.__setattr__(self, "x0", tuple(map(tuple, rows) if x0.ndim == 2 else rows))
         if not 0.0 < self.h < math.inf:
             raise ValueError("step size must be positive and finite")
         if not 1 <= self.n_steps <= MAX_STEPS:
@@ -128,8 +137,9 @@ class SolverConfig:
 class Trajectory:
     """Uniform-grid solution: times t_0..t_N and states x[0..N].
 
-    When requested, predictor_states[i] holds the predictor value for step
-    i + 1, i.e. the x_p sequence over t_1..t_N.
+    states[i] has the shape of x0. When requested, predictor_states[i]
+    holds the predictor value for step i + 1, i.e. the x_p sequence over
+    t_1..t_N.
     """
 
     times: np.ndarray
@@ -206,9 +216,9 @@ def _first_corrector_weights(n, alpha):
 def _checked_field(sys, scheme, x, step_index, stage):
     """One field value, checked for its shape as well as for finiteness."""
     out = np.asarray(sys.field(x), dtype=float)
-    if out.shape != (sys.dim,):
+    if out.shape != x.shape:
         raise ValueError(
-            f"field of {sys.name} returned shape {out.shape}, expected ({sys.dim},)"
+            f"field of {sys.name} returned shape {out.shape}, expected {x.shape}"
         )
     return scheme.check(out, f"{stage} field value", step_index)
 
@@ -216,23 +226,25 @@ def _checked_field(sys, scheme, x, step_index, stage):
 class _Scheme:
     """Weights, constants, states and field history of one run of N = n_steps steps.
 
-    Step n sums the field columns F[:, j], j = 0..n, with the lag weights
-    b_k and ak_k of `_lag_weights`, k = n - j, scaled by cp and cc. Steps
-    come in blocks of r = _BLOCK:
+    Step n sums the field values F[j], j = 0..n, with the lag weights b_k
+    and ak_k of `_lag_weights`, k = n - j, scaled by cp and cc. Steps come
+    in blocks of r = _BLOCK:
 
-    - the near window, the columns of step n's own block up to n, is one
-      product with `near`, both scaled kernels reversed;
-    - every earlier column reaches step n through far-field sums. When
+    - the near window, the values of step n's own block up to n, is one
+      product per batch member with `near`, both scaled kernels reversed;
+    - every earlier value reaches step n through far-field sums. When
       `push` completes F block [s*r, q*r), with L the lowest set bit of q
       and s = q - L, it adds that block's sums to steps [q*r, (q + L)*r)
       by one FFT product. These tiles cover every pair of blocks j < n
       exactly once (Hairer, Lubich & Schlichte 1985).
 
-    The far-field sums of step n wait in the slots that step n fills:
-    F[:, n + 1] holds the predictor's and states[n + 1] the corrector's, so
-    they take no memory of their own. `push(0)` starts them at the anchor
-    and at x0 + cc * c0[n] * F[:, 0]: the kernels give F[:, 0] the weight
-    ak_n, and c0[n] = a0[n] - ak_n makes it a0[n].
+    F is a (..., N + 1, d) view of `rows`, one row of history per state
+    component, which the far field transforms. The far-field sums of step
+    n wait in the slots that step n fills: F[..., n + 1, :] holds the
+    predictor's and states[n + 1] the corrector's, so they take no memory
+    of their own. `push(0)` starts them at the anchor and at
+    x0 + cc * c0[n] * F[0]: the kernels give F[0] the weight ak_n, and
+    c0[n] = a0[n] - ak_n makes it a0[n].
     """
 
     def __init__(self, cfg, dim, n_steps):
@@ -243,17 +255,19 @@ class _Scheme:
         self.cc = cfg.h ** cfg.alpha / math.gamma(cfg.alpha + 2.0)
         b, a = _lag_weights(_BLOCK, cfg.alpha)
         self.near = np.stack([self.cp * b, self.cc * a])[:, ::-1].copy()
-        self.x0 = as_state(cfg.x0, dim)
-        self.anchor = self.x0 if cfg.predictor_anchor == PREDICTOR_WITH_X0 else np.zeros(dim)
-        self.zeros = np.zeros(dim)
-        self.F = np.empty((dim, n_steps + 1))
-        self.states = np.empty((n_steps + 1, dim))
+        self.x0 = as_states(cfg.x0, dim)
+        self.anchor = (self.x0 if cfg.predictor_anchor == PREDICTOR_WITH_X0
+                       else np.zeros_like(self.x0))
+        self.zeros = np.zeros(self.x0.size)
+        self.rows = np.empty((self.x0.size, n_steps + 1))
+        self.F = np.swapaxes(self.rows.reshape(self.x0.shape + (n_steps + 1,)), -1, -2)
+        self.states = np.empty((n_steps + 1,) + self.x0.shape)
         self.states[0] = self.x0
 
     def check(self, value, what, step_index):
         """`value`, or NumericalError at `step_index` if it holds NaN or Inf."""
         # inf * 0 and nan * 0 are nan, so one dot product tests every entry
-        if not math.isfinite(self.zeros.dot(value)):
+        if not math.isfinite(self.zeros.dot(value.ravel())):
             t = step_index * self.h
             raise NumericalError(
                 f"non-finite {what} at step {step_index} (t = {t:.10g})", step_index, t
@@ -261,13 +275,13 @@ class _Scheme:
         return value
 
     def push(self, j):
-        """Take in field column j; a column that completes a block adds its far field."""
-        F, N = self.F, self.n_steps
+        """Take in field value j; a value that completes a block adds its far field."""
+        rows, N = self.rows, self.n_steps
         if j == 0:
             c0 = _first_corrector_weights(np.arange(N), self.alpha)
             c0 -= _lag_weights(N, self.alpha)[1]
-            F[:, 1:] = self.anchor[:, None]
-            np.outer(self.cc * c0, F[:, 0], out=self.states[1:])
+            self.F[..., 1:, :] = self.anchor[..., None, :]
+            np.outer(self.cc * c0, rows[:, 0], out=self.states[1:].reshape(N, -1))
             self.states[1:] += self.x0
         q, rest = divmod(j + 1, _BLOCK)
         o0 = q * _BLOCK
@@ -275,46 +289,47 @@ class _Scheme:
             return
         from numpy.fft import irfft, rfft  # only runs longer than one block need it
 
+        states = self.states.reshape(N + 1, -1)
         size = q & -q
         j0, o1 = o0 - size * _BLOCK, min(o0 + size * _BLOCK, N)
         nfft = o1 - j0  # outputs see lags 1..nfft-1 only, so nothing wraps
         kernels = [rfft(c * weights)
                    for c, weights in zip((self.cp, self.cc), _lag_weights(nfft, self.alpha))]
-        rows = max(1, _FFT_VALUES // nfft)
-        for i in range(0, F.shape[0], rows):
-            spectra = rfft(F[i : i + rows, j0:o0], nfft)
-            slots = (F[i : i + rows, o0 + 1 : o1 + 1],
-                     self.states[o0 + 1 : o1 + 1, i : i + rows].T)
+        chunk = max(1, _FFT_VALUES // nfft)
+        for i in range(0, len(rows), chunk):
+            spectra = rfft(rows[i : i + chunk, j0:o0], nfft)
+            slots = (rows[i : i + chunk, o0 + 1 : o1 + 1],
+                     states[o0 + 1 : o1 + 1, i : i + chunk].T)
             for kernel, out in zip(kernels, slots):
                 out += irfft(spectra * kernel, nfft)[:, o0 - j0 :]
 
     def advance(self, field, n):
-        """Predictor and corrector for step n + 1 from field values F[:, 0..n]."""
+        """Predictor and corrector for step n + 1 from field values F[..., 0..n, :]."""
         k = n % _BLOCK
-        near = self.near[:, _BLOCK - 1 - k :] @ self.F[:, n - k : n + 1].T
-        xp = near[0] + self.F[:, n + 1]
+        near = self.near[:, _BLOCK - 1 - k :] @ self.F[..., n - k : n + 1, :]
+        xp = near[..., 0, :] + self.F[..., n + 1, :]
         fp = self.check(field(xp), "predictor field value", n + 1)
-        xc = near[1] + self.states[n + 1] + self.cc * fp
+        xc = near[..., 1, :] + self.states[n + 1] + self.cc * fp
         return xp, self.check(xc, "corrected state", n + 1)
 
 
 def step(sys, cfg, history, n):
     """Predictor and corrector values carrying the history to step n + 1.
 
-    `history` must hold accepted states 0..n; field values are recomputed
-    from it and taken in by the same far-field pushes as in `integrate`
-    over cfg.n_steps steps, so the result equals what `integrate` produces
-    at the same index bit for bit, including the evaluation order.
+    `history` must hold accepted states 0..n, each shaped like x0; field
+    values are recomputed from it and taken in by the same far-field pushes
+    as in `integrate` over cfg.n_steps steps, so the result equals what
+    `integrate` produces at the same index bit for bit.
     """
     states = np.asarray(history.states, dtype=float)
-    if states.ndim != 2 or states.shape[1] != sys.dim:
-        raise ValueError("history states must be an (m, dim) array")
+    if states.shape[1:] != np.shape(cfg.x0):
+        raise ValueError("history states must be an (m, *x0.shape) array")
     if not 0 <= n < states.shape[0]:
         raise ValueError(f"history holds {states.shape[0]} states, step n={n} needs 0..n")
     scheme = _Scheme(cfg, sys.dim, max(cfg.n_steps, n + 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n + 1):
-            scheme.F[:, j] = _checked_field(sys, scheme, states[j], j, "history")
+            scheme.F[..., j, :] = _checked_field(sys, scheme, states[j], j, "history")
             scheme.push(j)
         return scheme.advance(sys.field, n)
 
@@ -322,26 +337,26 @@ def step(sys, cfg, history, n):
 def integrate(sys, cfg, keep_predictor=False):
     """Integrate the system over the whole horizon and return the trajectory.
 
-    Deterministic: identical inputs give identical output arrays. Numerical
-    failures (NaN/Inf from the field) raise NumericalError carrying the
-    failing step index and time.
+    Deterministic: identical inputs give identical output arrays, and a
+    batch member's equal its lone run's. Numerical failures (NaN/Inf from
+    the field) raise NumericalError carrying the failing step index and time.
     """
     n_steps = cfg.n_steps
     field = sys.field
     scheme = _Scheme(cfg, sys.dim, n_steps)
     F, states = scheme.F, scheme.states
-    preds = np.empty((n_steps, sys.dim)) if keep_predictor else None
+    preds = np.empty((n_steps,) + scheme.x0.shape) if keep_predictor else None
 
     # overflow in the field is caught by the finiteness checks, not worth a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        F[:, 0] = _checked_field(sys, scheme, scheme.x0, 0, "initial")
+        F[..., 0, :] = _checked_field(sys, scheme, scheme.x0, 0, "initial")
         scheme.push(0)
         for n in range(n_steps):
             xp, xc = scheme.advance(field, n)
             if preds is not None:
                 preds[n] = xp
             states[n + 1] = xc
-            F[:, n + 1] = scheme.check(field(xc), "corrector field value", n + 1)
+            F[..., n + 1, :] = scheme.check(field(xc), "corrector field value", n + 1)
             scheme.push(n + 1)
 
     times = np.arange(n_steps + 1, dtype=float) * cfg.h
@@ -369,10 +384,14 @@ def _max_errors(sys, alpha, oracle, h_list, tau, x0, t_min=0.0,
     """Max-norm error against `oracle` on grid points t >= t_min, per step size."""
     if not (0.0 < tau < math.inf and 0.0 <= t_min < math.inf):
         raise ValueError("tau must be positive and t_min non-negative, both finite")
+    if t_min > tau:
+        raise ValueError(f"no grid point lies in t >= t_min = {t_min} up to the horizon {tau}")
     errors = []
     for h in h_list:
         if not 0.0 < h < math.inf:
             raise ValueError("step sizes must be positive and finite")
+        if tau / h > MAX_STEPS + 0.5:  # also when tau / h overflows
+            raise ValueError(f"step size {h} needs over {MAX_STEPS} steps to reach {tau}")
         n_steps = round(tau / h)
         if abs(n_steps * h - tau) > 1e-9 * tau:
             raise ValueError(f"step size {h} does not divide the horizon {tau}")

@@ -257,18 +257,24 @@ def cubic_from_gains(k3, k4, k5, m, n):
     equilibrium (m, n, 0, 0, 0) with m^2 + n^2 != 0.
 
     Coefficients are a1 = k3 + k4 + k5, a2 = k3*k4 + k3*k5 + k4*k5 + m^2 + n^2
-    and a3 = k3*k4*k5 + k3*n^2 + k4*m^2. Exact input types survive.
+    and a3 = k3*k4*k5 + k3*n^2 + k4*m^2. Exact input types survive; float
+    coefficients or a discriminant that overflow raise DomainError.
     """
     if not all(math.isfinite(v) for v in (k3, k4, k5, m, n)):
         raise numkit.DomainError("gains, m and n must be finite")
     if k3 <= 0 or k4 <= 0 or k5 < 0:
         raise numkit.DomainError("gains must satisfy k3 > 0, k4 > 0, k5 >= 0")
-    if m * m + n * n == 0:
-        raise numkit.DomainError("m and n must not both vanish")
-    a1 = k3 + k4 + k5
-    a2 = k3 * k4 + k3 * k5 + k4 * k5 + m * m + n * n
-    a3 = k3 * k4 * k5 + k3 * n * n + k4 * m * m
-    return CubicCoeffs(a1, a2, a3)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        if m * m + n * n == 0:
+            raise numkit.DomainError("m and n must not both vanish")
+        a1 = k3 + k4 + k5
+        a2 = k3 * k4 + k3 * k5 + k4 * k5 + m * m + n * n
+        a3 = k3 * k4 * k5 + k3 * n * n + k4 * m * m
+        cubic = CubicCoeffs(a1, a2, a3)
+    if any(isinstance(v, float) and not math.isfinite(v)
+           for v in (a1, a2, a3, cubic.discriminant)):
+        raise numkit.DomainError("gains, m or n too large: the cubic is not finite")
+    return cubic
 
 
 class RouthHurwitz(enum.Enum):

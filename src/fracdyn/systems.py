@@ -10,9 +10,10 @@ Shape contract: a field takes one state of shape (n,) or a batch of B
 states of shape (B, n) and returns an array of the same shape, row b
 being f(x[b]); a Jacobian maps (n,) to (n, n) and (B, n) to (B, n, n).
 Fields are evaluated row by row with elementwise operations, so a row of
-a batch is bitwise equal to the single evaluation. `stacked` builds on
-this to present B copies of a system as one SystemDef of dimension B*n,
-which the integrator advances like any other system.
+a batch is bitwise equal to the single evaluation. The integrator builds
+on this: a (B, n) initial state advances B runs of one system at once
+(see `fracdyn.solver`), and a system whose parameters carry a batch axis
+(see `controlled`) gives each run its own parameters.
 """
 
 from dataclasses import dataclass
@@ -24,10 +25,10 @@ __all__ = [
     "SystemDef",
     "validate_alpha",
     "as_state",
+    "as_states",
     "as_gains",
     "is_equilibrium",
     "controlled",
-    "stacked",
     "finite_difference_jacobian",
 ]
 
@@ -50,6 +51,13 @@ def as_state(x, dim=None):
     if not np.isfinite(v).all():
         raise ValueError("state contains non-finite components")
     return v
+
+
+def as_states(x, dim=None):
+    """One state as from `as_state`, or a (B, n) batch of B >= 1 of them."""
+    if np.ndim(x) == 2 and len(x):
+        return np.array([as_state(row, dim) for row in np.asarray(x, dtype=float)])
+    return as_state(x, dim)
 
 
 def as_gains(k, dim):
@@ -112,7 +120,7 @@ def controlled(sys, k, x_e, equilibrium_tol=1e-8):
     row is validated on its own, and every target must be an equilibrium.
     """
     gains = _rows(k, lambda row: as_gains(row, sys.dim))
-    target = _rows(x_e, lambda row: as_state(row, sys.dim))
+    target = as_states(x_e, sys.dim)
     if gains.ndim == target.ndim == 2 and len(gains) != len(target):
         raise ValueError(
             f"{len(gains)} gain rows do not match {len(target)} target rows"
@@ -137,38 +145,6 @@ def controlled(sys, k, x_e, equilibrium_tol=1e-8):
 
     return SystemDef(
         name=sys.name + "-controlled", dim=sys.dim, field=field, jacobian=jacobian
-    )
-
-
-def stacked(sys, batch):
-    """B copies of a system as one SystemDef of dimension B*n.
-
-    The state is the B row states laid end to end. The field evaluates the
-    base field once on the (B, n) view of the state and flattens the
-    result; the Jacobian is block diagonal. Batching a system whose
-    parameters carry a batch axis (see `controlled`) gives each copy its
-    own parameters.
-    """
-    batch = int(batch)
-    if batch < 1:
-        raise ValueError("batch size must be at least 1")
-    dim = sys.dim
-    base_field = sys.field
-    base_jacobian = sys.jacobian
-    rows = np.arange(batch)
-
-    def field(x):
-        x = np.asarray(x, dtype=float).reshape(batch, dim)
-        return np.asarray(base_field(x), dtype=float).reshape(batch * dim)
-
-    def jacobian(x):
-        x = np.asarray(x, dtype=float).reshape(batch, dim)
-        out = np.zeros((batch, dim, batch, dim))
-        out[rows, :, rows, :] = np.asarray(base_jacobian(x), dtype=float)
-        return out.reshape(batch * dim, batch * dim)
-
-    return SystemDef(
-        name=f"{sys.name}[{batch}]", dim=batch * dim, field=field, jacobian=jacobian
     )
 
 

@@ -275,12 +275,15 @@ class TestGainsCheck:
         ["--gains", "1.2", "1.2", "nan", "0.5", "0", "--e1", "0.5", "0"],
         ["--gains", "nan", "1.2", "0.5", "0.5", "0", "--e1", "0.5", "0"],
         ["--gains", "-1", "1", "0.5", "0.5", "0", "--e1", "0.5", "0"],
+        # m^2 and the discriminant overflow
+        ["--gains", "1", "1", "1", "1", "1", "--e1", "1e200", "1e200"],
     ])
     def test_non_finite_input_is_bad_input(self, capsys, argv):
         assert main(["gains-check"] + argv) == 2
         captured = capsys.readouterr()
         assert "finite" in captured.err
-        assert "stable for" not in captured.out
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_family_selection_required(self, capsys):
         assert main(["gains-check", "--gains", "1", "1", "1", "1", "1"]) == 2
@@ -316,11 +319,18 @@ class TestConvergence:
                      "--h-list"] + h_list) == 2
         assert "does not divide" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("option", [["--tau", "nan"], ["--tau", "inf"],
-                                        ["--t-min", "nan"], ["--h-list", "0"]])
+    @pytest.mark.parametrize("option", [
+        ["--tau", "nan"], ["--tau", "inf"], ["--t-min", "nan"], ["--h-list", "0"],
+        # tau / h overflows to inf
+        ["--h-list", "1e-10", "--tau", "1e300"],
+        # no grid point lies in the window t >= t_min
+        ["--h-list", "0.1", "0.05", "0.025", "--tau", "1", "--t-min", "5"],
+    ])
     def test_non_finite_or_zero_input_is_bad_input(self, capsys, option):
         assert main(["convergence", "--alpha", "0.65", "--h-list", "0.1"] + option) == 2
-        assert "error:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_long_horizon_oracle(self, capsys):
         # the oracle's argument reaches -(200 ** 0.65) = -31.3
@@ -332,10 +342,6 @@ class TestConvergence:
         assert main(["convergence", "--system", "maxwell-bloch-5d",
                      "--alpha", "0.65", "--h-list", "0.04", "0.02", "0.01"]) == 2
         capsys.readouterr()
-
-
-def read_csv(path):
-    return np.loadtxt(path, delimiter=",", skiprows=1)
 
 
 def tree_bytes(root):
@@ -392,10 +398,9 @@ class TestSweep:
         for i, path in enumerate(paths):
             assert main(["simulate", "--config", str(path),
                          "--output", str(tmp_path / "lone" / f"c{i}")]) == 0
-            batched = read_csv(tmp_path / "sweep" / f"c{i}" / "trajectory.csv")
-            lone = read_csv(tmp_path / "lone" / f"c{i}" / "trajectory.csv")
-            assert batched.shape == lone.shape == (401, 7)
-            assert np.all(np.abs(batched - lone) <= 1e-13 * np.maximum(1.0, np.abs(lone)))
+            swept = tree_bytes(tmp_path / "sweep" / f"c{i}")
+            assert len(swept) == 7
+            assert swept == tree_bytes(tmp_path / "lone" / f"c{i}")
         capsys.readouterr()
 
     def test_groups_split_by_system_and_steps(self, tmp_path, capsys, monkeypatch):
@@ -403,7 +408,7 @@ class TestSweep:
         integrate = cli.integrate
 
         def recording_integrate(sysdef, cfg):
-            calls.append((sysdef.name, cfg.n_steps))
+            calls.append((sysdef.name, len(cfg.x0), cfg.n_steps))
             return integrate(sysdef, cfg)
 
         monkeypatch.setattr(cli, "integrate", recording_integrate)
@@ -416,9 +421,9 @@ class TestSweep:
         ]
         assert main(["sweep", *map(str, paths)]) == 0
         capsys.readouterr()
-        assert calls == [("maxwell-bloch-5d-controlled[2]", 30),
-                         ("maxwell-bloch-5d[2]", 30),
-                         ("maxwell-bloch-5d-controlled[1]", 40)]
+        assert calls == [("maxwell-bloch-5d-controlled", 2, 30),
+                         ("maxwell-bloch-5d", 2, 30),
+                         ("maxwell-bloch-5d-controlled", 1, 40)]
 
     def test_overflowing_member_fails_alone(self, tmp_path, capsys, monkeypatch):
         # two plain members per batch, so the failing one shares a batch

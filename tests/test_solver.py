@@ -315,13 +315,16 @@ class TestStep:
     def test_matches_integrate_exactly(self):
         target = maxbloch.e2(-0.125)
         sys = maxbloch.controlled_system([0.25, 1.5, 0.25, 2.0 / 3.0, 1.0], target)
-        cfg = SolverConfig(alpha=0.65, h=0.02, n_steps=4 * _BLOCK + 2, x0=target + 0.01)
-        traj = integrate(sys, cfg, keep_predictor=True)
-        for n in (0, 5, 19, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 1, 4 * _BLOCK + 1):
-            prefix = Trajectory(times=traj.times[: n + 1], states=traj.states[: n + 1])
-            xp, xc = step(sys, cfg, prefix, n)
-            assert np.array_equal(xp, traj.predictor_states[n])
-            assert np.array_equal(xc, traj.states[n + 1])
+        # one state and a (2, 5) batch of them
+        for x0 in (target + 0.01, target + [[0.01], [-0.02]]):
+            cfg = SolverConfig(alpha=0.65, h=0.02, n_steps=4 * _BLOCK + 2, x0=x0)
+            traj = integrate(sys, cfg, keep_predictor=True)
+            for n in (0, 5, 19, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 1, 4 * _BLOCK + 1):
+                prefix = Trajectory(times=traj.times[: n + 1], states=traj.states[: n + 1])
+                xp, xc = step(sys, cfg, prefix, n)
+                assert xc.shape == np.shape(x0)
+                assert np.array_equal(xp, traj.predictor_states[n])
+                assert np.array_equal(xc, traj.states[n + 1])
 
     def test_history_guards(self):
         cfg = SolverConfig(alpha=0.65, h=0.1, n_steps=5, x0=[1.0])
@@ -358,6 +361,10 @@ class TestConvergenceOrder:
             convergence_order(LINEAR, 1.0, oracle, [0.04, 0.02], 1.0, [1.0])
         with pytest.raises(ValueError):
             convergence_order(LINEAR, 1.0, oracle, [0.04, 0.03, 0.02], 1.0, [1.0])
+        with pytest.raises(ValueError, match="over 1000000 steps"):
+            convergence_order(LINEAR, 1.0, oracle, [1e-10, 5e-11, 2.5e-11], 1e300, [1.0])
+        with pytest.raises(ValueError, match="no grid point"):
+            convergence_order(LINEAR, 1.0, oracle, [0.1, 0.05, 0.025], 1.0, [1.0], t_min=5.0)
 
     @pytest.mark.parametrize("tau, t_min", [(math.nan, 0.0), (math.inf, 0.0),
                                             (1.0, math.nan), (1.0, math.inf)])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracdyn import maxbloch, registry
 from fracdyn.systems import (
@@ -9,7 +11,6 @@ from fracdyn.systems import (
     controlled,
     finite_difference_jacobian,
     is_equilibrium,
-    stacked,
     validate_alpha,
 )
 from fracdyn.solver import SolverConfig, integrate
@@ -156,37 +157,31 @@ def test_batched_controlled_validates_every_row():
         controlled(base, good, [E1, E1, E1])
 
 
-def test_stacked_system_is_rowwise_block_diagonal(rng):
-    base = controlled(maxbloch.system(), rng.uniform(0.0, 2.0, (3, 5)), [E1] * 3)
-    sys = stacked(base, 3)
-    assert sys.dim == 15
-    x = rng.uniform(-2.0, 2.0, 15)
-    rows = x.reshape(3, 5)
-    np.testing.assert_array_equal(sys.field(x), base.field(rows).ravel())
-    jac = sys.jacobian(x)
-    blocks = base.jacobian(rows)
-    for i in range(3):
-        for j in range(3):
-            block = jac[5 * i:5 * i + 5, 5 * j:5 * j + 5]
-            np.testing.assert_array_equal(block, blocks[i] if i == j else np.zeros((5, 5)))
-    fd = finite_difference_jacobian(sys.field, x)
-    assert np.max(np.abs(fd - jac)) <= 1e-5 * (1.0 + np.max(np.abs(jac)))
-    with pytest.raises(ValueError):
-        stacked(base, 0)
+def batch_and_lone_systems(name, rng, batch):
+    """The system for a (batch, d) x0, the lone system of each member, and x0."""
+    if name.startswith("controlled"):
+        target = E1 if name == "controlled-e1" else maxbloch.e2(-0.125)
+        gains = rng.uniform(0.5, 2.0, (batch, 5))
+        return (maxbloch.controlled_system(gains, [target] * batch),
+                [maxbloch.controlled_system(k, target) for k in gains],
+                target + rng.uniform(-0.05, 0.05, (batch, 5)))
+    sys = registry.build_system(name)
+    return sys, [sys] * batch, rng.uniform(-0.2, 0.2, (batch, sys.dim))
 
 
-def test_stacked_integration_matches_single_runs(rng):
-    gains = rng.uniform(0.5, 2.0, (4, 5))
-    x0 = E1 + rng.uniform(-0.05, 0.05, (4, 5))
-    cfg = dict(alpha=0.65, h=0.01, n_steps=300)
-    batch = integrate(stacked(maxbloch.controlled_system(gains, [E1] * 4), 4),
-                      SolverConfig(x0=x0.ravel(), **cfg))
-    states = batch.states.reshape(301, 4, 5)
-    for b in range(4):
-        single = integrate(maxbloch.controlled_system(gains[b], E1),
-                           SolverConfig(x0=x0[b], **cfg)).states
-        assert np.max(np.abs(states[:, b] - single) / np.maximum(1.0, np.abs(single))) <= 1e-13
-        # a batch of one does the single run's arithmetic
-        alone = integrate(stacked(maxbloch.controlled_system(gains[b:b + 1], [E1]), 1),
-                          SolverConfig(x0=x0[b], **cfg)).states
-        np.testing.assert_array_equal(alone, single)
+@pytest.mark.parametrize("name", ["controlled-e1", "controlled-e2",
+                                  registry.LINEAR_DECAY, maxbloch.SYSTEM_NAME])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.integers(1, 700), st.floats(0.05, 1.0),
+       st.integers(0, 2**32 - 1))
+def test_batch_members_equal_lone_runs_bitwise(name, batch, n_steps, alpha, seed):
+    # 700 steps cross the 256 and 512 block edges of the far-field sums; the
+    # solver's effective step h^alpha stays 0.05, as at h = 0.01, alpha = 0.65
+    batched, lone, x0 = batch_and_lone_systems(name, np.random.default_rng(seed), batch)
+    cfg = dict(alpha=alpha, h=0.05 ** (1.0 / alpha), n_steps=n_steps)
+    traj = integrate(batched, SolverConfig(x0=x0, **cfg), keep_predictor=True)
+    assert traj.states.shape == (n_steps + 1,) + x0.shape
+    for b in range(batch):
+        alone = integrate(lone[b], SolverConfig(x0=x0[b], **cfg), keep_predictor=True)
+        assert np.array_equal(traj.states[:, b], alone.states)
+        assert np.array_equal(traj.predictor_states[:, b], alone.predictor_states)
