@@ -9,8 +9,11 @@ Subcommands:
     convergence  empirical order study against an analytic solution
     sweep        run several simulate configs, batched: configs that share
                  (system, alpha, h, steps) are integrated together from a
-                 (B, d) initial state, then written out one by one, each
-                 with the bytes its lone simulate writes
+                 (B, d) initial state, then written out, each with the
+                 bytes its lone simulate writes; with --jobs N > 1, N
+                 forked writer processes write one batch's artifacts
+                 while this process integrates the next, and the output
+                 does not depend on N
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical failure
 during integration (the failing step index goes to stderr), 141 (128 +
@@ -18,7 +21,9 @@ SIGPIPE) when the reader of standard output goes away, as in `| head`.
 """
 
 import argparse
+import contextlib
 import dataclasses
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -107,24 +112,33 @@ def _solver_config(cfg, x0):
 def _run_experiment(cfg):
     sysdef, x0, target = _resolve(cfg)
     traj = integrate(sysdef, _solver_config(cfg, x0))
-    return _write_artifacts(cfg, traj, target)
+    _write_artifacts(cfg, traj, target)
+    _print_summary(cfg, traj, target)
+    return 0
 
 
 def _write_artifacts(cfg, traj, target):
-    dim = traj.states.shape[1]
+    """Write trajectory.csv, fig1.svg..figd.svg and report.kv of one run.
+
+    Touches no standard stream: sweep writers run it in worker processes.
+    """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "trajectory.csv", traj)
-    for i in range(dim):
+    for i in range(traj.states.shape[1]):
         chart = line_chart(traj.states[:, i], y_label=f"x^{i + 1}(n)", x_label="n")
         (outdir / f"fig{i + 1}.svg").write_text(chart, encoding="utf-8")
     _write_report_kv(outdir / "report.kv", cfg, traj, target)
+
+
+def _print_summary(cfg, traj, target):
+    """Print the lines that follow a run's written artifacts."""
     print("final state: " + " ".join(_fmt(v) for v in traj.states[-1]))
     if target is not None:
         print(f"initial distance to target: {_fmt(np.linalg.norm(traj.states[0] - target))}")
         print(f"final distance to target: {_fmt(np.linalg.norm(traj.states[-1] - target))}")
-    print(f"wrote {outdir / 'trajectory.csv'} and {dim} figure(s)")
-    return 0
+    print(f"wrote {Path(cfg.output_dir) / 'trajectory.csv'} and "
+          f"{traj.states.shape[1]} figure(s)")
 
 
 def _experiment_config(args):
@@ -231,38 +245,91 @@ def _integrate_batch(batch):
     return [Trajectory(traj.times, traj.states[:, b]) for b in range(len(batch))]
 
 
-def _sweep_group(members, codes):
-    """Integrate one group of sweep members in batches and write their artifacts.
+def _sweep_group(members):
+    """Integrate one group of sweep members in batches.
 
     Batches are consecutive slices of the group, capped by
-    SWEEP_BATCH_BYTES. A member's trajectory is bitwise the same in any
-    batch, so a batch that fails numerically is rerun member by member:
-    members that fail on their own get exit code 3, and the others are
-    written as they are.
+    SWEEP_BATCH_BYTES; each is yielded as (member, trajectory or
+    NumericalError) pairs in member order. A member's trajectory is bitwise
+    the same in any batch, so the members a failure names fail exactly as
+    they would alone, and the others are rerun as one batch until a batch
+    succeeds.
     """
     cfg = members[0].cfg
     cap = max(1, SWEEP_BATCH_BYTES // (8 * members[0].x0.size * (cfg.steps + 1)))
     for start in range(0, len(members), cap):
         batch = members[start : start + cap]
-        try:
-            trajs = _integrate_batch(batch)
-        except NumericalError:
-            trajs = []
-            for member in batch:
-                try:
-                    trajs += _integrate_batch([member])
-                except NumericalError as exc:
-                    print(f"numerical failure in {cfg.system} run at step "
-                          f"{exc.step_index}: {exc}", file=sys.stderr)
-                    codes[member.index] = 3
-                    trajs.append(None)
-        for member, traj in zip(batch, trajs):
-            if traj is not None:
-                _write_artifacts(member.cfg, traj, member.target)
+        outcomes = {}
+        left = batch
+        while left:
+            try:
+                outcomes.update(zip((m.index for m in left), _integrate_batch(left)))
+                break
+            except NumericalError as exc:
+                outcomes.update((left[row].index, exc) for row in exc.rows)
+                left = [m for m in left if m.index not in outcomes]
+        yield [(member, outcomes[member.index]) for member in batch]
+
+
+def _cpu_count():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _writer_count(jobs, members, cpus):
+    """Processes that write the artifacts of `members` sweep members: at most
+    `jobs`, one per member and one per CPU; 1 means writing inline."""
+    return max(1, min(jobs, members, cpus))
+
+
+def _written(batches, writers):
+    """Write the artifacts of each batch of (member, outcome) pairs, where an
+    outcome is a trajectory or a NumericalError, and yield the pairs in
+    order once their files are complete.
+
+    One writer writes inline. More writers are a pool of processes, forked
+    on the first batch, that write one batch while the caller integrates
+    the next. At most one batch is in flight: a batch is yielded only after
+    the next one has been handed over, and the batch after that is not
+    integrated until it has been yielded, which keeps peak memory flat.
+    The pool is forked, not spawned, so workers inherit the imported
+    modules instead of importing numpy again; it forks before any thread
+    of its own starts. Workers ignore SIGINT, so an interrupt reaches the
+    caller alone, and the pool is shut down with the generator.
+    """
+    if writers == 1:
+        for batch in batches:
+            for member, outcome in batch:
+                if not isinstance(outcome, NumericalError):
+                    _write_artifacts(member.cfg, outcome, member.target)
+                yield member, outcome
+        return
+
+    import multiprocessing
+    import signal
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(writers, multiprocessing.get_context("fork"),
+                               signal.signal, (signal.SIGINT, signal.SIG_IGN))
+    try:
+        in_flight = []
+        for batch in itertools.chain(batches, [[]]):  # the empty batch drains the last one
+            handed = [(member, outcome, None if isinstance(outcome, NumericalError) else
+                       pool.submit(_write_artifacts, member.cfg, outcome, member.target))
+                      for member, outcome in batch]
+            for member, outcome, write in in_flight:
+                if write is not None:
+                    write.result()  # re-raises the worker's exception, an OSError say
+                yield member, outcome
+            in_flight = handed
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _cmd_sweep(args):
-    if args.jobs is not None and args.jobs < 1:
+    if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     configs = [load_config(path) for path in args.configs]
     outdirs = [Path(cfg.output_dir).resolve() for cfg in configs]
@@ -281,8 +348,17 @@ def _cmd_sweep(args):
             continue
         key = (cfg.system, cfg.alpha, cfg.h, cfg.steps)
         groups.setdefault(key, []).append(_Member(index, cfg, x0, target))
-    for members in groups.values():
-        _sweep_group(members, codes)
+
+    batches = (batch for members in groups.values() for batch in _sweep_group(members))
+    writers = _writer_count(args.jobs, sum(map(len, groups.values())), _cpu_count())
+    with contextlib.closing(_written(batches, writers)) as written:
+        for member, outcome in written:
+            if isinstance(outcome, NumericalError):
+                print(f"numerical failure in {member.cfg.system} run at step "
+                      f"{outcome.step_index}: {outcome}", file=sys.stderr)
+                codes[member.index] = 3
+            else:
+                _print_summary(member.cfg, outcome, member.target)
 
     for path, code in zip(args.configs, codes):
         print(f"{path}: {'ok' if code == 0 else f'failed (exit {code})'}")
@@ -355,9 +431,10 @@ def _build_parser():
 
     sweep = subs.add_parser("sweep", help="run several configs, batched")
     sweep.add_argument("configs", nargs="+", help="configuration files")
-    sweep.add_argument("--jobs", type=int,
-                       help="accepted for compatibility (at least 1); batches run "
-                            "one after another and the value no longer changes the run")
+    sweep.add_argument("--jobs", type=int, default=1,
+                       help="processes that write artifacts while the next batch is "
+                            "integrated (default 1: write inline); the output does "
+                            "not depend on it")
     sweep.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -93,12 +93,19 @@ _FFT_VALUES = 2**13
 
 
 class NumericalError(RuntimeError):
-    """A field evaluation produced NaN or Inf during a run."""
+    """A field evaluation produced NaN or Inf during a run.
 
-    def __init__(self, message, step_index, time):
+    For a batch (a (B, d) x0), `rows` holds the indices of the members whose
+    values were non-finite at `step_index`, in increasing order; every other
+    member was finite up to and including that check. It is None for a lone
+    run.
+    """
+
+    def __init__(self, message, step_index, time, rows=None):
         super().__init__(message)
         self.step_index = step_index
         self.time = time
+        self.rows = rows
 
 
 @dataclass(frozen=True)
@@ -269,8 +276,11 @@ class _Scheme:
         # inf * 0 and nan * 0 are nan, so one dot product tests every entry
         if not math.isfinite(self.zeros.dot(value.ravel())):
             t = step_index * self.h
+            rows = None
+            if value.ndim == 2:
+                rows = tuple(np.flatnonzero(~np.isfinite(value).all(axis=1)).tolist())
             raise NumericalError(
-                f"non-finite {what} at step {step_index} (t = {t:.10g})", step_index, t
+                f"non-finite {what} at step {step_index} (t = {t:.10g})", step_index, t, rows
             )
         return value
 

@@ -1,5 +1,7 @@
 import math
+import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -349,8 +351,25 @@ def tree_bytes(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+cli_write_artifacts = cli._write_artifacts
+
+
+def write_artifacts_and_pid(cfg, traj, target):
+    """cli._write_artifacts, then the writing process's id in writer.pid."""
+    cli_write_artifacts(cfg, traj, target)
+    (Path(cfg.output_dir) / "writer.pid").write_text(str(os.getpid()))
+
+
+E2_RUN = dict(target=("e2", -0.125), gains=(0.25, 1.5, 0.25, 2.0 / 3.0, 1.0), steps=600)
+
+
 class TestSweep:
     GAINS = (1.2, 1.2, 0.5, 0.5, 0.0)
+
+    @pytest.fixture(autouse=True)
+    def no_writer_left_running(self):
+        yield
+        assert multiprocessing.active_children() == []
 
     def _write(self, tmp_path, name, outdir, **changes):
         fields = dict(
@@ -462,6 +481,120 @@ class TestSweep:
         assert f"{paths[1]}: failed (exit 3)" in captured.out
         assert captured.out.count(": ok") == 2
 
+    def test_failures_rerun_survivors_as_one_batch(self, tmp_path, capsys, monkeypatch):
+        sizes = []
+        integrate = cli.integrate
+
+        def recording_integrate(sysdef, cfg):
+            sizes.append(len(cfg.x0))
+            return integrate(sysdef, cfg)
+
+        monkeypatch.setattr(cli, "integrate", recording_integrate)
+        paths = [self._write(tmp_path, "a.cfg", tmp_path / "out" / "a", **E2_RUN),
+                 self._write(tmp_path, "late.cfg", tmp_path / "out" / "late",
+                             **{**E2_RUN, "gains": (29.7,) * 5}),
+                 self._write(tmp_path, "b.cfg", tmp_path / "out" / "b", **E2_RUN),
+                 self._write(tmp_path, "early.cfg", tmp_path / "out" / "early",
+                             **{**E2_RUN, "x0": (1e200,) * 5, "epsilon": None}),
+                 self._write(tmp_path, "c.cfg", tmp_path / "out" / "c", **E2_RUN)]
+        assert main(["sweep", *map(str, paths)]) == 3
+        captured = capsys.readouterr()
+        # the step-0 failure surfaces first, but failures print in member order
+        assert sizes == [5, 4, 3]
+        assert captured.err == (
+            "numerical failure in maxwell-bloch-5d-controlled run at step 442: "
+            "non-finite predictor field value at step 442 (t = 4.42)\n"
+            "numerical failure in maxwell-bloch-5d-controlled run at step 0: "
+            "non-finite initial field value at step 0 (t = 0)\n"
+        )
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["a", "b", "c"]
+
+    def _run_sweep(self, argv, root, capsys):
+        """Exit code, stdout, stderr and written files of one sweep; the
+        files are removed so the next run starts from the same tree."""
+        code = main(argv)
+        captured = capsys.readouterr()
+        written = tree_bytes(root)
+        shutil.rmtree(root)
+        return code, captured.out, captured.err, written
+
+    @pytest.mark.parametrize("case", ["numerical", "unresolved"])
+    def test_jobs_do_not_change_the_output(self, tmp_path, capsys, monkeypatch, case):
+        # two e2 members per batch, so several batches pass through the writers
+        monkeypatch.setattr(cli, "SWEEP_BATCH_BYTES", 2 * 8 * 5 * 601)
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)  # writers even on one CPU
+        paths = [self._write(tmp_path, f"e{i}.cfg", tmp_path / "out" / f"e{i}",
+                             **{**E2_RUN, "epsilon": 0.01 * (i + 1)}) for i in range(5)]
+        paths.append(self._plain(tmp_path, "p", (0.1, 0.2, 0.3, 0.4, 0.5)))
+        if case == "numerical":
+            paths.insert(2, self._write(tmp_path, "bad.cfg", tmp_path / "out" / "bad",
+                                        **{**E2_RUN, "gains": (29.7,) * 5}))
+            paths.append(self._plain(tmp_path, "q", (1e200, 1.0, 1.0, 1.0, 1e200)))
+        else:
+            paths.insert(3, self._write(tmp_path, "bad.cfg", tmp_path / "out" / "bad",
+                                        x0=(1.0, 2.0), epsilon=None))
+        runs = {}
+        for jobs in ("1", "2", "3"):
+            runs[jobs] = self._run_sweep(["sweep", *map(str, paths), "--jobs", jobs],
+                                         tmp_path / "out", capsys)
+        code, out, err, written = runs["1"]
+        assert code == (3 if case == "numerical" else 2)
+        assert out.count(": ok") == 6 and len(written) == 6 * 7
+        assert err.count("\n") == (2 if case == "numerical" else 1)
+        assert runs["2"] == runs["1"] and runs["3"] == runs["1"]
+
+    def test_blocked_output_path_fails_like_inline_writing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+        paths = [self._write(tmp_path, f"c{i}.cfg", tmp_path / "out" / f"c{i}",
+                             epsilon=0.01 * (i + 1)) for i in range(4)]
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "c1").write_text("a file where a directory must go")
+        results = []
+        for jobs in ("1", "2"):
+            assert main(["sweep", *map(str, paths), "--jobs", jobs]) == 2
+            captured = capsys.readouterr()
+            results.append((captured.out, captured.err))
+        assert results[0] == results[1]
+        out, err = results[0]
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "c1" in err and out.count("wrote ") == 1
+
+    @pytest.mark.parametrize("jobs, configs, forked", [("1", 3, False), ("2", 3, True),
+                                                       ("2", 1, False)])
+    def test_writers_are_forked_only_for_jobs_above_one(self, tmp_path, capsys, monkeypatch,
+                                                         jobs, configs, forked):
+        monkeypatch.setattr(cli, "_write_artifacts", write_artifacts_and_pid)
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+        paths = [self._write(tmp_path, f"c{i}.cfg", tmp_path / "out" / f"c{i}")
+                 for i in range(configs)]
+        assert main(["sweep", *map(str, paths), "--jobs", jobs]) == 0
+        capsys.readouterr()
+        pids = {int((tmp_path / "out" / f"c{i}" / "writer.pid").read_text())
+                for i in range(configs)}
+        assert (os.getpid() not in pids) == forked
+
+    def test_writers_print_nothing(self, tmp_path):
+        # stdout is a pipe, so the marker is still buffered when the writers
+        # fork; neither it nor anything else may reach the streams from them
+        paths = [self._write(tmp_path, f"c{i}.cfg", tmp_path / "out" / f"c{i}")
+                 for i in range(3)]
+        argv = ["sweep", *map(str, paths), "--jobs", "2"]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys; from fracdyn.cli import main; print('#marker#'); sys.exit(main({argv!r}))"],
+            env=CHILD_ENV, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("#marker#") == 1 and proc.stdout.count(": ok") == 3
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize("jobs, members, cpus, writers", [
+        (1, 64, 2, 1), (2, 64, 2, 2), (2, 64, 1, 1), (8, 3, 16, 3), (2, 1, 2, 1),
+        (4, 0, 2, 1), (1000000, 64, 2, 2), (1000000, 5, 64, 5),
+    ])
+    def test_writer_count_is_clamped(self, jobs, members, cpus, writers):
+        assert cli._writer_count(jobs, members, cpus) == writers
+
     def test_rerun_gives_identical_bytes(self, tmp_path, capsys):
         paths = [self._write(tmp_path, f"c{i}.cfg", tmp_path / "out" / f"c{i}",
                              epsilon=0.01 * (i + 1)) for i in range(3)]
@@ -481,10 +614,11 @@ class TestEntryPoints:
         assert main(["no-such-command"]) == 2
         capsys.readouterr()
 
-    def test_cli_import_leaves_mpmath_unloaded(self):
+    @pytest.mark.parametrize("module", ["mpmath", "multiprocessing"])
+    def test_cli_import_leaves_module_unloaded(self, module):
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, fracdyn.cli; sys.exit('mpmath' in sys.modules)"],
+             f"import sys, fracdyn.cli; sys.exit({module!r} in sys.modules)"],
             env=CHILD_ENV,
         )
         assert proc.returncode == 0

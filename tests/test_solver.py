@@ -243,6 +243,20 @@ class TestIntegrate:
         with pytest.raises(NumericalError) as err:
             integrate(bad, SolverConfig(alpha=0.5, h=0.1, n_steps=5, x0=[1.0]))
         assert err.value.step_index == 0
+        assert err.value.rows is None
+
+    def test_batch_failure_names_the_rows_of_its_lone_failures(self):
+        sys = maxbloch.system()
+        x0 = [[0.1] * 5, [1e150] * 5, [0.2] * 5, [1e150, 1.0, 1.0, 1.0, 1e150]]
+        cfg = dict(alpha=0.65, h=0.01, n_steps=50)
+        with pytest.raises(NumericalError) as batch:
+            integrate(sys, SolverConfig(x0=x0, **cfg))
+        assert batch.value.rows == (1, 3)
+        for row in (1, 3):
+            with pytest.raises(NumericalError) as alone:
+                integrate(sys, SolverConfig(x0=x0[row], **cfg))
+            assert str(alone.value) == str(batch.value)
+            assert alone.value.step_index == batch.value.step_index
 
 
 def direct_abm(sys, cfg):
