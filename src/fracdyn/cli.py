@@ -10,10 +10,11 @@ Subcommands:
     sweep        run several simulate configs, batched: configs that share
                  (system, alpha, h, steps) are integrated together from a
                  (B, d) initial state, then written out, each with the
-                 bytes its lone simulate writes; with --jobs N > 1, N
-                 forked writer processes write one batch's artifacts
-                 while this process integrates the next, and the output
-                 does not depend on N
+                 bytes its lone simulate writes; a sweep with enough to
+                 write forks writer processes, one per CPU, that write one
+                 batch's artifacts while this process integrates the next;
+                 unless a write fails, the output does not depend on them
+                 (--jobs is accepted and ignored)
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical failure
 during integration (the failing step index goes to stderr), 141 (128 +
@@ -53,6 +54,17 @@ from .systems import controlled
 # N=2000 peaks at 34.8 MB with this cap; half of it (32.9 MB) was slower
 # and twice it (38.3 MB) no faster.
 SWEEP_BATCH_BYTES = 5 * 2**18
+
+# Writing one member's artifacts inline takes about 2.5 ms plus 2 us per
+# trajectory value (5-D model: 6.6 ms at N=300, 23 ms at N=2000). Importing,
+# forking and shutting down the writer pool costs about 45 ms, and on two
+# CPUs the pool was slower than inline writing up to about 0.15 s of writes
+# (12 configs at N=1000, 4 at N=2000) and faster from about 0.3 s (16 at
+# N=2000, 24 at N=1000, 48 at N=300); sweeps that would write for less than
+# POOL_MIN_WRITE_S write inline.
+WRITE_MEMBER_S = 2.5e-3
+WRITE_VALUE_S = 2e-6
+POOL_MIN_WRITE_S = 0.2
 
 
 def _resolve(cfg):
@@ -245,6 +257,11 @@ def _integrate_batch(batch):
     return [Trajectory(traj.times, traj.states[:, b]) for b in range(len(batch))]
 
 
+def _batch_cap(members):
+    """Members of one group integrated per batch."""
+    return max(1, SWEEP_BATCH_BYTES // (8 * members[0].x0.size * (members[0].cfg.steps + 1)))
+
+
 def _sweep_group(members):
     """Integrate one group of sweep members in batches.
 
@@ -255,8 +272,7 @@ def _sweep_group(members):
     they would alone, and the others are rerun as one batch until a batch
     succeeds.
     """
-    cfg = members[0].cfg
-    cap = max(1, SWEEP_BATCH_BYTES // (8 * members[0].x0.size * (cfg.steps + 1)))
+    cap = _batch_cap(members)
     for start in range(0, len(members), cap):
         batch = members[start : start + cap]
         outcomes = {}
@@ -278,10 +294,20 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
-def _writer_count(jobs, members, cpus):
-    """Processes that write the artifacts of `members` sweep members: at most
-    `jobs`, one per member and one per CPU; 1 means writing inline."""
-    return max(1, min(jobs, members, cpus))
+def _inline_write_seconds(members):
+    """Estimated time to write the artifacts of `members` in this process."""
+    return sum(WRITE_MEMBER_S + WRITE_VALUE_S * (m.cfg.steps + 1) * m.x0.size
+               for m in members)
+
+
+def _writer_count(batch, write_s, cpus):
+    """Processes that write a sweep's artifacts, 1 meaning inline: one per
+    CPU, but no more than the members of its largest batch (`batch`), the
+    most ever written at once, and 1 when inline writing would take
+    `write_s` < POOL_MIN_WRITE_S seconds."""
+    if write_s < POOL_MIN_WRITE_S:
+        return 1
+    return max(1, min(batch, cpus))
 
 
 def _written(batches, writers):
@@ -298,6 +324,11 @@ def _written(batches, writers):
     modules instead of importing numpy again; it forks before any thread
     of its own starts. Workers ignore SIGINT, so an interrupt reaches the
     caller alone, and the pool is shut down with the generator.
+
+    A write that fails ends the sweep at its member, as inline writing
+    does, but the rest of that batch has been handed over already: the
+    writes that had started are finished, so members after the failing
+    one may have their files.
     """
     if writers == 1:
         for batch in batches:
@@ -309,7 +340,7 @@ def _written(batches, writers):
 
     import multiprocessing
     import signal
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(writers, multiprocessing.get_context("fork"),
                                signal.signal, (signal.SIGINT, signal.SIG_IGN))
@@ -321,7 +352,11 @@ def _written(batches, writers):
                       for member, outcome in batch]
             for member, outcome, write in in_flight:
                 if write is not None:
-                    write.result()  # re-raises the worker's exception, an OSError say
+                    try:
+                        write.result()  # re-raises the worker's exception, an OSError say
+                    except BrokenExecutor as exc:
+                        raise OSError("a writer process died while writing "
+                                      f"{member.cfg.output_dir}") from exc
                 yield member, outcome
             in_flight = handed
     finally:
@@ -350,7 +385,10 @@ def _cmd_sweep(args):
         groups.setdefault(key, []).append(_Member(index, cfg, x0, target))
 
     batches = (batch for members in groups.values() for batch in _sweep_group(members))
-    writers = _writer_count(args.jobs, sum(map(len, groups.values())), _cpu_count())
+    largest = max((min(len(members), _batch_cap(members)) for members in groups.values()),
+                  default=0)
+    writes = _inline_write_seconds(m for members in groups.values() for m in members)
+    writers = _writer_count(largest, writes, _cpu_count()) if hasattr(os, "fork") else 1
     with contextlib.closing(_written(batches, writers)) as written:
         for member, outcome in written:
             if isinstance(outcome, NumericalError):
@@ -432,9 +470,8 @@ def _build_parser():
     sweep = subs.add_parser("sweep", help="run several configs, batched")
     sweep.add_argument("configs", nargs="+", help="configuration files")
     sweep.add_argument("--jobs", type=int, default=1,
-                       help="processes that write artifacts while the next batch is "
-                            "integrated (default 1: write inline); the output does "
-                            "not depend on it")
+                       help="accepted and ignored (at least 1): the sweep picks its "
+                            "artifact writer processes itself")
     sweep.set_defaults(func=_cmd_sweep)
 
     return parser

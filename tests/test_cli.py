@@ -360,6 +360,11 @@ def write_artifacts_and_pid(cfg, traj, target):
     (Path(cfg.output_dir) / "writer.pid").write_text(str(os.getpid()))
 
 
+def write_nothing_and_die(cfg, traj, target):
+    """A writer killed before it writes, as by the kernel's OOM killer."""
+    os._exit(1)
+
+
 E2_RUN = dict(target=("e2", -0.125), gains=(0.25, 1.5, 0.25, 2.0 / 3.0, 1.0), steps=600)
 
 
@@ -518,11 +523,15 @@ class TestSweep:
         shutil.rmtree(root)
         return code, captured.out, captured.err, written
 
+    def _force_writers(self, monkeypatch, cpus):
+        """Fork a writer per CPU (cpus > 1) for any sweep, however small."""
+        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli, "POOL_MIN_WRITE_S", 0.0)
+
     @pytest.mark.parametrize("case", ["numerical", "unresolved"])
-    def test_jobs_do_not_change_the_output(self, tmp_path, capsys, monkeypatch, case):
+    def test_writers_do_not_change_the_output(self, tmp_path, capsys, monkeypatch, case):
         # two e2 members per batch, so several batches pass through the writers
         monkeypatch.setattr(cli, "SWEEP_BATCH_BYTES", 2 * 8 * 5 * 601)
-        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)  # writers even on one CPU
         paths = [self._write(tmp_path, f"e{i}.cfg", tmp_path / "out" / f"e{i}",
                              **{**E2_RUN, "epsilon": 0.01 * (i + 1)}) for i in range(5)]
         paths.append(self._plain(tmp_path, "p", (0.1, 0.2, 0.3, 0.4, 0.5)))
@@ -534,40 +543,67 @@ class TestSweep:
             paths.insert(3, self._write(tmp_path, "bad.cfg", tmp_path / "out" / "bad",
                                         x0=(1.0, 2.0), epsilon=None))
         runs = {}
-        for jobs in ("1", "2", "3"):
-            runs[jobs] = self._run_sweep(["sweep", *map(str, paths), "--jobs", jobs],
+        for cpus, jobs in ((1, "2"), (2, "1"), (3, "2")):
+            self._force_writers(monkeypatch, cpus)
+            runs[cpus] = self._run_sweep(["sweep", *map(str, paths), "--jobs", jobs],
                                          tmp_path / "out", capsys)
-        code, out, err, written = runs["1"]
+        code, out, err, written = runs[1]
         assert code == (3 if case == "numerical" else 2)
         assert out.count(": ok") == 6 and len(written) == 6 * 7
         assert err.count("\n") == (2 if case == "numerical" else 1)
-        assert runs["2"] == runs["1"] and runs["3"] == runs["1"]
+        assert runs[2] == runs[1] and runs[3] == runs[1]
 
     def test_blocked_output_path_fails_like_inline_writing(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
         paths = [self._write(tmp_path, f"c{i}.cfg", tmp_path / "out" / f"c{i}",
                              epsilon=0.01 * (i + 1)) for i in range(4)]
-        (tmp_path / "out").mkdir()
-        (tmp_path / "out" / "c1").write_text("a file where a directory must go")
-        results = []
-        for jobs in ("1", "2"):
-            assert main(["sweep", *map(str, paths), "--jobs", jobs]) == 2
+        results, trees = [], []
+        for cpus in (1, 2):
+            self._force_writers(monkeypatch, cpus)
+            (tmp_path / "out").mkdir()
+            (tmp_path / "out" / "c1").write_text("a file where a directory must go")
+            assert main(["sweep", *map(str, paths)]) == 2
             captured = capsys.readouterr()
             results.append((captured.out, captured.err))
+            trees.append(tree_bytes(tmp_path / "out"))
+            shutil.rmtree(tmp_path / "out")
         assert results[0] == results[1]
         out, err = results[0]
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "c1" in err and out.count("wrote ") == 1
+        # inline writing stops at c1; the writers may also have finished the
+        # later members of its batch, but never leave a member half written
+        inline, pooled = trees
+        assert sorted(inline) == ["c0/" + name for name in sorted(
+            ["trajectory.csv", "report.kv", *(f"fig{i}.svg" for i in range(1, 6))])] + ["c1"]
+        assert {k: v for k, v in pooled.items() if k in inline} == inline
+        extra = [k for k in pooled if k not in inline]
+        for member in ("c2", "c3"):
+            assert sum(k.startswith(member + "/") for k in extra) in (0, 7)
+        assert all(k.startswith(("c2/", "c3/")) for k in extra)
 
-    @pytest.mark.parametrize("jobs, configs, forked", [("1", 3, False), ("2", 3, True),
-                                                       ("2", 1, False)])
-    def test_writers_are_forked_only_for_jobs_above_one(self, tmp_path, capsys, monkeypatch,
-                                                         jobs, configs, forked):
+    def test_dead_writer_fails_with_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_write_artifacts", write_nothing_and_die)
+        self._force_writers(monkeypatch, 2)
+        paths = [self._write(tmp_path, f"c{i}.cfg", tmp_path / "out" / f"c{i}")
+                 for i in range(3)]
+        assert main(["sweep", *map(str, paths)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: a writer process died while writing "
+                                f"{tmp_path / 'out' / 'c0'}\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("cpus, configs, min_write_s, forked", [
+        (1, 3, 0.0, False), (2, 3, 0.0, True), (2, 1, 0.0, False), (2, 3, None, False),
+    ])
+    def test_writers_are_forked_only_when_they_pay(self, tmp_path, capsys, monkeypatch,
+                                                   cpus, configs, min_write_s, forked):
         monkeypatch.setattr(cli, "_write_artifacts", write_artifacts_and_pid)
-        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+        if min_write_s is not None:
+            monkeypatch.setattr(cli, "POOL_MIN_WRITE_S", min_write_s)
         paths = [self._write(tmp_path, f"c{i}.cfg", tmp_path / "out" / f"c{i}")
                  for i in range(configs)]
-        assert main(["sweep", *map(str, paths), "--jobs", jobs]) == 0
+        assert main(["sweep", *map(str, paths), "--jobs", "2"]) == 0
         capsys.readouterr()
         pids = {int((tmp_path / "out" / f"c{i}" / "writer.pid").read_text())
                 for i in range(configs)}
@@ -578,22 +614,32 @@ class TestSweep:
         # fork; neither it nor anything else may reach the streams from them
         paths = [self._write(tmp_path, f"c{i}.cfg", tmp_path / "out" / f"c{i}")
                  for i in range(3)]
-        argv = ["sweep", *map(str, paths), "--jobs", "2"]
+        argv = ["sweep", *map(str, paths)]
         proc = subprocess.run(
             [sys.executable, "-c",
-             f"import sys; from fracdyn.cli import main; print('#marker#'); sys.exit(main({argv!r}))"],
+             "import sys; from fracdyn import cli; cli._cpu_count = lambda: 2; "
+             f"cli.POOL_MIN_WRITE_S = 0.0; print('#marker#'); sys.exit(cli.main({argv!r}))"],
             env=CHILD_ENV, capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("#marker#") == 1 and proc.stdout.count(": ok") == 3
         assert proc.stderr == ""
 
-    @pytest.mark.parametrize("jobs, members, cpus, writers", [
-        (1, 64, 2, 1), (2, 64, 2, 2), (2, 64, 1, 1), (8, 3, 16, 3), (2, 1, 2, 1),
-        (4, 0, 2, 1), (1000000, 64, 2, 2), (1000000, 5, 64, 5),
+    @pytest.mark.parametrize("batch, write_s, cpus, writers", [
+        (16, 1.4, 2, 2), (16, 1.4, 1, 1), (3, 1.4, 16, 3), (1, 1.4, 2, 1), (0, 0.0, 2, 1),
+        (16, 0.19, 2, 1), (1000000, 1e9, 2, 2), (5, 1e9, 64, 5),
     ])
-    def test_writer_count_is_clamped(self, jobs, members, cpus, writers):
-        assert cli._writer_count(jobs, members, cpus) == writers
+    def test_writer_count_is_clamped(self, batch, write_s, cpus, writers):
+        assert cli._writer_count(batch, write_s, cpus) == writers
+
+    @pytest.mark.parametrize("configs, steps, pool", [(64, 2000, True), (16, 2000, True),
+                                                      (48, 300, True), (2, 30, False),
+                                                      (4, 2000, False), (12, 1000, False)])
+    def test_write_estimate_picks_the_pool_for_large_sweeps(self, configs, steps, pool):
+        cfg = ExperimentConfig(system="maxwell-bloch-5d", alpha=0.65, h=0.01, steps=steps,
+                               x0=(0.1,) * 5)
+        members = [cli._Member(i, cfg, np.full(5, 0.1), None) for i in range(configs)]
+        assert (cli._inline_write_seconds(members) >= cli.POOL_MIN_WRITE_S) == pool
 
     def test_rerun_gives_identical_bytes(self, tmp_path, capsys):
         paths = [self._write(tmp_path, f"c{i}.cfg", tmp_path / "out" / f"c{i}",
