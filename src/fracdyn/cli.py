@@ -10,11 +10,10 @@ Subcommands:
     sweep        run several simulate configs, batched: configs that share
                  (system, alpha, h, steps) are integrated together from a
                  (B, d) initial state, then written out, each with the
-                 bytes its lone simulate writes; a sweep with enough to
-                 write forks writer processes, one per CPU, that write one
-                 batch's artifacts while this process integrates the next;
-                 unless a write fails, the output does not depend on them
-                 (--jobs is accepted and ignored)
+                 bytes its lone simulate writes; a batch with enough to
+                 write is written by forked processes, one per CPU, while
+                 this process integrates the next, and again inline if one
+                 of them fails (--jobs is accepted and ignored)
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical failure
 during integration (the failing step index goes to stderr), 141 (128 +
@@ -24,7 +23,6 @@ SIGPIPE) when the reader of standard output goes away, as in `| head`.
 import argparse
 import contextlib
 import dataclasses
-import itertools
 import os
 import sys
 from pathlib import Path
@@ -34,7 +32,7 @@ import numpy as np
 
 from . import maxbloch, registry
 from .expconfig import ConfigError, ExperimentConfig, load_config
-from .numkit import DomainError
+from .numkit import ConvergenceError, DomainError
 from .solver import (
     NumericalError,
     SolverConfig,
@@ -56,15 +54,14 @@ from .systems import controlled
 SWEEP_BATCH_BYTES = 5 * 2**18
 
 # Writing one member's artifacts inline takes about 2.5 ms plus 2 us per
-# trajectory value (5-D model: 6.6 ms at N=300, 23 ms at N=2000). Importing,
-# forking and shutting down the writer pool costs about 45 ms, and on two
-# CPUs the pool was slower than inline writing up to about 0.15 s of writes
-# (12 configs at N=1000, 4 at N=2000) and faster from about 0.3 s (16 at
-# N=2000, 24 at N=1000, 48 at N=300); sweeps that would write for less than
-# POOL_MIN_WRITE_S write inline.
+# trajectory value (5-D model: 6.6 ms at N=300, 23 ms at N=2000). Forking and
+# reaping a batch's writers costs about 10 ms; on two CPUs, sweeps of one
+# batch were slower forked below 0.05 s of inline writing (2 configs at
+# N=2000, 4 at N=1000), as fast at 0.1 s (8 at N=1000) and faster from
+# 0.15 s (12 at N=1000, 32 at N=300).
 WRITE_MEMBER_S = 2.5e-3
 WRITE_VALUE_S = 2e-6
-POOL_MIN_WRITE_S = 0.2
+FORK_MIN_WRITE_S = 0.1
 
 
 def _resolve(cfg):
@@ -132,7 +129,7 @@ def _run_experiment(cfg):
 def _write_artifacts(cfg, traj, target):
     """Write trajectory.csv, fig1.svg..figd.svg and report.kv of one run.
 
-    Touches no standard stream: sweep writers run it in worker processes.
+    Touches no standard stream: sweep writers run it in forked processes.
     """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -257,11 +254,6 @@ def _integrate_batch(batch):
     return [Trajectory(traj.times, traj.states[:, b]) for b in range(len(batch))]
 
 
-def _batch_cap(members):
-    """Members of one group integrated per batch."""
-    return max(1, SWEEP_BATCH_BYTES // (8 * members[0].x0.size * (members[0].cfg.steps + 1)))
-
-
 def _sweep_group(members):
     """Integrate one group of sweep members in batches.
 
@@ -272,7 +264,7 @@ def _sweep_group(members):
     they would alone, and the others are rerun as one batch until a batch
     succeeds.
     """
-    cap = _batch_cap(members)
+    cap = max(1, SWEEP_BATCH_BYTES // (8 * members[0].x0.size * (members[0].cfg.steps + 1)))
     for start in range(0, len(members), cap):
         batch = members[start : start + cap]
         outcomes = {}
@@ -300,67 +292,77 @@ def _inline_write_seconds(members):
                for m in members)
 
 
-def _writer_count(batch, write_s, cpus):
-    """Processes that write a sweep's artifacts, 1 meaning inline: one per
-    CPU, but no more than the members of its largest batch (`batch`), the
-    most ever written at once, and 1 when inline writing would take
-    `write_s` < POOL_MIN_WRITE_S seconds."""
-    if write_s < POOL_MIN_WRITE_S:
-        return 1
-    return max(1, min(batch, cpus))
+def _wait(pids):
+    """Reap the writers `pids`, emptying the list; True if all exited with 0."""
+    ok = True
+    while pids:
+        ok = os.waitpid(pids[-1], 0)[1] == 0 and ok
+        pids.pop()
+    return ok
 
 
-def _written(batches, writers):
+def _fork_writers(batch, cpus):
+    """Fork the processes that write `batch`'s trajectories; their pids.
+
+    None fork on one CPU or below FORK_MIN_WRITE_S of inline writing; else
+    one writer per CPU, but no more than the trajectories, writes a strided
+    share. A writer leaves by os._exit, which flushes no buffered output of
+    this process, with status 0 only if all its writes succeeded.
+    """
+    runs = [(member, traj) for member, traj in batch if not isinstance(traj, NumericalError)]
+    if cpus < 2 or _inline_write_seconds(member for member, _ in runs) < FORK_MIN_WRITE_S:
+        return []
+    writers, pids = min(cpus, len(runs)), []
+    for share in range(writers):
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: write the batch inline
+            _wait(pids)
+            return []
+        if pid == 0:
+            status = 1
+            try:
+                for member, traj in runs[share::writers]:
+                    _write_artifacts(member.cfg, traj, member.target)
+                status = 0
+            finally:
+                os._exit(status)
+        pids.append(pid)
+    return pids
+
+
+def _reaped(batch, pids):
+    """Yield the pairs of `batch` once its writers `pids` are reaped; a batch
+    without writers, or with one that failed, is written inline first."""
+    inline = not pids or not _wait(pids)
+    for member, outcome in batch:
+        if inline and not isinstance(outcome, NumericalError):
+            _write_artifacts(member.cfg, outcome, member.target)
+        yield member, outcome
+
+
+def _written(batches):
     """Write the artifacts of each batch of (member, outcome) pairs, where an
     outcome is a trajectory or a NumericalError, and yield the pairs in
     order once their files are complete.
 
-    One writer writes inline. More writers are a pool of processes, forked
-    on the first batch, that write one batch while the caller integrates
-    the next. At most one batch is in flight: a batch is yielded only after
-    the next one has been handed over, and the batch after that is not
-    integrated until it has been yielded, which keeps peak memory flat.
-    The pool is forked, not spawned, so workers inherit the imported
-    modules instead of importing numpy again; it forks before any thread
-    of its own starts. Workers ignore SIGINT, so an interrupt reaches the
-    caller alone, and the pool is shut down with the generator.
-
-    A write that fails ends the sweep at its member, as inline writing
-    does, but the rest of that batch has been handed over already: the
-    writes that had started are finished, so members after the failing
-    one may have their files.
+    A batch is yielded after the caller has integrated the next one, during
+    which its writers, if any, write; they are reaped before the next
+    batch's writers fork. A batch written inline, also after a writer failed
+    or was killed, is written in member order, so a failing write ends the
+    sweep at its member with the error inline writing raises, though the
+    writers may have written later members of that batch. Writers still
+    running when the generator is closed are reaped.
     """
-    if writers == 1:
-        for batch in batches:
-            for member, outcome in batch:
-                if not isinstance(outcome, NumericalError):
-                    _write_artifacts(member.cfg, outcome, member.target)
-                yield member, outcome
-        return
-
-    import multiprocessing
-    import signal
-    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(writers, multiprocessing.get_context("fork"),
-                               signal.signal, (signal.SIGINT, signal.SIG_IGN))
+    cpus = _cpu_count() if hasattr(os, "fork") else 1
+    in_flight, pids = [], []
     try:
-        in_flight = []
-        for batch in itertools.chain(batches, [[]]):  # the empty batch drains the last one
-            handed = [(member, outcome, None if isinstance(outcome, NumericalError) else
-                       pool.submit(_write_artifacts, member.cfg, outcome, member.target))
-                      for member, outcome in batch]
-            for member, outcome, write in in_flight:
-                if write is not None:
-                    try:
-                        write.result()  # re-raises the worker's exception, an OSError say
-                    except BrokenExecutor as exc:
-                        raise OSError("a writer process died while writing "
-                                      f"{member.cfg.output_dir}") from exc
-                yield member, outcome
-            in_flight = handed
+        for batch in batches:
+            yield from _reaped(in_flight, pids)
+            in_flight, pids = batch, _fork_writers(batch, cpus)
+        yield from _reaped(in_flight, pids)
     finally:
-        pool.shutdown(cancel_futures=True)
+        _wait(pids)
 
 
 def _cmd_sweep(args):
@@ -385,11 +387,7 @@ def _cmd_sweep(args):
         groups.setdefault(key, []).append(_Member(index, cfg, x0, target))
 
     batches = (batch for members in groups.values() for batch in _sweep_group(members))
-    largest = max((min(len(members), _batch_cap(members)) for members in groups.values()),
-                  default=0)
-    writes = _inline_write_seconds(m for members in groups.values() for m in members)
-    writers = _writer_count(largest, writes, _cpu_count()) if hasattr(os, "fork") else 1
-    with contextlib.closing(_written(batches, writers)) as written:
+    with contextlib.closing(_written(batches)) as written:
         for member, outcome in written:
             if isinstance(outcome, NumericalError):
                 print(f"numerical failure in {member.cfg.system} run at step "
@@ -497,7 +495,7 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (ConfigError, DomainError, ValueError, OSError) as exc:
+    except (ConfigError, ConvergenceError, DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -244,7 +244,8 @@ def mittag_leffler(alpha, z, max_terms=1400):
     beyond (8e-14 measured at alpha = 0.55, z = 19.5), where the terms are
     rounded in log space. ConvergenceError reports a series that does not
     meet its truncation bound within max_terms terms, which happens for
-    small alpha combined with z > 1.
+    small alpha combined with z > 1, and for alpha < 0.01 with z just above
+    -1 (alpha = 0.005 at z = -0.99, say).
     """
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:

@@ -132,6 +132,8 @@ class SolverConfig:
             raise ValueError("step size must be positive and finite")
         if not 1 <= self.n_steps <= MAX_STEPS:
             raise ValueError(f"step count must lie in 1..{MAX_STEPS}")
+        if not math.isfinite(self.horizon):
+            raise ValueError(f"horizon h * steps = {self.horizon} is not finite")
         if self.predictor_anchor not in (PREDICTOR_WITH_X0, PREDICTOR_AS_PRINTED):
             raise ValueError(f"unknown predictor anchor {self.predictor_anchor!r}")
 

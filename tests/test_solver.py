@@ -134,6 +134,8 @@ class TestConfig:
             SolverConfig(alpha=0.5, h=0.1, n_steps=0, x0=[1.0])
         with pytest.raises(ValueError):
             SolverConfig(alpha=0.5, h=0.1, n_steps=MAX_STEPS + 1, x0=[1.0])
+        with pytest.raises(ValueError, match="horizon"):  # h * n_steps overflows
+            SolverConfig(alpha=0.5, h=1e308, n_steps=10, x0=[1.0])
         with pytest.raises(ValueError):
             SolverConfig(alpha=0.5, h=0.1, n_steps=10, x0=[1.0], predictor_anchor="bogus")
 
