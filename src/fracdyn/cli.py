@@ -21,8 +21,8 @@ SIGPIPE) when the reader of standard output goes away, as in `| head`.
 """
 
 import argparse
-import contextlib
 import dataclasses
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -135,7 +135,7 @@ def _write_artifacts(cfg, traj, target):
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "trajectory.csv", traj)
     for i in range(traj.states.shape[1]):
-        chart = line_chart(traj.states[:, i], y_label=f"x^{i + 1}(n)", x_label="n")
+        chart = line_chart(traj.states[:, i], y_label=f"x^{i + 1}(n)")
         (outdir / f"fig{i + 1}.svg").write_text(chart, encoding="utf-8")
     _write_report_kv(outdir / "report.kv", cfg, traj, target)
 
@@ -331,40 +331,6 @@ def _fork_writers(batch, cpus):
     return pids
 
 
-def _reaped(batch, pids):
-    """Yield the pairs of `batch` once its writers `pids` are reaped; a batch
-    without writers, or with one that failed, is written inline first."""
-    inline = not pids or not _wait(pids)
-    for member, outcome in batch:
-        if inline and not isinstance(outcome, NumericalError):
-            _write_artifacts(member.cfg, outcome, member.target)
-        yield member, outcome
-
-
-def _written(batches):
-    """Write the artifacts of each batch of (member, outcome) pairs, where an
-    outcome is a trajectory or a NumericalError, and yield the pairs in
-    order once their files are complete.
-
-    A batch is yielded after the caller has integrated the next one, during
-    which its writers, if any, write; they are reaped before the next
-    batch's writers fork. A batch written inline, also after a writer failed
-    or was killed, is written in member order, so a failing write ends the
-    sweep at its member with the error inline writing raises, though the
-    writers may have written later members of that batch. Writers still
-    running when the generator is closed are reaped.
-    """
-    cpus = _cpu_count() if hasattr(os, "fork") else 1
-    in_flight, pids = [], []
-    try:
-        for batch in batches:
-            yield from _reaped(in_flight, pids)
-            in_flight, pids = batch, _fork_writers(batch, cpus)
-        yield from _reaped(in_flight, pids)
-    finally:
-        _wait(pids)
-
-
 def _cmd_sweep(args):
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
@@ -386,15 +352,31 @@ def _cmd_sweep(args):
         key = (cfg.system, cfg.alpha, cfg.h, cfg.steps)
         groups.setdefault(key, []).append(_Member(index, cfg, x0, target))
 
-    batches = (batch for members in groups.values() for batch in _sweep_group(members))
-    with contextlib.closing(_written(batches)) as written:
-        for member, outcome in written:
-            if isinstance(outcome, NumericalError):
-                print(f"numerical failure in {member.cfg.system} run at step "
-                      f"{outcome.step_index}: {outcome}", file=sys.stderr)
-                codes[member.index] = 3
-            else:
+    # Each batch of (member, trajectory or NumericalError) pairs is finished
+    # once the next one is integrated, while its writers, if any, write:
+    # they are reaped before the next batch's writers fork. A batch without
+    # writers, or with one that failed or was killed, is written inline in
+    # member order, so a failing write ends the sweep at its member with the
+    # error inline writing raises, though the writers may have written later
+    # members of that batch. A member's summary or failure is printed once
+    # its files are complete; the empty batch last finishes the final one.
+    cpus = _cpu_count() if hasattr(os, "fork") else 1
+    previous, pids = [], []
+    try:
+        for batch in itertools.chain(*map(_sweep_group, groups.values()), [[]]):
+            inline = not pids or not _wait(pids)
+            for member, outcome in previous:
+                if isinstance(outcome, NumericalError):
+                    print(f"numerical failure in {member.cfg.system} run at step "
+                          f"{outcome.step_index}: {outcome}", file=sys.stderr)
+                    codes[member.index] = 3
+                    continue
+                if inline:
+                    _write_artifacts(member.cfg, outcome, member.target)
                 _print_summary(member.cfg, outcome, member.target)
+            previous, pids = batch, _fork_writers(batch, cpus)
+    finally:
+        _wait(pids)  # writers still running when the sweep fails
 
     for path, code in zip(args.configs, codes):
         print(f"{path}: {'ok' if code == 0 else f'failed (exit {code})'}")

@@ -12,7 +12,6 @@ constant matrices below. Its equilibria form exactly two families:
 the degenerate member of the second family.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -22,13 +21,13 @@ from .systems import SystemDef, as_gains, as_state, controlled
 __all__ = [
     "SYSTEM_NAME",
     "CONTROLLED_SYSTEM_NAME",
+    "FAMILY_TOL",
     "A",
     "A1",
     "A2",
     "field",
     "field_matrix_form",
     "jacobian",
-    "controlled_field",
     "controlled_jacobian",
     "e1",
     "e2",
@@ -41,6 +40,9 @@ __all__ = [
 
 SYSTEM_NAME = "maxwell-bloch-5d"
 CONTROLLED_SYSTEM_NAME = "maxwell-bloch-5d-controlled"
+
+# Components below FAMILY_TOL in magnitude count as zero in `family_of`.
+FAMILY_TOL = 1e-12
 
 
 def _constant(entries):
@@ -114,16 +116,16 @@ def equilibrium_point(tag, params):
     raise ValueError(f"unknown equilibrium family {tag!r}")
 
 
-def family_of(point, tol=1e-12):
+def family_of(point):
     """Family membership of a point: ("e1", (m, n)) or ("e2", (m,)).
 
     Raises ValueError for points outside both families. The origin resolves
     to the second family.
     """
     p = as_state(point, 5)
-    if np.max(np.abs(p[2:])) <= tol and p[0] ** 2 + p[1] ** 2 > tol:
+    if np.max(np.abs(p[2:])) <= FAMILY_TOL and p[0] ** 2 + p[1] ** 2 > FAMILY_TOL:
         return "e1", (float(p[0]), float(p[1]))
-    if np.max(np.abs(p[:4])) <= tol:
+    if np.max(np.abs(p[:4])) <= FAMILY_TOL:
         return "e2", (float(p[4]),)
     raise ValueError("point belongs to neither equilibrium family")
 
@@ -141,19 +143,7 @@ def controlled_system(k, x_e):
     """
     for point in np.atleast_2d(x_e):
         family_of(point)
-    return dataclasses.replace(controlled(system(), k, x_e), name=CONTROLLED_SYSTEM_NAME)
-
-
-def controlled_field(x, k, x_e):
-    """Field of the controlled model, f(x) - k*(x - x_e).
-
-    Bitwise equal to `controlled_system(k, x_e).field(x)` without building
-    the system; x_e must belong to one of the two equilibrium families.
-    """
-    target = as_state(x_e, 5)
-    family_of(target)
-    x = np.asarray(x, dtype=float)
-    return field(x) - as_gains(k, 5) * (x - target)
+    return controlled(system(), k, x_e)  # `controlled` names it CONTROLLED_SYSTEM_NAME
 
 
 def controlled_jacobian(x, k):

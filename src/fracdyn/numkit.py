@@ -166,6 +166,7 @@ def geometric_multiplicity(m, eigenvalue, rank_tol=1e-7):
 # where the terms shrink from the first and cannot cancel beyond it. The
 # terms are rounded once or twice each and summed exactly (math.fsum).
 _ML_MAX_Z = 20.0
+_ML_MAX_TERMS = 1400
 _ML_TAIL_LOG = math.log(1e-30)
 _ML_MIN_QUAD_ALPHA = 0.01
 _ML_STEP = 0.025             # trapezoid step in w for alpha >= 0.75
@@ -197,7 +198,7 @@ def _ml_negative(alpha, x):
     return min(float(weights @ decay), 1.0)  # E_alpha(-x) <= 1; the sum may round above
 
 
-def _ml_series(alpha, z, max_terms):
+def _ml_series(alpha, z):
     """E_alpha(z) by the power series, for 0 < z <= 20 or |z| < 1.
 
     log|term_j| is concave in j and starts at 0, so the first term below the
@@ -206,11 +207,11 @@ def _ml_series(alpha, z, max_terms):
     ConvergenceError rather than overflowing on the way.
     """
     log_z = math.log(abs(z))
-    n_terms = next((j + 1 for j in range(max_terms)
+    n_terms = next((j + 1 for j in range(_ML_MAX_TERMS)
                     if j * log_z - math.lgamma(alpha * j + 1.0) <= _ML_TAIL_LOG), None)
     if n_terms is None:
         raise ConvergenceError(
-            f"E_{alpha}({z}) series does not meet its truncation bound within {max_terms} terms"
+            f"E_{alpha}({z}) series does not meet its truncation bound within {_ML_MAX_TERMS} terms"
         )
     terms = []
     try:
@@ -224,7 +225,7 @@ def _ml_series(alpha, z, max_terms):
         raise DomainError(f"E_{alpha}({z}) exceeds the float64 range") from None
 
 
-def mittag_leffler(alpha, z, max_terms=1400):
+def mittag_leffler(alpha, z):
     """One-parameter Mittag-Leffler function E_alpha(z) for real z <= 20.
 
     Domain: every finite z <= 0 for alpha >= 0.01, -1 < z <= 0 for smaller
@@ -243,9 +244,9 @@ def mittag_leffler(alpha, z, max_terms=1400):
     sum to 1e-15 relative while its terms stay below 1e308 and to 1e-13
     beyond (8e-14 measured at alpha = 0.55, z = 19.5), where the terms are
     rounded in log space. ConvergenceError reports a series that does not
-    meet its truncation bound within max_terms terms, which happens for
-    small alpha combined with z > 1, and for alpha < 0.01 with z just above
-    -1 (alpha = 0.005 at z = -0.99, say).
+    meet its truncation bound within 1400 terms (_ML_MAX_TERMS), which
+    happens for small alpha combined with z > 1, and for alpha < 0.01 with
+    z just above -1 (alpha = 0.005 at z = -0.99, say).
     """
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
@@ -261,4 +262,4 @@ def mittag_leffler(alpha, z, max_terms=1400):
         return _ml_negative(alpha, -z)
     if z <= -1.0:
         raise DomainError(f"z < 0 needs |z| < 1 for alpha < {_ML_MIN_QUAD_ALPHA}, got {z!r}")
-    return _ml_series(alpha, z, max_terms)
+    return _ml_series(alpha, z)

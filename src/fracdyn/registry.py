@@ -46,8 +46,12 @@ def build_system(name, gains=None, target=None):
 
     The controlled model needs both gains and a target equilibrium point,
     each optionally with a leading batch axis; the other entries take no
-    parameters. Every field accepts a (d,) state or a (B, d) batch.
+    parameters, and gains given to one of them raise ValueError rather than
+    being ignored. Every field accepts a (d,) state or a (B, d) batch.
     """
+    if gains is not None and name != maxbloch.CONTROLLED_SYSTEM_NAME and name in SYSTEMS:
+        raise ValueError(f"{name} takes no gains; feedback gains need "
+                         f"{maxbloch.CONTROLLED_SYSTEM_NAME}")
     if name == maxbloch.SYSTEM_NAME:
         return maxbloch.system()
     if name == maxbloch.CONTROLLED_SYSTEM_NAME:

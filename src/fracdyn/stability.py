@@ -32,6 +32,7 @@ __all__ = [
     "ZERO_TOL",
     "ARG_TOL",
     "GM_RANK_TOL",
+    "EQUILIBRIUM_TOL",
     "Verdict",
     "RouthHurwitz",
     "EquilibriumReport",
@@ -50,10 +51,12 @@ __all__ = [
 ]
 
 # Eigenvalues with |lambda| below ZERO_TOL are treated as zero; margins
-# within ARG_TOL of the critical ray count as critical.
+# within ARG_TOL of the critical ray count as critical. A point whose field
+# is within EQUILIBRIUM_TOL of zero (max norm) counts as an equilibrium.
 ZERO_TOL = 1e-9
 ARG_TOL = 1e-9
 GM_RANK_TOL = 1e-7
+EQUILIBRIUM_TOL = 1e-10
 
 
 class Verdict(enum.Enum):
@@ -95,7 +98,7 @@ def _eigenvalue_array(eigs):
     return values
 
 
-def matignon_margins(eigs, alpha, zero_tol=ZERO_TOL):
+def matignon_margins(eigs, alpha):
     """Per-eigenvalue margins |arg(lambda)| - alpha*pi/2, None for zeros.
 
     Conjugate eigenvalues get equal margins. Margins grow as alpha shrinks,
@@ -106,46 +109,46 @@ def matignon_margins(eigs, alpha, zero_tol=ZERO_TOL):
     half_ray = alpha * math.pi / 2.0
     margins = []
     for lam in values:
-        if abs(lam) <= zero_tol:
+        if abs(lam) <= ZERO_TOL:
             margins.append(None)
         else:
             margins.append(abs(cmath.phase(lam)) - half_ray)
     return tuple(margins)
 
 
-def _assess(eigs, alpha, jac=None, zero_tol=ZERO_TOL, arg_tol=ARG_TOL):
+def _assess(eigs, alpha, jac=None):
     values = np.asarray(eigs, dtype=complex).ravel()
-    margins = matignon_margins(values, alpha, zero_tol)
+    margins = matignon_margins(values, alpha)
     zero_count = sum(1 for m in margins if m is None)
     nonzero = [m for m in margins if m is not None]
 
-    if any(m < -arg_tol for m in nonzero) or zero_count:
+    if any(m < -ARG_TOL for m in nonzero) or zero_count:
         return Verdict.UNSTABLE, margins, zero_count
-    if all(m > arg_tol for m in nonzero):
+    if all(m > ARG_TOL for m in nonzero):
         return Verdict.ASYMPTOTICALLY_STABLE, margins, zero_count
     # critical eigenvalues on the ray: stability needs geometric multiplicity one
     if jac is None:
         return Verdict.INDETERMINATE, margins, zero_count
     critical = [values[i] for i, m in enumerate(margins)
-                if m is not None and abs(m) <= arg_tol]
+                if m is not None and abs(m) <= ARG_TOL]
     for lam in critical:
         if numkit.geometric_multiplicity(jac, lam, GM_RANK_TOL) != 1:
             return Verdict.UNSTABLE, margins, zero_count
     return Verdict.STABLE, margins, zero_count
 
 
-def matignon_classify(eigs, alpha, jac=None, zero_tol=ZERO_TOL, arg_tol=ARG_TOL):
+def matignon_classify(eigs, alpha, jac=None):
     """Argument-condition verdict for a set of Jacobian eigenvalues.
 
     Without the Jacobian a configuration with critical eigenvalues cannot be
     resolved (the multiplicity check needs the matrix) and comes back
     Indeterminate.
     """
-    verdict, _, _ = _assess(eigs, alpha, jac, zero_tol, arg_tol)
+    verdict, _, _ = _assess(eigs, alpha, jac)
     return verdict
 
 
-def stability_alpha_threshold(eigs, zero_tol=ZERO_TOL):
+def stability_alpha_threshold(eigs):
     """Supremum of fractional orders passed by every eigenvalue.
 
     Equals (2/pi) * min |arg(lambda)| over nonzero eigenvalues, and 0.0 when
@@ -155,7 +158,7 @@ def stability_alpha_threshold(eigs, zero_tol=ZERO_TOL):
     values = _eigenvalue_array(eigs)
     threshold = math.inf
     for lam in values:
-        if abs(lam) <= zero_tol:
+        if abs(lam) <= ZERO_TOL:
             return 0.0
         threshold = min(threshold, 2.0 * abs(cmath.phase(lam)) / math.pi)
     return threshold
@@ -203,17 +206,19 @@ class EquilibriumReport:
         return _kv_join(pairs)
 
 
-def classify_equilibrium(sys, x_e, alpha, equilibrium_tol=1e-10,
-                         zero_tol=ZERO_TOL, arg_tol=ARG_TOL):
-    """Full report for an equilibrium of a system: eigenvalues, margins, verdict."""
+def classify_equilibrium(sys, x_e, alpha):
+    """Full report for an equilibrium of a system: eigenvalues, margins, verdict.
+
+    A point where the field exceeds EQUILIBRIUM_TOL (max norm) is rejected.
+    """
     point = as_state(x_e, sys.dim)
-    if not is_equilibrium(sys, point, equilibrium_tol):
+    if not is_equilibrium(sys, point, EQUILIBRIUM_TOL):
         raise ValueError(
-            f"point is not an equilibrium of {sys.name} (tolerance {equilibrium_tol:g})"
+            f"point is not an equilibrium of {sys.name} (tolerance {EQUILIBRIUM_TOL:g})"
         )
     jac = np.asarray(sys.jacobian(point), dtype=float)
     eigs = numkit.eigenvalues(jac)
-    verdict, margins, zero_count = _assess(eigs, alpha, jac, zero_tol, arg_tol)
+    verdict, margins, zero_count = _assess(eigs, alpha, jac)
     return EquilibriumReport(
         point=tuple(float(v) for v in point),
         alpha=float(alpha),
@@ -305,21 +310,20 @@ class RouthHurwitz(enum.Enum):
         return False
 
 
-def routh_hurwitz_cubic(coeffs, alpha=None):
+def routh_hurwitz_cubic(coeffs):
     """Root-free stability ranges for a monic cubic with positive coefficients.
 
     Positive discriminant together with a1*a2 > a3 certifies stability for
     every order in (0, 1); negative discriminant certifies orders below 2/3.
     Anything else (including the zero-discriminant boundary) is NotDecided
-    and should fall back to the argument test on explicit roots. Violated
-    sign preconditions raise instead of classifying silently.
+    and should fall back to the argument test on explicit roots; the result
+    takes no order, and `RouthHurwitz.covers` answers for one. Violated sign
+    preconditions raise instead of classifying silently.
     """
     if not (coeffs.a1 > 0 and coeffs.a2 > 0 and coeffs.a3 > 0):
         raise numkit.DomainError(
             "fractional Routh-Hurwitz cubic test needs a1, a2, a3 all positive"
         )
-    if alpha is not None:
-        validate_alpha(alpha)
     d = coeffs.discriminant
     if d > 0 and coeffs.a1 * coeffs.a2 > coeffs.a3:
         return RouthHurwitz.STABLE_ALL_ALPHA

@@ -11,19 +11,23 @@ __all__ = ["line_chart"]
 # Polyline points formatted per call: bounds the temporary tuple and string.
 _POINTS_PER_CHUNK = 4096
 
-
-def _ticks(lo, hi, count=5):
-    if count < 2:
-        return [lo]
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+# Canvas size in pixels, ticks per axis and the label of the index axis.
+_WIDTH, _HEIGHT = 720, 480
+_TICKS = 5
+_X_LABEL = "n"
 
 
-def line_chart(values, y_label, x_label="n", title=None, width=720, height=480):
-    """SVG text for a line chart of values against their index."""
+def _ticks(lo, hi):
+    step = (hi - lo) / (_TICKS - 1)
+    return [lo + i * step for i in range(_TICKS)]
+
+
+def line_chart(values, y_label):
+    """SVG text for a 720 by 480 line chart of values against their index n."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("cannot plot an empty or multi-dimensional series")
+    width, height = _WIDTH, _HEIGHT
     margin = 64.0
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin
@@ -48,11 +52,6 @@ def line_chart(values, y_label, x_label="n", title=None, width=720, height=480):
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
-    if title:
-        out.append(
-            f'<text x="{width / 2:.2f}" y="24" text-anchor="middle" '
-            f'font-family="monospace" font-size="14">{title}</text>'
-        )
 
     # axes
     x0, y0 = margin, height - margin
@@ -84,7 +83,7 @@ def line_chart(values, y_label, x_label="n", title=None, width=720, height=480):
 
     out.append(
         f'<text x="{width / 2:.2f}" y="{height - 16:.2f}" text-anchor="middle" '
-        f'font-family="monospace" font-size="13">{x_label}</text>'
+        f'font-family="monospace" font-size="13">{_X_LABEL}</text>'
     )
     out.append(
         f'<text x="{x0:.2f}" y="{margin - 12:.2f}" text-anchor="start" '

@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "TARGET_TOL",
     "SystemDef",
     "validate_alpha",
     "as_state",
@@ -31,6 +32,10 @@ __all__ = [
     "controlled",
     "finite_difference_jacobian",
 ]
+
+# A feedback target must be an equilibrium of the base system: its field
+# within TARGET_TOL of zero, max norm.
+TARGET_TOL = 1e-8
 
 
 def validate_alpha(alpha):
@@ -108,12 +113,12 @@ def _rows(value, convert):
     return convert(value)
 
 
-def controlled(sys, k, x_e, equilibrium_tol=1e-8):
+def controlled(sys, k, x_e):
     """System with diagonal feedback pinned at an equilibrium of the base.
 
     The returned field is f(x) - k*(x - x_e) componentwise, the Jacobian is
     J(x) - diag(k), and x_e remains an equilibrium. A point that is not an
-    equilibrium of the base system (within equilibrium_tol) is rejected.
+    equilibrium of the base system (within TARGET_TOL) is rejected.
 
     Gains and targets may carry a leading batch axis, shape (B, n): row b
     of a (B, n) state is then fed back with gains k[b] towards x_e[b]. Each
@@ -126,10 +131,10 @@ def controlled(sys, k, x_e, equilibrium_tol=1e-8):
             f"{len(gains)} gain rows do not match {len(target)} target rows"
         )
     for point in np.atleast_2d(target):
-        if not is_equilibrium(sys, point, equilibrium_tol):
+        if not is_equilibrium(sys, point, TARGET_TOL):
             raise ValueError(
                 f"target point is not an equilibrium of {sys.name} "
-                f"(tolerance {equilibrium_tol:g})"
+                f"(tolerance {TARGET_TOL:g})"
             )
     base_field = sys.field
     base_jacobian = sys.jacobian

@@ -1,0 +1,47 @@
+"""Integrity of the public API: each module's __all__ and the names the
+package imports. There is no linter in this project; these checks stand in
+for one."""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import fracdyn
+
+# the command line front end exports `main` (the `fracdyn` script), no __all__
+MODULES = [f"fracdyn.{info.name}" for info in pkgutil.iter_modules(fracdyn.__path__)
+           if info.name != "cli"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert missing == []
+    assert len(set(module.__all__)) == len(module.__all__)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_definitions_are_listed(name):
+    # every public function or class defined here is in __all__
+    module = importlib.import_module(name)
+    unlisted = [attr for attr, obj in vars(module).items()
+                if (inspect.isfunction(obj) or inspect.isclass(obj))
+                and obj.__module__ == name and not attr.startswith("_")
+                and attr not in module.__all__]
+    assert unlisted == []
+
+
+def test_package_imports_exist():
+    tree = ast.parse(Path(fracdyn.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        source = importlib.import_module("." * node.level + (node.module or ""), "fracdyn")
+        for alias in node.names:
+            assert hasattr(source, alias.name), f"{source.__name__}.{alias.name}"
+            assert getattr(fracdyn, alias.asname or alias.name) is getattr(source, alias.name)

@@ -168,6 +168,23 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: horizon h * steps = inf is not finite\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("system, start, gains", [
+        ("zero-field-5d", ["--x0", "1", "1", "1", "1", "1"], ["-5", "nan", "1", "1", "1"]),
+        ("maxwell-bloch-5d", ["--epsilon", "0.01", "--target-e1", repr(SQRT3_4), "0.25"],
+         ["9"] * 5),
+        ("linear-decay", ["--x0", "1"], ["1"]),
+    ])
+    def test_gains_for_a_plain_system_are_bad_input(self, tmp_path, capsys, system, start,
+                                                    gains):
+        assert main(["simulate", "--system", system, "--alpha", "0.65", "--h", "0.01",
+                     "--steps", "10", *start, "--gains", *gains,
+                     "--output", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {system} takes no gains; feedback gains need "
+                                "maxwell-bloch-5d-controlled\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("conflict", [
         ["--x0", "0.4", "0.25", "0", "0", "0", "--epsilon", "0.01"],
         ["--target-e1", repr(SQRT3_4), "0.25", "--target-e2", "-0.125"],
@@ -505,6 +522,25 @@ class TestSweep:
         assert f"{paths[1]}: failed (exit 3)" in captured.out
         assert captured.out.count(": ok") == 2
 
+    def test_gains_for_a_plain_system_fail_that_config_only(self, tmp_path, capsys):
+        paths = [self._write(tmp_path, "a.cfg", tmp_path / "out" / "a"),
+                 self._plain(tmp_path, "p", (0.1, 0.2, 0.3, 0.4, 0.5)),
+                 self._write(tmp_path, "bad.cfg", tmp_path / "out" / "bad",
+                             system="maxwell-bloch-5d", gains=(9.0,) * 5),
+                 self._write(tmp_path, "b.cfg", tmp_path / "out" / "b", epsilon=0.02)]
+        assert main(["sweep", *map(str, paths)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error in maxwell-bloch-5d run: maxwell-bloch-5d takes no "
+                                "gains; feedback gains need maxwell-bloch-5d-controlled\n")
+        assert f"{paths[2]}: failed (exit 2)" in captured.out
+        assert captured.out.count(": ok") == 3
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["a", "b", "p"]
+        for name, path in zip("apb", [paths[0], paths[1], paths[3]]):
+            assert main(["simulate", "--config", str(path),
+                         "--output", str(tmp_path / "lone" / name)]) == 0
+            assert tree_bytes(tmp_path / "out" / name) == tree_bytes(tmp_path / "lone" / name)
+        capsys.readouterr()
+
     def test_failures_rerun_survivors_as_one_batch(self, tmp_path, capsys, monkeypatch):
         sizes = []
         integrate = cli.integrate
@@ -599,6 +635,28 @@ class TestSweep:
         for member in ("c2", "c3"):
             assert sum(k.startswith(member + "/") for k in extra) in (0, 7)
         assert all(k.startswith(("c2/", "c3/")) for k in extra)
+
+    def test_failing_integration_reaps_running_writers(self, tmp_path, capsys, monkeypatch):
+        # the first batch's writers are running when the second batch fails;
+        # the autouse fixture then finds no child left
+        self._force_writers(monkeypatch, 2)
+        monkeypatch.setattr(cli, "SWEEP_BATCH_BYTES", 2 * 8 * 5 * 31)
+        calls = []
+        integrate = cli.integrate
+
+        def failing_integrate(sysdef, cfg):
+            calls.append(len(cfg.x0))
+            if len(calls) == 2:
+                raise RuntimeError("second batch fails")
+            return integrate(sysdef, cfg)
+
+        monkeypatch.setattr(cli, "integrate", failing_integrate)
+        paths = [self._write(tmp_path, f"c{i}.cfg", tmp_path / "out" / f"c{i}",
+                             epsilon=0.01 * (i + 1)) for i in range(4)]
+        with pytest.raises(RuntimeError, match="second batch fails"):
+            main(["sweep", *map(str, paths)])
+        assert calls == [2, 2]
+        capsys.readouterr()
 
     def test_killed_writer_costs_only_time(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_write_artifacts", write_unless_forked)

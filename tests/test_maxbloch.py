@@ -64,19 +64,9 @@ class TestBatchedField:
             maxbloch.field(xs)[1], [xs[1, 2], xs[1, 3], xs[1, 0] * xs[1, 4],
                                     xs[1, 1] * xs[1, 4], -(xs[1, 0] * xs[1, 2] + xs[1, 1] * xs[1, 3])])
 
-    @pytest.mark.parametrize("shape", [(5,), (5, 5), (3, 5)])
-    def test_controlled_field_equals_system_field_bitwise(self, rng, shape):
-        gains = rng.uniform(0.0, 2.0, 5)
-        for target in (maxbloch.e1(0.3, -0.7), maxbloch.e2(-0.125)):
-            x = rng.uniform(-2.0, 2.0, shape)
-            np.testing.assert_array_equal(
-                maxbloch.controlled_field(x, gains, target),
-                maxbloch.controlled_system(gains, target).field(x),
-            )
-
     def test_controlled_field_keeps_family_check(self):
         with pytest.raises(ValueError, match="neither equilibrium family"):
-            maxbloch.controlled_field(np.zeros(5), np.ones(5), [1.0, 0.0, 0.0, 1e-6, 0.0])
+            maxbloch.controlled_system(np.ones(5), [1.0, 0.0, 0.0, 1e-6, 0.0]).field(np.zeros(5))
 
     def test_batched_controlled_system_checks_every_family(self):
         with pytest.raises(ValueError, match="neither equilibrium family"):
@@ -142,7 +132,7 @@ class TestControlled:
         for _ in range(20):
             x = rng.uniform(-2.0, 2.0, 5)
             np.testing.assert_array_equal(
-                maxbloch.controlled_field(x, np.zeros(5), maxbloch.e2(0.5)),
+                maxbloch.controlled_system(np.zeros(5), maxbloch.e2(0.5)).field(x),
                 maxbloch.field(x),
             )
         x = rng.uniform(-2.0, 2.0, 5)
@@ -153,14 +143,14 @@ class TestControlled:
     def test_field_vanishes_at_target(self):
         target = maxbloch.e1(math.sqrt(3.0) / 4.0, 0.25)
         np.testing.assert_array_equal(
-            maxbloch.controlled_field(target, self.GAINS, target), np.zeros(5)
+            maxbloch.controlled_system(self.GAINS, target).field(target), np.zeros(5)
         )
 
     def test_offset_start_hand_substitution(self):
         target = maxbloch.e1(math.sqrt(3.0) / 4.0, 0.25)
         eps = 0.01
         x = target + eps
-        value = maxbloch.controlled_field(x, self.GAINS, target)
+        value = maxbloch.controlled_system(self.GAINS, target).field(x)
         expected = np.array([
             x[2] - 1.2 * eps,
             x[3] - 1.2 * eps,
@@ -173,7 +163,7 @@ class TestControlled:
 
     def test_target_outside_families_rejected(self):
         with pytest.raises(ValueError):
-            maxbloch.controlled_field(np.zeros(5), self.GAINS, [1.0, 0.0, 1.0, 0.0, 0.0])
+            maxbloch.controlled_system(self.GAINS, [1.0, 0.0, 1.0, 0.0, 0.0]).field(np.zeros(5))
 
     def test_jacobian_is_diagonal_shift(self, rng):
         for _ in range(20):

@@ -106,10 +106,10 @@ def test_jacobians_match_finite_differences(rng):
 
 
 def registered_systems():
-    return [
-        registry.build_system(name, gains=[1.2, 1.2, 0.5, 0.5, 0.0], target=E1)
-        for name in registry.available_systems()
-    ]
+    # only the controlled model takes gains and a target
+    params = {maxbloch.CONTROLLED_SYSTEM_NAME: {"gains": [1.2, 1.2, 0.5, 0.5, 0.0], "target": E1}}
+    return [registry.build_system(name, **params.get(name, {}))
+            for name in registry.available_systems()]
 
 
 @pytest.mark.parametrize("batch", [1, 2, 5, 7])
