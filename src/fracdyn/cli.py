@@ -31,6 +31,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import maxbloch, registry
+from .artifacts import TemplateCache, write_artifacts
 from .expconfig import ConfigError, ExperimentConfig, load_config
 from .numkit import ConvergenceError, DomainError
 from .solver import (
@@ -41,8 +42,7 @@ from .solver import (
     convergence_order,
     integrate,
 )
-from .stability import _fmt, _kv_join, classify_equilibrium, e1_gain_condition, e2_gain_condition
-from .svgplot import line_chart
+from .stability import _fmt, classify_equilibrium, e1_gain_condition, e2_gain_condition
 from .systems import controlled
 
 # Largest field history, B*d*(N + 1) float64 values, of one sweep batch:
@@ -53,14 +53,15 @@ from .systems import controlled
 # and twice it (38.3 MB) no faster.
 SWEEP_BATCH_BYTES = 5 * 2**18
 
-# Writing one member's artifacts inline takes about 2.5 ms plus 2 us per
-# trajectory value (5-D model: 6.6 ms at N=300, 23 ms at N=2000). Forking and
+# Writing one member's artifacts inline takes about 2 ms plus 1 us per
+# trajectory value (5-D model: 3.5 ms at N=300, 12 ms at N=2000). Forking and
 # reaping a batch's writers costs about 10 ms; on two CPUs, sweeps of one
-# batch were slower forked below 0.05 s of inline writing (2 configs at
-# N=2000, 4 at N=1000), as fast at 0.1 s (8 at N=1000) and faster from
-# 0.15 s (12 at N=1000, 32 at N=300).
-WRITE_MEMBER_S = 2.5e-3
-WRITE_VALUE_S = 2e-6
+# batch were no faster forked below 0.05 s of inline writing (4 configs at
+# N=2000), faster in some series of runs and slower in others up to about
+# 0.1 s (12 at N=1000, 6 or 8 at N=2000) and faster in most series from
+# about 0.1 s (16 at N=1000, 12 at N=2000).
+WRITE_MEMBER_S = 2e-3
+WRITE_VALUE_S = 1e-6
 FORK_MIN_WRITE_S = 0.1
 
 
@@ -83,37 +84,6 @@ def _resolve(cfg):
     return sysdef, x0, target
 
 
-def _write_csv(path, traj):
-    # one format string per row, rows streamed: no text copy of the whole table
-    dim = traj.states.shape[1]
-    row = "%d" + ",%.17g" * (dim + 1) + "\n"
-    with open(path, "w", encoding="utf-8") as out:
-        out.write("step,t," + ",".join(f"x{i + 1}" for i in range(dim)) + "\n")
-        out.writelines(row % (idx, t, *x) for idx, (t, x) in
-                       enumerate(zip(traj.times.tolist(), map(np.ndarray.tolist, traj.states))))
-
-
-def _write_report_kv(path, cfg, traj, target):
-    final = traj.states[-1]
-    pairs = [
-        ("system", cfg.system),
-        ("alpha", _fmt(cfg.alpha)),
-        ("h", _fmt(cfg.h)),
-        ("steps", str(cfg.steps)),
-        ("seed", str(cfg.seed)),
-    ]
-    for i, v in enumerate(traj.states[0], start=1):
-        pairs.append((f"x0_{i}", _fmt(v)))
-    for i, v in enumerate(final, start=1):
-        pairs.append((f"final_{i}", _fmt(v)))
-    if target is not None:
-        for i, v in enumerate(target, start=1):
-            pairs.append((f"target_{i}", _fmt(v)))
-        pairs.append(("initial_distance", _fmt(np.linalg.norm(traj.states[0] - target))))
-        pairs.append(("final_distance", _fmt(np.linalg.norm(final - target))))
-    path.write_text(_kv_join(pairs) + "\n", encoding="utf-8")
-
-
 def _solver_config(cfg, x0):
     return SolverConfig(alpha=cfg.alpha, h=cfg.h, n_steps=cfg.steps, x0=x0)
 
@@ -121,23 +91,9 @@ def _solver_config(cfg, x0):
 def _run_experiment(cfg):
     sysdef, x0, target = _resolve(cfg)
     traj = integrate(sysdef, _solver_config(cfg, x0))
-    _write_artifacts(cfg, traj, target)
+    write_artifacts(cfg, traj, target)
     _print_summary(cfg, traj, target)
     return 0
-
-
-def _write_artifacts(cfg, traj, target):
-    """Write trajectory.csv, fig1.svg..figd.svg and report.kv of one run.
-
-    Touches no standard stream: sweep writers run it in forked processes.
-    """
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(outdir / "trajectory.csv", traj)
-    for i in range(traj.states.shape[1]):
-        chart = line_chart(traj.states[:, i], y_label=f"x^{i + 1}(n)")
-        (outdir / f"fig{i + 1}.svg").write_text(chart, encoding="utf-8")
-    _write_report_kv(outdir / "report.kv", cfg, traj, target)
 
 
 def _print_summary(cfg, traj, target):
@@ -322,8 +278,10 @@ def _fork_writers(batch, cpus):
         if pid == 0:
             status = 1
             try:
-                for member, traj in runs[share::writers]:
-                    _write_artifacts(member.cfg, traj, member.target)
+                mine = runs[share::writers]
+                cache = TemplateCache() if len(mine) > 1 else None
+                for member, traj in mine:
+                    write_artifacts(member.cfg, traj, member.target, cache)
                 status = 0
             finally:
                 os._exit(status)
@@ -365,6 +323,7 @@ def _cmd_sweep(args):
     try:
         for batch in itertools.chain(*map(_sweep_group, groups.values()), [[]]):
             inline = not pids or not _wait(pids)
+            cache = TemplateCache() if inline and len(previous) > 1 else None
             for member, outcome in previous:
                 if isinstance(outcome, NumericalError):
                     print(f"numerical failure in {member.cfg.system} run at step "
@@ -372,7 +331,7 @@ def _cmd_sweep(args):
                     codes[member.index] = 3
                     continue
                 if inline:
-                    _write_artifacts(member.cfg, outcome, member.target)
+                    write_artifacts(member.cfg, outcome, member.target, cache)
                 _print_summary(member.cfg, outcome, member.target)
             previous, pids = batch, _fork_writers(batch, cpus)
     finally:

@@ -2,17 +2,22 @@
 
 The output is a pure function of the data: no timestamps, random ids or
 locale-dependent formatting, so identical inputs give identical bytes.
+A polyline template shared between charts keeps it so: its text depends
+only on the series length.
 """
 
 import numpy as np
 
-__all__ = ["line_chart"]
+__all__ = ["line_chart", "polyline_template"]
 
-# Polyline points formatted per call: bounds the temporary tuple and string.
-_POINTS_PER_CHUNK = 4096
+# Points per chunk of a polyline template: bounds each template string and
+# the tuple of values formatted into it.
+_TEMPLATE_POINTS = 4096
 
-# Canvas size in pixels, ticks per axis and the label of the index axis.
+# Canvas size and margin in pixels, ticks per axis and the label of the
+# index axis.
 _WIDTH, _HEIGHT = 720, 480
+_MARGIN = 64.0
 _TICKS = 5
 _X_LABEL = "n"
 
@@ -22,13 +27,33 @@ def _ticks(lo, hi):
     return [lo + i * step for i in range(_TICKS)]
 
 
-def line_chart(values, y_label):
-    """SVG text for a 720 by 480 line chart of values against their index n."""
+def polyline_template(size):
+    """Polyline points of a `size`-value series with their x-coordinates
+    formatted and a %.2f in place of each y, in chunks of _TEMPLATE_POINTS.
+
+    The x-coordinates depend only on `size`, so every chart of that many
+    values can share one template.
+    """
+    last = max(size - 1, 1)
+    chunks = []
+    for start in range(0, size, _TEMPLATE_POINTS):
+        # the arithmetic of line_chart's px, one array operation per chunk
+        xs = _MARGIN + (_WIDTH - 2 * _MARGIN) * (
+            np.arange(start, min(start + _TEMPLATE_POINTS, size)) / last)
+        chunks.append(" ".join(["%.2f,%%.2f"] * xs.size) % tuple(xs.tolist()))
+    return chunks
+
+
+def line_chart(values, y_label, template=None):
+    """SVG text for a 720 by 480 line chart of values against their index n.
+
+    `template` is `polyline_template(len(values))`, built here if not given.
+    """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("cannot plot an empty or multi-dimensional series")
     width, height = _WIDTH, _HEIGHT
-    margin = 64.0
+    margin = _MARGIN
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin
 
@@ -90,16 +115,13 @@ def line_chart(values, y_label):
         f'font-family="monospace" font-size="13">{y_label}</text>'
     )
 
-    # the same arithmetic as px and py, one array operation per coordinate
-    xy = np.empty((values.size, 2))
-    xy[:, 0] = margin + plot_w * (np.arange(values.size) / last)
-    xy[:, 1] = height - margin - plot_h * ((values - lo) / (hi - lo))
-    xy = xy.ravel()
-    step = 2 * _POINTS_PER_CHUNK
-    points = " ".join(" ".join(["%.2f,%.2f"] * (chunk.size // 2)) % tuple(chunk.tolist())
-                      for chunk in (xy[i:i + step] for i in range(0, xy.size, step)))
-    out.append(
-        f'<polyline points="{points}" fill="none" stroke="#1f4e9c" stroke-width="1.5"/>'
-    )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    if template is None:
+        template = polyline_template(values.size)
+    # the same arithmetic as py, one array operation for all points
+    ys = height - margin - plot_h * ((values - lo) / (hi - lo))
+    out.append('<polyline points="' + " ".join(
+        chunk % tuple(ys[i:i + _TEMPLATE_POINTS].tolist())
+        for i, chunk in zip(range(0, ys.size, _TEMPLATE_POINTS), template)
+    ) + '" fill="none" stroke="#1f4e9c" stroke-width="1.5"/>')
+    out.append("</svg>\n")
+    return "\n".join(out)

@@ -13,6 +13,7 @@ import pytest
 
 import fracdyn
 from fracdyn import cli
+from fracdyn.artifacts import write_csv
 from fracdyn.cli import main
 from fracdyn.expconfig import ExperimentConfig, serialize_config
 from fracdyn.solver import Trajectory
@@ -210,7 +211,7 @@ class TestSimulate:
         states = np.array(edge * 5).reshape(15, 5)
         times = np.linspace(0.0, 1.4, 15)
         path = tmp_path / "t.csv"
-        cli._write_csv(path, Trajectory(times, states))
+        write_csv(path, Trajectory(times, states))
         want = ["step,t,x1,x2,x3,x4,x5"] + [
             ",".join([str(i), f"{float(t):.17g}"] + [f"{float(v):.17g}" for v in row])
             for i, (t, row) in enumerate(zip(times, states))
@@ -380,24 +381,24 @@ def tree_bytes(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-cli_write_artifacts = cli._write_artifacts
+cli_write_artifacts = cli.write_artifacts
 TEST_PID = os.getpid()
 
 
-def write_artifacts_and_pid(cfg, traj, target):
-    """cli._write_artifacts, then the writing process's id in writer.pid."""
-    cli_write_artifacts(cfg, traj, target)
+def write_artifacts_and_pid(cfg, traj, target, cache=None):
+    """cli.write_artifacts, then the writing process's id in writer.pid."""
+    cli_write_artifacts(cfg, traj, target, cache)
     (Path(cfg.output_dir) / "writer.pid").write_text(str(os.getpid()))
 
 
-def write_unless_forked(cfg, traj, target):
-    """cli._write_artifacts, but a writer forked from this test process is
+def write_unless_forked(cfg, traj, target, cache=None):
+    """cli.write_artifacts, but a writer forked from this test process is
     killed first, as by the kernel's OOM killer, leaving a file `killed`
     two levels above its output directory."""
     if os.getpid() != TEST_PID:
         (Path(cfg.output_dir).parents[1] / "killed").touch()
         os.kill(os.getpid(), signal.SIGKILL)
-    cli_write_artifacts(cfg, traj, target)
+    cli_write_artifacts(cfg, traj, target, cache)
 
 
 E2_RUN = dict(target=("e2", -0.125), gains=(0.25, 1.5, 0.25, 2.0 / 3.0, 1.0), steps=600)
@@ -659,7 +660,7 @@ class TestSweep:
         capsys.readouterr()
 
     def test_killed_writer_costs_only_time(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_write_artifacts", write_unless_forked)
+        monkeypatch.setattr(cli, "write_artifacts", write_unless_forked)
         paths = [self._write(tmp_path, f"c{i}.cfg", tmp_path / "out" / f"c{i}",
                              epsilon=0.01 * (i + 1)) for i in range(3)]
         runs = {}
@@ -717,7 +718,7 @@ class TestSweep:
     ])
     def test_writers_are_forked_only_when_they_pay(self, tmp_path, capsys, monkeypatch,
                                                    cpus, configs, min_write_s, forked):
-        monkeypatch.setattr(cli, "_write_artifacts", write_artifacts_and_pid)
+        monkeypatch.setattr(cli, "write_artifacts", write_artifacts_and_pid)
         monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
         if min_write_s is not None:
             monkeypatch.setattr(cli, "FORK_MIN_WRITE_S", min_write_s)
@@ -753,7 +754,7 @@ class TestSweep:
         # processes that write a batch of `batch` trajectories, 1 meaning inline,
         # when writing it inline would take `write_s` seconds
         monkeypatch.setattr(cli, "_inline_write_seconds", lambda members: write_s)
-        monkeypatch.setattr(cli, "_write_artifacts", lambda cfg, traj, target: None)
+        monkeypatch.setattr(cli, "write_artifacts", lambda cfg, traj, target, cache: None)
         pids = cli._fork_writers([(cli._Member(0, None, None, None), None)] * batch, cpus)
         forked = len(pids)
         assert cli._wait(pids) and pids == []
@@ -761,7 +762,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("configs, steps, forks", [(64, 2000, True), (16, 2000, True),
                                                        (48, 300, True), (2, 30, False),
-                                                       (4, 2000, False), (12, 1000, True)])
+                                                       (4, 2000, False), (12, 1000, False)])
     def test_write_estimate_picks_the_pool_for_large_sweeps(self, configs, steps, forks):
         # whether a batch of `configs` members forks its writers
         cfg = ExperimentConfig(system="maxwell-bloch-5d", alpha=0.65, h=0.01, steps=steps,
