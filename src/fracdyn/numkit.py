@@ -5,6 +5,7 @@ are square numpy arrays of dimension at most 8. Everything here is a pure
 function of its inputs and safe to call concurrently.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -173,10 +174,16 @@ _ML_STEP = 0.025             # trapezoid step in w for alpha >= 0.75
 _ML_STEP_PER_ALPHA = 1 / 30  # step for smaller alpha: alpha / 30
 _ML_KERNEL_LOG = 40.0        # kernel tails (~v and ~1/v) are < 1e-17 past |log v| = 40
 _ML_FLOAT_LOG_MAX = 730.0    # log(1/v) that v = 1/x reaches for every float x, plus 20
+_ML_NODE_CACHE = 8           # alphas whose nodes are kept; a study uses one
 
 
+@functools.lru_cache(maxsize=_ML_NODE_CACHE)
 def _ml_nodes(alpha):
-    """Trapezoid nodes log v and weights of the negative-axis integral."""
+    """Trapezoid nodes log v and weights of the negative-axis integral.
+
+    Built once per alpha for the last _ML_NODE_CACHE alphas and returned
+    read-only, since every caller shares them.
+    """
     delta = min((1.0 - alpha) * math.pi, 1.0)
     step = min(_ML_STEP, alpha * _ML_STEP_PER_ALPHA)
     lo = math.floor(-math.asinh(_ML_FLOAT_LOG_MAX / delta) / step)
@@ -187,7 +194,9 @@ def _ml_nodes(alpha):
     v_minus_1 = np.expm1(log_v)
     gap = 4.0 * math.sin((1.0 - alpha) * math.pi / 2.0) ** 2
     scale = math.sin((1.0 - alpha) * math.pi) / (alpha * math.pi) * step * delta
-    return log_v, scale * np.cosh(w) * v / (v_minus_1 * v_minus_1 + gap * v)
+    weights = scale * np.cosh(w) * v / (v_minus_1 * v_minus_1 + gap * v)
+    log_v.flags.writeable = weights.flags.writeable = False
+    return log_v, weights
 
 
 def _ml_negative(alpha, x):

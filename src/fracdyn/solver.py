@@ -410,13 +410,15 @@ def _max_errors(sys, alpha, oracle, h_list, tau, x0, t_min=0.0,
         cfg = SolverConfig(alpha=alpha, h=h, n_steps=n_steps, x0=x0,
                            predictor_anchor=predictor_anchor)
         traj = integrate(sys, cfg)
-        worst = 0.0
-        for t, state in zip(traj.times, traj.states):
-            if t < t_min - 1e-12:
-                continue
-            exact = np.atleast_1d(np.asarray(oracle(t), dtype=float))
-            worst = max(worst, float(np.max(np.abs(state - exact))))
-        errors.append(worst)
+        keep = traj.times >= t_min - 1e-12
+        times = traj.times[keep]
+        exact = np.array([oracle(t) for t in times], dtype=float)
+        if not np.isfinite(exact).all():
+            t = next(t for t, value in zip(times, exact) if not np.isfinite(value).all())
+            raise ValueError(f"oracle is not finite at t = {t:.10g}")
+        # right-align each oracle value with its state, as `state - exact` would
+        exact = np.expand_dims(exact, tuple(range(1, traj.states.ndim - exact.ndim + 1)))
+        errors.append(float(np.max(np.abs(traj.states[keep] - exact), initial=0.0)))
     return errors
 
 

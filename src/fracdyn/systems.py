@@ -10,7 +10,10 @@ Shape contract: a field takes one state of shape (n,) or a batch of B
 states of shape (B, n) and returns an array of the same shape, row b
 being f(x[b]); a Jacobian maps (n,) to (n, n) and (B, n) to (B, n, n).
 Fields are evaluated row by row with elementwise operations, so a row of
-a batch is bitwise equal to the single evaluation. The integrator builds
+a batch is bitwise equal to the single evaluation. The numpy field of
+`controlled` serves both shapes; `fracdyn.maxbloch.controlled_system`
+gives lone states a faster path on Python floats that keeps those bits,
+with this field as its batch path and its test oracle. The integrator builds
 on this: a (B, n) initial state advances B runs of one system at once
 (see `fracdyn.solver`), and a system whose parameters carry a batch axis
 (see `controlled`) gives each run its own parameters.

@@ -14,6 +14,20 @@ def rng():
     return seeded_rng(20260810)
 
 
+def bits(values):
+    """Bit patterns of a float64 array, with every NaN as one pattern.
+
+    Unlike ==, this tells -0.0 from 0.0. The sign and payload of a NaN
+    result are left open by IEEE 754 and differ between numpy's scalar and
+    array loops, and CPython's float addition and product pick the other
+    operand's NaN once the interpreter has specialized them, so a NaN only
+    has to be a NaN.
+    """
+    a = np.array(values, dtype=np.float64)
+    a[np.isnan(a)] = np.nan
+    return a.view(np.uint64).tolist()
+
+
 def assert_multiset_close(actual, expected, tol):
     """Match two complex multisets greedily within tol."""
     actual = [complex(v) for v in actual]

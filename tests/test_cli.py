@@ -348,6 +348,12 @@ class TestConvergence:
                      "--h-list"] + h_list) == 2
         assert "does not divide" in capsys.readouterr().err
 
+    def test_non_finite_oracle_is_bad_input(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.registry, "oracle_for",
+                            lambda *args: lambda t: math.nan if t > 0.5 else 1.0)
+        assert main(["convergence", "--alpha", "0.65", "--h-list", "0.1"]) == 2
+        assert capsys.readouterr().err == "error: oracle is not finite at t = 0.6\n"
+
     @pytest.mark.parametrize("option", [
         ["--tau", "nan"], ["--tau", "inf"], ["--t-min", "nan"], ["--h-list", "0"],
         # tau / h overflows to inf

@@ -3,9 +3,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracdyn import maxbloch, numkit
-from fracdyn.systems import finite_difference_jacobian
+from fracdyn.solver import NumericalError, SolverConfig, integrate
+from fracdyn.systems import controlled, finite_difference_jacobian
+
+from conftest import bits
+
+
+# Signed zeros, subnormals, products that overflow, infinities and NaN
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-300, 1e154, -1e154,
+           math.inf, -math.inf, math.nan, 1.0, -0.75]
+COMPONENTS = st.sampled_from(SPECIAL) | st.floats(-4.0, 4.0)
+GAIN = st.sampled_from([0.0, 0.5, 1e154]) | st.floats(0.0, 3.0)
+TARGETS = (st.tuples(st.floats(-2.0, 2.0), st.floats(0.01, 2.0)).map(lambda mn: maxbloch.e1(*mn))
+           | st.floats(-2.0, 2.0).map(maxbloch.e2))
 
 
 def rotation(theta):
@@ -160,6 +174,51 @@ class TestControlled:
         ])
         np.testing.assert_allclose(value, expected, atol=1e-15)
         assert np.isfinite(value).all()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(COMPONENTS, min_size=5, max_size=5),
+           GAIN | st.lists(GAIN, min_size=5, max_size=5), TARGETS)
+    def test_lone_field_equals_numpy_field_bitwise(self, x, k, target):
+        x = np.array(x)
+        with np.errstate(all="ignore"):  # the numpy field warns on overflow, floats do not
+            fused = maxbloch.controlled_system(k, target).field(x)
+            expected = controlled(maxbloch.system(), k, target).field(x)
+        assert fused.shape == (5,) and fused.dtype == np.float64
+        assert bits(fused) == bits(expected)
+
+    @pytest.mark.parametrize("k", [0.0, 1.0, [0.5, 2.0, 0.0, 1e154, 3.0]])
+    @pytest.mark.parametrize("target", [maxbloch.e2(0.0), maxbloch.e2(-0.0),
+                                        maxbloch.e1(-1.0, 0.0)])
+    def test_lone_field_equals_numpy_field_on_edge_grid_bitwise(self, k, target):
+        # every state with components from six edge values: signed zeros meet
+        # at x - target, feedback and field terms in every combination
+        edges = [0.0, -0.0, 5e-324, -1.0, 1e154, -math.inf]
+        xs = np.array(list(itertools.product(edges, repeat=5)))
+        fused = maxbloch.controlled_system(k, target).field
+        with np.errstate(all="ignore"):
+            expected = controlled(maxbloch.system(), k, target).field(xs)
+            assert bits([fused(x) for x in xs]) == bits(expected)
+
+    def test_states_other_than_float64_arrays_take_the_numpy_path(self):
+        # on Python ints (2**53 + 1) * 3 would be exact; numpy rounds 2**53 + 1 first
+        target = maxbloch.e2(0.0)
+        fused = maxbloch.controlled_system(self.GAINS, target).field
+        numpy_field = controlled(maxbloch.system(), self.GAINS, target).field
+        for x in (np.array([2**53 + 1, 0, 0, 0, 3]), [2**53 + 1, 0, 0, 0, 3],
+                  np.array([0.1, 0.2, 0.3, 0.4, 0.5], dtype=np.float32)):
+            assert bits(fused(x)) == bits(numpy_field(x))
+
+    @pytest.mark.parametrize("target", [maxbloch.e2(0.0), maxbloch.e1(0.5, 0.5)])
+    def test_blow_up_is_the_same_error_through_either_field(self, target):
+        cfg = SolverConfig(alpha=0.65, h=0.01, n_steps=60, x0=target + 1e150)
+        errors = []
+        for sys in (maxbloch.controlled_system(self.GAINS, target),
+                    controlled(maxbloch.system(), self.GAINS, target)):
+            with pytest.raises(NumericalError) as err:
+                integrate(sys, cfg)
+            errors.append((err.value.step_index, str(err.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][0] >= 1
 
     def test_target_outside_families_rejected(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_multiset_close
+from conftest import assert_multiset_close, bits
 from fracdyn import numkit
 
 
@@ -292,3 +292,23 @@ class TestMittagLeffler:
         assert e2 <= e1 <= 1.0
         # exp(-x) underflows past x = 745 at alpha = 1
         assert e2 > 0.0 or (alpha == 1.0 and x2 > 745.0)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.3, 0.65, 0.9999])
+    def test_cached_nodes_equal_fresh_nodes_bitwise(self, alpha):
+        numkit._ml_nodes.cache_clear()
+        for z in (-0.5, -7.0, -1e300):
+            numkit.mittag_leffler(alpha, z)
+        assert numkit._ml_nodes.cache_info().hits == 2
+        for cached, fresh in zip(numkit._ml_nodes(alpha), numkit._ml_nodes.__wrapped__(alpha)):
+            assert bits(cached) == bits(fresh)
+
+    def test_node_cache_is_bounded(self):
+        for alpha in np.linspace(0.01, 0.99, 100):
+            numkit.mittag_leffler(alpha, -2.0)
+        info = numkit._ml_nodes.cache_info()
+        assert info.currsize <= info.maxsize < 100
+
+    def test_cached_nodes_are_read_only(self):
+        for array in numkit._ml_nodes(0.65):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0

@@ -14,6 +14,7 @@ from fracdyn.solver import (
     NumericalError,
     SolverConfig,
     Trajectory,
+    _max_errors,
     convergence_order,
     corrector_weight,
     corrector_weights,
@@ -381,6 +382,34 @@ class TestConvergenceOrder:
             convergence_order(LINEAR, 1.0, oracle, [1e-10, 5e-11, 2.5e-11], 1e300, [1.0])
         with pytest.raises(ValueError, match="no grid point"):
             convergence_order(LINEAR, 1.0, oracle, [0.1, 0.05, 0.025], 1.0, [1.0], t_min=5.0)
+
+    def test_max_errors_equal_the_per_point_loop(self):
+        alpha, x0 = 0.65, 0.8
+        oracle = registry.oracle_for(registry.LINEAR_DECAY, alpha, [x0])
+        hs, tau, t_min = [0.04, 0.02, 0.01], 2.0, 0.5
+        expected = []
+        for h in hs:
+            traj = integrate(LINEAR, SolverConfig(alpha=alpha, h=h, n_steps=round(tau / h),
+                                                  x0=[x0]))
+            worst = 0.0
+            for t, state in zip(traj.times, traj.states):
+                if t >= t_min - 1e-12:
+                    worst = max(worst, float(np.max(np.abs(state - oracle(t)))))
+            expected.append(worst)
+        assert _max_errors(LINEAR, alpha, oracle, hs, tau, [x0], t_min) == expected
+
+    def test_non_finite_oracle_is_rejected(self):
+        # NaN past t = 1 used to vanish from max(), leaving the true oracle's errors
+        oracle = lambda t: math.exp(-t) if t <= 1.0 else math.nan
+        with pytest.raises(ValueError, match="oracle is not finite at t = 1.01"):
+            _max_errors(LINEAR, 1.0, oracle, [0.01], 2.0, [1.0])
+        with pytest.raises(ValueError, match="not finite"):
+            convergence_order(LINEAR, 1.0, lambda t: [math.inf], [0.04, 0.02, 0.01], 1.0, [1.0])
+
+    def test_window_without_grid_points_gives_zero(self):
+        # 10 steps of h just under 0.1 end 5e-10 short of t_min = tau
+        h = (1.0 - 5e-10) / 10
+        assert _max_errors(LINEAR, 1.0, lambda t: math.nan, [h], 1.0, [1.0], t_min=1.0) == [0.0]
 
     @pytest.mark.parametrize("tau, t_min", [(math.nan, 0.0), (math.inf, 0.0),
                                             (1.0, math.nan), (1.0, math.inf)])
