@@ -27,7 +27,6 @@ from .solver import (
     corrector_weight,
     integrate,
     predictor_weight,
-    step,
 )
 from .stability import (
     CubicCoeffs,

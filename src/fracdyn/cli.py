@@ -71,16 +71,13 @@ def _resolve(cfg):
     if cfg.target is not None:
         target = maxbloch.equilibrium_point(cfg.target[0], cfg.target[1:])
     sysdef = registry.build_system(cfg.system, gains=cfg.gains, target=target)
-    if cfg.x0 is not None:
-        x0 = np.asarray(cfg.x0, dtype=float)
-        if x0.size != sysdef.dim:
-            raise ConfigError(f"x0 has {x0.size} components, system needs {sysdef.dim}")
-    else:
-        if target is None or target.size != sysdef.dim:
-            raise ConfigError("epsilon shorthand needs a target of matching dimension")
-        x0 = target + cfg.epsilon
     if target is not None and target.size != sysdef.dim:
         raise ConfigError("target dimension does not match the system")
+    if cfg.x0 is None:
+        return sysdef, target + cfg.epsilon, target
+    x0 = np.asarray(cfg.x0, dtype=float)
+    if x0.size != sysdef.dim:
+        raise ConfigError(f"x0 has {x0.size} components, system needs {sysdef.dim}")
     return sysdef, x0, target
 
 

@@ -20,18 +20,14 @@ Format (diffable, no nesting):
 Exactly one of x0/epsilon must be given; the epsilon shorthand offsets
 every component of the target equilibrium by that amount and therefore
 requires a target. Floats are serialized with repr, so a parse of a
-serialize round-trips bit for bit. The FRACDYN_SEED environment variable
-overrides the stored seed when a file is loaded.
+serialize round-trips bit for bit.
 """
 
 import configparser
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "serialize_config", "load_config"]
-
-SEED_ENV_VAR = "FRACDYN_SEED"
 
 
 class ConfigError(ValueError):
@@ -139,16 +135,7 @@ def serialize_config(cfg):
     return "\n".join(lines) + "\n"
 
 
-def load_config(path, env=None):
-    """Read a configuration file, honoring the FRACDYN_SEED override."""
-    env = os.environ if env is None else env
+def load_config(path):
+    """Read a configuration file."""
     with open(path, "r", encoding="utf-8") as handle:
-        cfg = parse_config(handle.read())
-    override = env.get(SEED_ENV_VAR)
-    if override is not None:
-        try:
-            seed = int(override)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer: {override!r}") from exc
-        cfg = replace(cfg, seed=seed)
-    return cfg
+        return parse_config(handle.read())

@@ -6,7 +6,7 @@ from . import maxbloch
 from .numkit import mittag_leffler
 from .systems import SystemDef
 
-__all__ = ["SYSTEMS", "available_systems", "build_system", "oracle_for"]
+__all__ = ["SYSTEMS", "build_system", "oracle_for"]
 
 ZERO_FIELD = "zero-field-5d"
 LINEAR_DECAY = "linear-decay"
@@ -17,10 +17,6 @@ SYSTEMS = (
     ZERO_FIELD,
     LINEAR_DECAY,
 )
-
-
-def available_systems():
-    return list(SYSTEMS)
 
 
 def _zero_field_system():

@@ -24,13 +24,12 @@ coincides with a classical explicit-Euler/trapezoidal PECE method.
 
 Some sources print the predictor line without the x0 anchor. Without it
 the alpha = 1 reduction is wrong and controlled runs do not converge, so
-the anchored form is the default; `predictor_anchor="as_printed"` selects
-the unanchored variant for comparison.
+the predictor is always anchored at x0.
 
 The memory term makes a single integration sequential. Both history sums
 are convolutions of the field values F[j] with fixed lag kernels, and the
 full memory is kept: no term is dropped. Each run builds one private
-`_Scheme`; its `advance` is the one step kernel of `integrate` and `step`.
+`_Scheme`; its `advance` is the step kernel of `integrate`.
 The at most 256 most recent field values (the near window) are summed
 directly, as one product with both kernels. Every earlier value reaches a
 step through far-field sums that are added a block at a time, one FFT
@@ -56,11 +55,9 @@ from typing import Optional
 
 import numpy as np
 
-from .systems import SystemDef, as_states, validate_alpha
+from .systems import as_states, validate_alpha
 
 __all__ = [
-    "PREDICTOR_WITH_X0",
-    "PREDICTOR_AS_PRINTED",
     "MAX_STEPS",
     "NumericalError",
     "SolverConfig",
@@ -69,14 +66,10 @@ __all__ = [
     "corrector_weight",
     "predictor_weights",
     "corrector_weights",
-    "step",
     "integrate",
     "ConvergenceReport",
     "convergence_order",
 ]
-
-PREDICTOR_WITH_X0 = "with_x0"
-PREDICTOR_AS_PRINTED = "as_printed"
 
 # Guard against accidental memory blowups: a run keeps its states and field
 # history, 16*d bytes per step. A 10**6-step run of the 5-D model holds
@@ -119,7 +112,6 @@ class SolverConfig:
     h: float
     n_steps: int
     x0: tuple
-    predictor_anchor: str = PREDICTOR_WITH_X0
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", validate_alpha(self.alpha))
@@ -134,8 +126,6 @@ class SolverConfig:
             raise ValueError(f"step count must lie in 1..{MAX_STEPS}")
         if not math.isfinite(self.horizon):
             raise ValueError(f"horizon h * steps = {self.horizon} is not finite")
-        if self.predictor_anchor not in (PREDICTOR_WITH_X0, PREDICTOR_AS_PRINTED):
-            raise ValueError(f"unknown predictor anchor {self.predictor_anchor!r}")
 
     @property
     def horizon(self):
@@ -222,16 +212,6 @@ def _first_corrector_weights(n, alpha):
     return np.power(n, alpha + 1.0) - (n - alpha) * np.power(n + 1.0, alpha)
 
 
-def _checked_field(sys, scheme, x, step_index, stage):
-    """One field value, checked for its shape as well as for finiteness."""
-    out = np.asarray(sys.field(x), dtype=float)
-    if out.shape != x.shape:
-        raise ValueError(
-            f"field of {sys.name} returned shape {out.shape}, expected {x.shape}"
-        )
-    return scheme.check(out, f"{stage} field value", step_index)
-
-
 class _Scheme:
     """Weights, constants, states and field history of one run of N = n_steps steps.
 
@@ -251,27 +231,36 @@ class _Scheme:
     component, which the far field transforms. The far-field sums of step
     n wait in the slots that step n fills: F[..., n + 1, :] holds the
     predictor's and states[n + 1] the corrector's, so they take no memory
-    of their own. `push(0)` starts them at the anchor and at
-    x0 + cc * c0[n] * F[0]: the kernels give F[0] the weight ak_n, and
+    of their own. The constructor evaluates F[0] and starts them at x0 and
+    at x0 + cc * c0[n] * F[0]: the kernels give F[0] the weight ak_n, and
     c0[n] = a0[n] - ak_n makes it a0[n].
     """
 
-    def __init__(self, cfg, dim, n_steps):
+    def __init__(self, sys, cfg):
+        N = self.n_steps = cfg.n_steps
         self.h = cfg.h
         self.alpha = cfg.alpha
-        self.n_steps = n_steps
         self.cp = cfg.h ** cfg.alpha / math.gamma(cfg.alpha + 1.0)
         self.cc = cfg.h ** cfg.alpha / math.gamma(cfg.alpha + 2.0)
         b, a = _lag_weights(_BLOCK, cfg.alpha)
         self.near = np.stack([self.cp * b, self.cc * a])[:, ::-1].copy()
-        self.x0 = as_states(cfg.x0, dim)
-        self.anchor = (self.x0 if cfg.predictor_anchor == PREDICTOR_WITH_X0
-                       else np.zeros_like(self.x0))
-        self.zeros = np.zeros(self.x0.size)
-        self.rows = np.empty((self.x0.size, n_steps + 1))
-        self.F = np.swapaxes(self.rows.reshape(self.x0.shape + (n_steps + 1,)), -1, -2)
-        self.states = np.empty((n_steps + 1,) + self.x0.shape)
-        self.states[0] = self.x0
+        x0 = self.x0 = as_states(cfg.x0, sys.dim)
+        self.zeros = np.zeros(x0.size)
+        self.rows = np.empty((x0.size, N + 1))
+        self.F = np.swapaxes(self.rows.reshape(x0.shape + (N + 1,)), -1, -2)
+        self.states = np.empty((N + 1,) + x0.shape)
+        self.states[0] = x0
+        f0 = np.asarray(sys.field(x0), dtype=float)
+        if f0.shape != x0.shape:
+            raise ValueError(
+                f"field of {sys.name} returned shape {f0.shape}, expected {x0.shape}"
+            )
+        self.F[..., 0, :] = self.check(f0, "initial field value", 0)
+        c0 = _first_corrector_weights(np.arange(N), self.alpha)
+        c0 -= _lag_weights(N, self.alpha)[1]
+        self.F[..., 1:, :] = x0[..., None, :]
+        np.outer(self.cc * c0, self.rows[:, 0], out=self.states[1:].reshape(N, -1))
+        self.states[1:] += x0
 
     def check(self, value, what, step_index):
         """`value`, or NumericalError at `step_index` if it holds NaN or Inf."""
@@ -289,12 +278,6 @@ class _Scheme:
     def push(self, j):
         """Take in field value j; a value that completes a block adds its far field."""
         rows, N = self.rows, self.n_steps
-        if j == 0:
-            c0 = _first_corrector_weights(np.arange(N), self.alpha)
-            c0 -= _lag_weights(N, self.alpha)[1]
-            self.F[..., 1:, :] = self.anchor[..., None, :]
-            np.outer(self.cc * c0, rows[:, 0], out=self.states[1:].reshape(N, -1))
-            self.states[1:] += self.x0
         q, rest = divmod(j + 1, _BLOCK)
         o0 = q * _BLOCK
         if rest or o0 >= N:
@@ -325,27 +308,6 @@ class _Scheme:
         return xp, self.check(xc, "corrected state", n + 1)
 
 
-def step(sys, cfg, history, n):
-    """Predictor and corrector values carrying the history to step n + 1.
-
-    `history` must hold accepted states 0..n, each shaped like x0; field
-    values are recomputed from it and taken in by the same far-field pushes
-    as in `integrate` over cfg.n_steps steps, so the result equals what
-    `integrate` produces at the same index bit for bit.
-    """
-    states = np.asarray(history.states, dtype=float)
-    if states.shape[1:] != np.shape(cfg.x0):
-        raise ValueError("history states must be an (m, *x0.shape) array")
-    if not 0 <= n < states.shape[0]:
-        raise ValueError(f"history holds {states.shape[0]} states, step n={n} needs 0..n")
-    scheme = _Scheme(cfg, sys.dim, max(cfg.n_steps, n + 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n + 1):
-            scheme.F[..., j, :] = _checked_field(sys, scheme, states[j], j, "history")
-            scheme.push(j)
-        return scheme.advance(sys.field, n)
-
-
 def integrate(sys, cfg, keep_predictor=False):
     """Integrate the system over the whole horizon and return the trajectory.
 
@@ -355,14 +317,11 @@ def integrate(sys, cfg, keep_predictor=False):
     """
     n_steps = cfg.n_steps
     field = sys.field
-    scheme = _Scheme(cfg, sys.dim, n_steps)
-    F, states = scheme.F, scheme.states
-    preds = np.empty((n_steps,) + scheme.x0.shape) if keep_predictor else None
-
     # overflow in the field is caught by the finiteness checks, not worth a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        F[..., 0, :] = _checked_field(sys, scheme, scheme.x0, 0, "initial")
-        scheme.push(0)
+        scheme = _Scheme(sys, cfg)
+        F, states = scheme.F, scheme.states
+        preds = np.empty((n_steps,) + scheme.x0.shape) if keep_predictor else None
         for n in range(n_steps):
             xp, xc = scheme.advance(field, n)
             if preds is not None:
@@ -391,8 +350,7 @@ class ConvergenceReport:
     degenerate: bool
 
 
-def _max_errors(sys, alpha, oracle, h_list, tau, x0, t_min=0.0,
-                predictor_anchor=PREDICTOR_WITH_X0):
+def _max_errors(sys, alpha, oracle, h_list, tau, x0, t_min=0.0):
     """Max-norm error against `oracle` on grid points t >= t_min, per step size."""
     if not (0.0 < tau < math.inf and 0.0 <= t_min < math.inf):
         raise ValueError("tau must be positive and t_min non-negative, both finite")
@@ -407,8 +365,7 @@ def _max_errors(sys, alpha, oracle, h_list, tau, x0, t_min=0.0,
         n_steps = round(tau / h)
         if abs(n_steps * h - tau) > 1e-9 * tau:
             raise ValueError(f"step size {h} does not divide the horizon {tau}")
-        cfg = SolverConfig(alpha=alpha, h=h, n_steps=n_steps, x0=x0,
-                           predictor_anchor=predictor_anchor)
+        cfg = SolverConfig(alpha=alpha, h=h, n_steps=n_steps, x0=x0)
         traj = integrate(sys, cfg)
         keep = traj.times >= t_min - 1e-12
         times = traj.times[keep]
@@ -422,8 +379,7 @@ def _max_errors(sys, alpha, oracle, h_list, tau, x0, t_min=0.0,
     return errors
 
 
-def convergence_order(sys, alpha, oracle, h_list, tau, x0, t_min=0.0,
-                      predictor_anchor=PREDICTOR_WITH_X0):
+def convergence_order(sys, alpha, oracle, h_list, tau, x0, t_min=0.0):
     """Fit the empirical convergence order against an analytic solution.
 
     Requires at least three step sizes, each half the previous, all
@@ -444,7 +400,7 @@ def convergence_order(sys, alpha, oracle, h_list, tau, x0, t_min=0.0,
     for a, b in zip(hs, hs[1:]):
         if not math.isclose(b, a / 2.0, rel_tol=1e-6):
             raise ValueError("step sizes must halve from one run to the next")
-    errors = _max_errors(sys, alpha, oracle, hs, tau, x0, t_min, predictor_anchor)
+    errors = _max_errors(sys, alpha, oracle, hs, tau, x0, t_min)
 
     if max(errors) <= 1e-14:
         return ConvergenceReport(tuple(hs), tuple(errors), None, None, True)

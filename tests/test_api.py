@@ -45,3 +45,17 @@ def test_package_imports_exist():
         for alias in node.names:
             assert hasattr(source, alias.name), f"{source.__name__}.{alias.name}"
             assert getattr(fracdyn, alias.asname or alias.name) is getattr(source, alias.name)
+
+
+@pytest.mark.parametrize("path", sorted(Path(fracdyn.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_reads_the_environment(path):
+    # identical inputs give identical bytes: no hidden input through os.environ
+    hidden = {"environ", "environb", "getenv", "getenvb"}
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr in hidden
+                 and isinstance(node.value, ast.Name) and node.value.id == "os")
+             or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                 and hidden & {alias.name for alias in node.names})]
+    assert reads == []

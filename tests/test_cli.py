@@ -105,10 +105,11 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path)]) == 0
         assert read_kv(tmp_path / "cfgrun" / "report.kv")["seed"] == "5"
 
+        # the stored seed survives the variable the sampled tests read
         monkeypatch.setenv("FRACDYN_SEED", "31")
         out2 = tmp_path / "cfgrun2"
         assert main(["simulate", "--config", str(path), "--output", str(out2)]) == 0
-        assert read_kv(out2 / "report.kv")["seed"] == "31"
+        assert read_kv(out2 / "report.kv")["seed"] == "5"
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = ExperimentConfig(
@@ -167,6 +168,16 @@ class TestSimulate:
                      "--h", "1e308", "--steps", "10", "--x0", "1", "1", "1", "1", "1",
                      "--output", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error: horizon h * steps = inf is not finite\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("start", [["--epsilon", "0.1"], ["--x0", "1"]])
+    def test_target_of_another_dimension_is_bad_input(self, tmp_path, capsys, start):
+        assert main(["simulate", "--system", "linear-decay", "--alpha", "0.5", "--h", "0.1",
+                     "--steps", "5", *start, "--target-e2", "0",
+                     "--output", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: target dimension does not match the system\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("system, start, gains", [

@@ -10,10 +10,8 @@ from fracdyn.numkit import mittag_leffler
 from fracdyn.solver import (
     _BLOCK,
     MAX_STEPS,
-    PREDICTOR_AS_PRINTED,
     NumericalError,
     SolverConfig,
-    Trajectory,
     _max_errors,
     convergence_order,
     corrector_weight,
@@ -21,7 +19,6 @@ from fracdyn.solver import (
     integrate,
     predictor_weight,
     predictor_weights,
-    step,
 )
 from fracdyn.systems import SystemDef
 
@@ -137,8 +134,6 @@ class TestConfig:
             SolverConfig(alpha=0.5, h=0.1, n_steps=MAX_STEPS + 1, x0=[1.0])
         with pytest.raises(ValueError, match="horizon"):  # h * n_steps overflows
             SolverConfig(alpha=0.5, h=1e308, n_steps=10, x0=[1.0])
-        with pytest.raises(ValueError):
-            SolverConfig(alpha=0.5, h=0.1, n_steps=10, x0=[1.0], predictor_anchor="bogus")
 
     def test_horizon(self):
         cfg = SolverConfig(alpha=0.5, h=0.01, n_steps=500, x0=[1.0])
@@ -206,13 +201,6 @@ class TestIntegrate:
         c = max_error(h / 2.0, 200) / (h / 2.0) ** (1.0 + alpha)
         assert max_error(h, 100) <= c * h ** (1.0 + alpha)
 
-    def test_unanchored_predictor_variant(self):
-        cfg = SolverConfig(alpha=1.0, h=0.1, n_steps=1, x0=[1.0],
-                           predictor_anchor=PREDICTOR_AS_PRINTED)
-        traj = integrate(LINEAR, cfg, keep_predictor=True)
-        # without the x0 anchor the first predictor is just the weighted sum
-        assert abs(traj.predictor_states[0, 0] - (-0.1)) <= 1e-15
-
     @pytest.mark.parametrize("n_steps", [120, 3000])
     def test_determinism(self, n_steps):
         target = maxbloch.e1(math.sqrt(3.0) / 4.0, 0.25)
@@ -247,6 +235,15 @@ class TestIntegrate:
             integrate(bad, SolverConfig(alpha=0.5, h=0.1, n_steps=5, x0=[1.0]))
         assert err.value.step_index == 0
         assert err.value.rows is None
+
+    def test_initial_field_of_the_wrong_shape_is_rejected(self):
+        wide = SystemDef(name="wide", dim=2, field=lambda x: np.zeros(3),
+                         jacobian=lambda x: np.zeros((2, 2)))
+        cfg = dict(alpha=0.5, h=0.1, n_steps=5)
+        with pytest.raises(ValueError, match=r"returned shape \(3,\), expected \(2,\)$"):
+            integrate(wide, SolverConfig(x0=[1.0, 2.0], **cfg))
+        with pytest.raises(ValueError, match=r"expected \(2, 2\)$"):
+            integrate(wide, SolverConfig(x0=[[1.0, 2.0], [3.0, 4.0]], **cfg))
 
     def test_batch_failure_names_the_rows_of_its_lone_failures(self):
         sys = maxbloch.system()
@@ -326,28 +323,6 @@ class TestKernelAgainstDirectSum:
     def test_any_length_and_order(self, n_steps, alpha):
         assert_matches_direct_sum(LINEAR, SolverConfig(alpha=alpha, h=0.01,
                                                        n_steps=n_steps, x0=[1.0]))
-
-
-class TestStep:
-    def test_matches_integrate_exactly(self):
-        target = maxbloch.e2(-0.125)
-        sys = maxbloch.controlled_system([0.25, 1.5, 0.25, 2.0 / 3.0, 1.0], target)
-        # one state and a (2, 5) batch of them
-        for x0 in (target + 0.01, target + [[0.01], [-0.02]]):
-            cfg = SolverConfig(alpha=0.65, h=0.02, n_steps=4 * _BLOCK + 2, x0=x0)
-            traj = integrate(sys, cfg, keep_predictor=True)
-            for n in (0, 5, 19, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 1, 4 * _BLOCK + 1):
-                prefix = Trajectory(times=traj.times[: n + 1], states=traj.states[: n + 1])
-                xp, xc = step(sys, cfg, prefix, n)
-                assert xc.shape == np.shape(x0)
-                assert np.array_equal(xp, traj.predictor_states[n])
-                assert np.array_equal(xc, traj.states[n + 1])
-
-    def test_history_guards(self):
-        cfg = SolverConfig(alpha=0.65, h=0.1, n_steps=5, x0=[1.0])
-        history = Trajectory(times=np.zeros(1), states=np.array([[1.0]]))
-        with pytest.raises(ValueError):
-            step(LINEAR, cfg, history, 1)
 
 
 class TestConvergenceOrder:

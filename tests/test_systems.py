@@ -111,7 +111,7 @@ def registered_systems():
     # only the controlled model takes gains and a target
     params = {maxbloch.CONTROLLED_SYSTEM_NAME: {"gains": [1.2, 1.2, 0.5, 0.5, 0.0], "target": E1}}
     return [registry.build_system(name, **params.get(name, {}))
-            for name in registry.available_systems()]
+            for name in registry.SYSTEMS]
 
 
 @pytest.mark.parametrize("batch", [1, 2, 5, 7])
