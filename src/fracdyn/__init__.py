@@ -14,7 +14,6 @@ from .numkit import (
     DomainError,
     char_poly,
     eigenvalues,
-    gamma,
     mittag_leffler,
     poly_roots,
 )

@@ -147,12 +147,13 @@ def controlled_system(k, x_e):
     `systems.controlled`; every target row must belong to a family.
 
     `systems.controlled` validates the parameters and its numpy field takes
-    batches. With one gain vector and one target, a lone float64 (5,) state
-    takes a float path instead: the state is unpacked to Python floats and
-    each component computed as base field minus feedback, the same IEEE
-    operations in the same order as the numpy field, so the two agree bit
-    for bit (a NaN may carry another sign) at about a quarter of the cost
-    per call. Unlike numpy, the float path does not warn on overflow.
+    batches. With one gain vector and one target, the model also gets a
+    `float_field`: it unpacks a state to Python floats and computes each
+    component as base field minus feedback, the same IEEE operations in the
+    same order as the numpy field, so the two agree bit for bit (a NaN may
+    carry another sign) at about a quarter of the cost per call. A lone
+    float64 (5,) state given to `field` takes that float path too. Unlike
+    numpy, the float path does not warn on overflow.
     """
     for point in np.atleast_2d(x_e):
         family_of(point)
@@ -163,19 +164,23 @@ def controlled_system(k, x_e):
     t1, t2, t3, t4, t5 = as_state(x_e, 5).tolist()
     numpy_field = sysdef.field
 
-    def field(x):
-        if x.__class__ is not np.ndarray or x.ndim != 1 or x.dtype is not _FLOAT64:
-            return numpy_field(x)
-        x1, x2, x3, x4, x5 = x.tolist()
-        return np.array([
+    def float_field(x):
+        x1, x2, x3, x4, x5 = x
+        return [
             x3 - k1 * (x1 - t1),
             x4 - k2 * (x2 - t2),
             x1 * x5 - k3 * (x3 - t3),
             x2 * x5 - k4 * (x4 - t4),
             -(x1 * x3 + x2 * x4) - k5 * (x5 - t5),
-        ])
+        ]
 
-    return SystemDef(name=sysdef.name, dim=5, field=field, jacobian=sysdef.jacobian)
+    def field(x):
+        if x.__class__ is not np.ndarray or x.ndim != 1 or x.dtype is not _FLOAT64:
+            return numpy_field(x)
+        return np.array(float_field(x.tolist()))
+
+    return SystemDef(name=sysdef.name, dim=5, field=field, jacobian=sysdef.jacobian,
+                     float_field=float_field)
 
 
 def controlled_jacobian(x, k):

@@ -14,7 +14,6 @@ __all__ = [
     "DomainError",
     "ConvergenceError",
     "MAX_DEGREE",
-    "gamma",
     "companion_matrix",
     "poly_roots",
     "eigenvalues",
@@ -33,18 +32,6 @@ class DomainError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """Series truncation target not met within the iteration budget."""
-
-
-def gamma(x):
-    """Euler gamma function for positive real arguments.
-
-    Negative and zero arguments are rejected; the integrator only ever
-    needs values at alpha, alpha + 1 and alpha + 2 with alpha in (0, 1].
-    """
-    x = float(x)
-    if x <= 0.0:
-        raise DomainError(f"gamma requires x > 0, got {x!r}")
-    return math.gamma(x)
 
 
 def _sorted_complex(values):

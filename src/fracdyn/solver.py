@@ -29,7 +29,8 @@ the predictor is always anchored at x0.
 The memory term makes a single integration sequential. Both history sums
 are convolutions of the field values F[j] with fixed lag kernels, and the
 full memory is kept: no term is dropped. Each run builds one private
-`_Scheme`; its `advance` is the step kernel of `integrate`.
+`_Scheme`; its `steps` is the step kernel of `integrate`, and
+`float_steps` its bitwise-equal form on Python floats for a lone run.
 The at most 256 most recent field values (the near window) are summed
 directly, as one product with both kernels. Every earlier value reaches a
 step through far-field sums that are added a block at a time, one FFT
@@ -41,8 +42,8 @@ O(N log^2 N) work, against O(N^2) for the direct double sum, and about
 parts of the state and field arrays. The FFT products only reorder
 floating-point sums; results stay within 1e-12 relative of the direct
 sum (at most 1e-15 measured). Field values are cached so the field
-itself is evaluated exactly twice per accepted step. Distinct runs share
-no state.
+itself is evaluated exactly twice per step of a clean run. Distinct runs
+share no state.
 
 A (B, d) x0 is a batch of B runs that share (system, alpha, h, N): the
 field takes (B, d) states, each member takes its own near-window product
@@ -212,6 +213,11 @@ def _first_corrector_weights(n, alpha):
     return np.power(n, alpha + 1.0) - (n - alpha) * np.power(n + 1.0, alpha)
 
 
+def _unchecked(value, what, step_index):
+    """The stage check of a segment's first run: segments are checked whole."""
+    return value
+
+
 class _Scheme:
     """Weights, constants, states and field history of one run of N = n_steps steps.
 
@@ -298,14 +304,44 @@ class _Scheme:
             for kernel, out in zip(kernels, slots):
                 out += irfft(spectra * kernel, nfft)[:, o0 - j0 :]
 
-    def advance(self, field, n):
-        """Predictor and corrector for step n + 1 from field values F[..., 0..n, :]."""
-        k = n % _BLOCK
-        near = self.near[:, _BLOCK - 1 - k :] @ self.F[..., n - k : n + 1, :]
-        xp = near[..., 0, :] + self.F[..., n + 1, :]
-        fp = self.check(field(xp), "predictor field value", n + 1)
-        xc = near[..., 1, :] + self.states[n + 1] + self.cc * fp
-        return xp, self.check(xc, "corrected state", n + 1)
+    def steps(self, field, s, e, preds, check=_unchecked):
+        """Steps s..e-1 on numpy arrays: states and field values s+1..e.
+
+        A replay passes `check` = `self.check` to test every stage.
+        """
+        F, states, near, cc = self.F, self.states, self.near, self.cc
+        for n in range(s, e):
+            k = n % _BLOCK
+            window = near[:, _BLOCK - 1 - k :] @ F[..., n - k : n + 1, :]
+            xp = window[..., 0, :] + F[..., n + 1, :]
+            fp = check(field(xp), "predictor field value", n + 1)
+            xc = window[..., 1, :] + states[n + 1] + cc * fp
+            states[n + 1] = check(xc, "corrected state", n + 1)
+            F[..., n + 1, :] = check(field(xc), "corrector field value", n + 1)
+            if preds is not None:
+                preds[n] = xp
+
+    def float_steps(self, float_field, s, e, preds):
+        """Steps s..e-1 of a lone run on Python floats, bitwise equal to `steps`.
+
+        Each component takes the IEEE operations of `steps` in its order:
+        xp = near_p + pending_p and xc = (near_c + pending_c) + cc * fp.
+        """
+        F, near, cc = self.F, self.near, self.cc
+        pending = zip(F[s + 1 : e + 1].tolist(), self.states[s + 1 : e + 1].tolist())
+        xps, xcs = [], []
+        for n, (pp, pc) in zip(range(s, e), pending):
+            k = n % _BLOCK
+            wp, wc = (near[:, _BLOCK - 1 - k :] @ F[n - k : n + 1]).tolist()
+            xp = [w + p for w, p in zip(wp, pp)]
+            fp = float_field(xp)
+            xc = [(w + c) + cc * f for w, c, f in zip(wc, pc, fp)]
+            F[n + 1] = float_field(xc)  # the next step's window reads it
+            xps.append(xp)
+            xcs.append(xc)
+        self.states[s + 1 : e + 1] = xcs
+        if preds is not None:
+            preds[s:e] = xps
 
 
 def integrate(sys, cfg, keep_predictor=False):
@@ -314,21 +350,46 @@ def integrate(sys, cfg, keep_predictor=False):
     Deterministic: identical inputs give identical output arrays, and a
     batch member's equal its lone run's. Numerical failures (NaN/Inf from
     the field) raise NumericalError carrying the failing step index and time.
+
+    The steps run in segments that end where `push` completes a block of
+    field values, at most _BLOCK steps each, without per-step checks. One
+    finiteness test over a segment's states and field values then accepts
+    it. Non-finite values propagate, so a non-finite predictor field value
+    also makes the corrected state non-finite and the test finds every
+    failure. A segment that fails it, or in which the field raises, is
+    restored and replayed with a check at every stage, which raises the
+    NumericalError of the first failing one. Replay calls the field again
+    on the same states, so it relies on the field being deterministic and
+    free of side effects; in a failing segment the field may also see
+    non-finite states after the first failure. A lone run of a system with
+    a `float_field` steps on Python floats.
     """
     n_steps = cfg.n_steps
-    field = sys.field
+    field, float_field = sys.field, sys.float_field
     # overflow in the field is caught by the finiteness checks, not worth a warning
     with np.errstate(over="ignore", invalid="ignore"):
         scheme = _Scheme(sys, cfg)
         F, states = scheme.F, scheme.states
         preds = np.empty((n_steps,) + scheme.x0.shape) if keep_predictor else None
-        for n in range(n_steps):
-            xp, xc = scheme.advance(field, n)
-            if preds is not None:
-                preds[n] = xp
-            states[n + 1] = xc
-            F[..., n + 1, :] = scheme.check(field(xc), "corrector field value", n + 1)
-            scheme.push(n + 1)
+        on_floats = float_field is not None and scheme.x0.ndim == 1
+        s = 0
+        while s < n_steps:
+            e = min(n_steps, ((s + 1) // _BLOCK + 1) * _BLOCK - 1)
+            saved = F[..., s + 1 : e + 1, :].copy(), states[s + 1 : e + 1].copy()
+            try:
+                if on_floats:
+                    scheme.float_steps(float_field, s, e, preds)
+                else:
+                    scheme.steps(field, s, e, preds)
+                clean = (np.isfinite(states[s + 1 : e + 1]).all()
+                         and np.isfinite(F[..., s + 1 : e + 1, :]).all())
+            except Exception:
+                clean = False
+            if not clean:
+                F[..., s + 1 : e + 1, :], states[s + 1 : e + 1] = saved
+                scheme.steps(field, s, e, preds, scheme.check)
+            scheme.push(e)
+            s = e
 
     times = np.arange(n_steps + 1, dtype=float) * cfg.h
     return Trajectory(times=times, states=states, predictor_states=preds)

@@ -20,7 +20,7 @@ on this: a (B, n) initial state advances B runs of one system at once
 """
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -88,12 +88,20 @@ class SystemDef:
     of partials; both also take a (B, n) batch of states (see the module
     docstring). Both are expected to be deterministic and side-effect
     free, which makes instances safe to share across concurrent runs.
+
+    `float_field`, when given, is the same field on Python floats: it maps
+    a list of n floats to a list of n floats, bitwise equal to `field` on
+    the float64 array of those values (a NaN may carry another sign). It
+    may raise where `field` would return a non-finite value. The
+    integrator steps a lone run on it (see `fracdyn.solver`); batches and
+    other callers use `field`.
     """
 
     name: str
     dim: int
     field: Callable
     jacobian: Callable
+    float_field: Optional[Callable] = None
 
     def __post_init__(self):
         if self.dim < 1:

@@ -180,11 +180,13 @@ class TestControlled:
            GAIN | st.lists(GAIN, min_size=5, max_size=5), TARGETS)
     def test_lone_field_equals_numpy_field_bitwise(self, x, k, target):
         x = np.array(x)
+        sys = maxbloch.controlled_system(k, target)
         with np.errstate(all="ignore"):  # the numpy field warns on overflow, floats do not
-            fused = maxbloch.controlled_system(k, target).field(x)
+            fused = sys.field(x)
             expected = controlled(maxbloch.system(), k, target).field(x)
         assert fused.shape == (5,) and fused.dtype == np.float64
         assert bits(fused) == bits(expected)
+        assert bits(sys.float_field(x.tolist())) == bits(expected)
 
     @pytest.mark.parametrize("k", [0.0, 1.0, [0.5, 2.0, 0.0, 1e154, 3.0]])
     @pytest.mark.parametrize("target", [maxbloch.e2(0.0), maxbloch.e2(-0.0),
@@ -194,10 +196,11 @@ class TestControlled:
         # at x - target, feedback and field terms in every combination
         edges = [0.0, -0.0, 5e-324, -1.0, 1e154, -math.inf]
         xs = np.array(list(itertools.product(edges, repeat=5)))
-        fused = maxbloch.controlled_system(k, target).field
+        sys = maxbloch.controlled_system(k, target)
         with np.errstate(all="ignore"):
             expected = controlled(maxbloch.system(), k, target).field(xs)
-            assert bits([fused(x) for x in xs]) == bits(expected)
+            assert bits([sys.field(x) for x in xs]) == bits(expected)
+        assert bits([sys.float_field(x) for x in xs.tolist()]) == bits(expected)
 
     def test_states_other_than_float64_arrays_take_the_numpy_path(self):
         # on Python ints (2**53 + 1) * 3 would be exact; numpy rounds 2**53 + 1 first

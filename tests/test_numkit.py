@@ -56,30 +56,6 @@ def ml_asymptotic_oracle(alpha, x):
 ML_ALPHAS = (0.05, 0.1, 0.3, 0.5, 0.65, 0.8, 0.95, 0.99, 0.999, 0.9999)
 
 
-class TestGamma:
-    def test_known_values(self):
-        assert numkit.gamma(1.0) == 1.0
-        assert numkit.gamma(5.0) == 24.0
-        assert abs(numkit.gamma(0.5) - math.sqrt(math.pi)) <= 1e-15
-
-    def test_relative_accuracy_on_unit_interval_to_ten(self):
-        with mpmath.workdps(40):
-            for x in np.linspace(0.05, 10.0, 80):
-                exact = float(mpmath.gamma(mpmath.mpf(float(x))))
-                assert abs(numkit.gamma(x) - exact) <= 1e-12 * abs(exact)
-
-    @pytest.mark.parametrize("x", [0.1, 0.65, 1.5, 3.7])
-    def test_recurrence(self, x):
-        lhs = numkit.gamma(x + 1.0)
-        rhs = x * numkit.gamma(x)
-        assert abs(lhs - rhs) <= 1e-11 * abs(rhs)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_nonpositive_rejected(self, x):
-        with pytest.raises(numkit.DomainError):
-            numkit.gamma(x)
-
-
 class TestPolyRoots:
     def test_imaginary_pair(self):
         roots = numkit.poly_roots([1.0, 0.0, 1.0])

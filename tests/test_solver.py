@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from fracdyn.solver import (
     MAX_STEPS,
     NumericalError,
     SolverConfig,
+    _Scheme,
     _max_errors,
     convergence_order,
     corrector_weight,
@@ -323,6 +325,129 @@ class TestKernelAgainstDirectSum:
     def test_any_length_and_order(self, n_steps, alpha):
         assert_matches_direct_sum(LINEAR, SolverConfig(alpha=alpha, h=0.01,
                                                        n_steps=n_steps, x0=[1.0]))
+
+
+def counted(sys):
+    """`sys` with its `field` and `float_field` calls counted in a dict."""
+    calls = {"field": 0, "float_field": 0}
+
+    def count(name, fn):
+        def wrapped(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapped if fn is not None else None
+
+    return dataclasses.replace(sys, field=count("field", sys.field),
+                               float_field=count("float_field", sys.float_field)), calls
+
+
+class TestSegments:
+    """Clean runs: one field evaluation per stage, float steps bitwise equal."""
+
+    @pytest.mark.parametrize("case", ["controlled", "linear-decay", "batch", "keep-predictor"])
+    def test_a_clean_run_evaluates_the_field_twice_per_step(self, case):
+        # a segment that raised inside would replay and call the field again
+        sys, x0 = CONTROLLED_RUNS[0]
+        if case == "linear-decay":
+            sys, x0 = LINEAR, [1.0]
+        elif case == "batch":
+            x0 = [x0, x0 - 0.02, x0 + 0.03]
+        n_steps = 3 * _BLOCK + 10
+        counted_sys, calls = counted(sys)
+        integrate(counted_sys, SolverConfig(alpha=0.65, h=0.01, n_steps=n_steps, x0=x0),
+                  keep_predictor=case == "keep-predictor")
+        assert calls["field"] + calls["float_field"] == 2 * n_steps + 1
+        if case in ("controlled", "keep-predictor"):  # the float steps did the work
+            assert calls == {"field": 1, "float_field": 2 * n_steps}
+
+    @pytest.mark.parametrize("n_steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                         2 * _BLOCK - 1, 2 * _BLOCK, 3000])
+    def test_float_steps_equal_numpy_steps_bitwise(self, n_steps):
+        for sys, x0 in CONTROLLED_RUNS:
+            cfg = SolverConfig(alpha=0.65, h=0.01, n_steps=n_steps, x0=x0)
+            fast = integrate(sys, cfg, keep_predictor=True)
+            slow = integrate(dataclasses.replace(sys, float_field=None), cfg, keep_predictor=True)
+            assert fast.states.tobytes() == slow.states.tobytes()
+            assert fast.predictor_states.tobytes() == slow.predictor_states.tobytes()
+
+
+# Failure injection: -x/10 on d = 2, at a step size whose cc = 1.5 lets a
+# finite predictor field value overflow the corrected state.
+TRIP_CFG = dict(alpha=0.5, h=4.0, n_steps=3 * _BLOCK + 32)
+TRIP_X0 = np.array([[1.0, 2.0], [-0.5, 0.25], [3.0, -1.0]])
+STAGES = {  # stage: (the stage's input in a clean run, the field value there)
+    "predictor field value": ("predictor", math.nan),
+    "corrected state": ("predictor", 1.7e308),
+    "corrector field value": ("state", -math.inf),
+}
+
+
+def tripwire_system(trigger, bad, strict):
+    """-x/10, but `bad` where a state equals its row of `trigger`.
+
+    `trigger` is (d,) or (B, d); a NaN row never matches. With `strict` the
+    field raises ValueError on non-finite input, as some user fields do.
+    """
+    trigger = np.asarray(trigger, dtype=float)
+
+    def field(x):
+        x = np.asarray(x, dtype=float)
+        if strict and not np.isfinite(x).all():
+            raise ValueError("non-finite state")
+        out = -0.1 * x
+        out[(x == trigger).all(axis=-1)] = bad
+        return out
+
+    def float_field(x):
+        if strict and not all(map(math.isfinite, x)):
+            raise ValueError("non-finite state")
+        return [bad] * len(x) if x == trigger.tolist() else [-0.1 * v for v in x]
+
+    return SystemDef(name="tripwire", dim=2, field=field, jacobian=lambda x: None,
+                     float_field=float_field if trigger.ndim == 1 else None)
+
+
+def per_step_checked(sys, cfg):
+    """The step loop with a check at every stage and no segments."""
+    scheme = _Scheme(sys, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(cfg.n_steps):
+            scheme.steps(sys.field, n, n + 1, None, scheme.check)
+            scheme.push(n + 1)
+
+
+def raised(run, sys, cfg):
+    with pytest.raises(NumericalError) as err:
+        run(sys, cfg)
+    return str(err.value), err.value.step_index, err.value.time, err.value.rows
+
+
+class TestReplay:
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("path", ["float", "numpy", "batch"])
+    # in the first segment, at its last step (only F[255] sees that
+    # failure before `push`) and in a later segment
+    @pytest.mark.parametrize("step", [3, _BLOCK - 1, 700])
+    @pytest.mark.parametrize("stage", list(STAGES))
+    def test_failure_is_the_error_of_the_per_step_checks(self, stage, step, path, strict):
+        x0 = TRIP_X0 if path == "batch" else TRIP_X0[0]
+        cfg = SolverConfig(x0=x0, **TRIP_CFG)
+        clean = integrate(tripwire_system(np.full(2, np.nan), 0.0, False), cfg,
+                          keep_predictor=True)
+        where, bad = STAGES[stage]
+        trigger = (clean.predictor_states[step - 1] if where == "predictor"
+                   else clean.states[step]).copy()
+        if path == "batch":
+            trigger[1] = np.nan  # members 0 and 2 fail
+        sys = tripwire_system(trigger, bad, strict)
+        if path == "numpy":
+            sys = dataclasses.replace(sys, float_field=None)
+        got = raised(integrate, sys, cfg)
+        assert got == raised(per_step_checked, sys, cfg)
+        message, step_index, time, rows = got
+        assert message == f"non-finite {stage} at step {step} (t = {step * 4.0:.10g})"
+        assert (step_index, time) == (step, step * 4.0)
+        assert rows == ((0, 2) if path == "batch" else None)
 
 
 class TestConvergenceOrder:
