@@ -25,6 +25,7 @@ from .solver import (
     convergence_order,
     corrector_weight,
     integrate,
+    integrate_batches,
     predictor_weight,
 )
 from .stability import (

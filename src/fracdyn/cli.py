@@ -7,13 +7,11 @@ Subcommands:
     gains-check  closed-form feedback-gain diagnostics for the controlled
                  Maxwell-Bloch model at either equilibrium family
     convergence  empirical order study against an analytic solution
-    sweep        run several simulate configs, batched: configs that share
-                 (system, alpha, h, steps) are integrated together from a
-                 (B, d) initial state, then written out, each with the
-                 bytes its lone simulate writes; a batch with enough to
-                 write is written by forked processes, one per CPU, while
-                 this process integrates the next, and again inline if one
-                 of them fails (--jobs is accepted and ignored)
+    sweep        run several simulate configs, each writing the bytes of its
+                 lone simulate; solver.integrate_batches integrates those that
+                 share (system, alpha, h, steps), and a batch with enough to
+                 write is written by forked processes, one per CPU, while the
+                 next is integrated, inline if one fails (--jobs is ignored)
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical failure
 during integration (the failing step index goes to stderr), 141 (128 +
@@ -37,21 +35,13 @@ from .numkit import ConvergenceError, DomainError
 from .solver import (
     NumericalError,
     SolverConfig,
-    Trajectory,
     _max_errors,
     convergence_order,
     integrate,
+    integrate_batches,
 )
 from .stability import _fmt, classify_equilibrium, e1_gain_condition, e2_gain_condition
 from .systems import controlled
-
-# Largest field history, B*d*(N + 1) float64 values, of one sweep batch:
-# 16 configs of the 5-D model at N=2000. The solver's far-field sums wait in
-# the unfilled part of this history, so it also bounds their memory; only
-# the transform temporaries of one block come on top. A 64-config sweep at
-# N=2000 peaks at 34.8 MB with this cap; half of it (32.9 MB) was slower
-# and twice it (38.3 MB) no faster.
-SWEEP_BATCH_BYTES = 5 * 2**18
 
 # Writing one member's artifacts inline takes about 2 ms plus 1 us per
 # trajectory value (5-D model: 3.5 ms at N=300, 12 ms at N=2000). Forking and
@@ -195,41 +185,18 @@ class _Member(NamedTuple):
     target: Optional[np.ndarray]
 
 
-def _integrate_batch(batch):
-    """Integrate sweep members that share (system, alpha, h, steps) from one
-    (B, d) initial state; returns one trajectory per member."""
-    cfg = batch[0].cfg
-    params = {}
-    if cfg.system == maxbloch.CONTROLLED_SYSTEM_NAME:
-        params = {"gains": [m.cfg.gains for m in batch], "target": [m.target for m in batch]}
-    sysdef = registry.build_system(cfg.system, **params)
-    traj = integrate(sysdef, _solver_config(cfg, [m.x0 for m in batch]))
-    return [Trajectory(traj.times, traj.states[:, b]) for b in range(len(batch))]
-
-
 def _sweep_group(members):
-    """Integrate one group of sweep members in batches.
+    """Integrate one group's members; yields batches of (member, outcome) pairs."""
+    cfg = members[0].cfg
 
-    Batches are consecutive slices of the group, capped by
-    SWEEP_BATCH_BYTES; each is yielded as (member, trajectory or
-    NumericalError) pairs in member order. A member's trajectory is bitwise
-    the same in any batch, so the members a failure names fail exactly as
-    they would alone, and the others are rerun as one batch until a batch
-    succeeds.
-    """
-    cap = max(1, SWEEP_BATCH_BYTES // (8 * members[0].x0.size * (members[0].cfg.steps + 1)))
-    for start in range(0, len(members), cap):
-        batch = members[start : start + cap]
-        outcomes = {}
-        left = batch
-        while left:
-            try:
-                outcomes.update(zip((m.index for m in left), _integrate_batch(left)))
-                break
-            except NumericalError as exc:
-                outcomes.update((left[row].index, exc) for row in exc.rows)
-                left = [m for m in left if m.index not in outcomes]
-        yield [(member, outcomes[member.index]) for member in batch]
+    def build(rows):
+        if cfg.system != maxbloch.CONTROLLED_SYSTEM_NAME:
+            return registry.build_system(cfg.system)
+        return registry.build_system(cfg.system, gains=[members[b].cfg.gains for b in rows],
+                                     target=[members[b].target for b in rows])
+
+    for batch in integrate_batches(build, _solver_config(cfg, [m.x0 for m in members])):
+        yield [(members[b], outcome) for b, outcome in batch]
 
 
 def _cpu_count():
@@ -289,14 +256,19 @@ def _fork_writers(batch, cpus):
 def _cmd_sweep(args):
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-    configs = [load_config(path) for path in args.configs]
-    outdirs = [Path(cfg.output_dir).resolve() for cfg in configs]
+    codes, configs = [0] * len(args.configs), {}
+    for index, path in enumerate(args.configs):
+        try:
+            configs[index] = load_config(path)
+        except (ValueError, OSError) as exc:  # ConfigError, or a file that is not UTF-8
+            print(f"error in {path}: {exc}", file=sys.stderr)
+            codes[index] = 2
+    outdirs = [Path(cfg.output_dir).resolve() for cfg in configs.values()]
     if len(set(outdirs)) != len(outdirs):
         raise ConfigError("sweep configs must write to disjoint output directories")
 
-    codes = [0] * len(configs)
     groups = {}
-    for index, cfg in enumerate(configs):
+    for index, cfg in configs.items():
         try:
             _, x0, target = _resolve(cfg)
             _solver_config(cfg, x0)  # bad alpha, h or steps fail this config only

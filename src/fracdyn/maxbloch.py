@@ -11,11 +11,12 @@ constant matrices below. Its equilibria form exactly two families:
 (m, n, 0, 0, 0) with m^2 + n^2 != 0, and (0, 0, 0, 0, m). The origin is
 the degenerate member of the second family.
 
-The controlled model (`controlled_system`) evaluates a lone state on
-Python floats and a batch of states with numpy, with the same bits.
+The controlled model (`controlled_system`) pairs its numpy field with the
+same field on Python floats, with the same bits, for lone runs.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -60,8 +61,6 @@ def _constant(entries):
 A = _constant({(0, 2): 1.0, (1, 3): 1.0})
 A1 = _constant({(2, 4): 1.0, (4, 2): -1.0})
 A2 = _constant({(3, 4): 1.0, (4, 3): -1.0})
-
-_FLOAT64 = np.dtype(float)
 
 
 def field(x):
@@ -146,14 +145,12 @@ def controlled_system(k, x_e):
     Gains and targets may carry a leading batch axis, as in
     `systems.controlled`; every target row must belong to a family.
 
-    `systems.controlled` validates the parameters and its numpy field takes
-    batches. With one gain vector and one target, the model also gets a
-    `float_field`: it unpacks a state to Python floats and computes each
-    component as base field minus feedback, the same IEEE operations in the
-    same order as the numpy field, so the two agree bit for bit (a NaN may
-    carry another sign) at about a quarter of the cost per call. A lone
-    float64 (5,) state given to `field` takes that float path too. Unlike
-    numpy, the float path does not warn on overflow.
+    `systems.controlled` validates the parameters and gives the model its
+    numpy `field`. With one gain vector and one target, the model also gets
+    a `float_field`, on which `integrate` steps lone runs: the same IEEE
+    operations on Python floats in the same order as the numpy field, so
+    the two agree bit for bit (a NaN may carry another sign) at about a
+    quarter of the cost per call, without numpy's overflow warnings.
     """
     for point in np.atleast_2d(x_e):
         family_of(point)
@@ -162,7 +159,6 @@ def controlled_system(k, x_e):
         return sysdef
     k1, k2, k3, k4, k5 = as_gains(k, 5).tolist()
     t1, t2, t3, t4, t5 = as_state(x_e, 5).tolist()
-    numpy_field = sysdef.field
 
     def float_field(x):
         x1, x2, x3, x4, x5 = x
@@ -174,13 +170,7 @@ def controlled_system(k, x_e):
             -(x1 * x3 + x2 * x4) - k5 * (x5 - t5),
         ]
 
-    def field(x):
-        if x.__class__ is not np.ndarray or x.ndim != 1 or x.dtype is not _FLOAT64:
-            return numpy_field(x)
-        return np.array(float_field(x.tolist()))
-
-    return SystemDef(name=sysdef.name, dim=5, field=field, jacobian=sysdef.jacobian,
-                     float_field=float_field)
+    return replace(sysdef, float_field=float_field)
 
 
 def controlled_jacobian(x, k):

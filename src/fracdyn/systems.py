@@ -12,8 +12,8 @@ being f(x[b]); a Jacobian maps (n,) to (n, n) and (B, n) to (B, n, n).
 Fields are evaluated row by row with elementwise operations, so a row of
 a batch is bitwise equal to the single evaluation. The numpy field of
 `controlled` serves both shapes; `fracdyn.maxbloch.controlled_system`
-gives lone states a faster path on Python floats that keeps those bits,
-with this field as its batch path and its test oracle. The integrator builds
+keeps it as its field and test oracle and adds a `float_field` with the
+same bits, on which the integrator steps lone runs. The integrator builds
 on this: a (B, n) initial state advances B runs of one system at once
 (see `fracdyn.solver`), and a system whose parameters carry a batch axis
 (see `controlled`) gives each run its own parameters.

@@ -1,6 +1,6 @@
-"""Integrity of the public API: each module's __all__ and the names the
-package imports. There is no linter in this project; these checks stand in
-for one."""
+"""Integrity of the public API: each module's __all__, the names the
+package imports and the layers its modules import each other in. There is
+no linter in this project; these checks stand in for one."""
 
 import ast
 import importlib
@@ -59,3 +59,29 @@ def test_no_module_reads_the_environment(path):
              or (isinstance(node, ast.ImportFrom) and node.module == "os"
                  and hidden & {alias.name for alias in node.names})]
     assert reads == []
+
+
+# each module may import only the modules before it; `solver` takes systems
+# from its callers, so it stays free of `registry` and `maxbloch`
+LAYERS = ["numkit", "systems", "solver", "maxbloch", "stability", "registry",
+          "expconfig", "svgplot", "artifacts", "cli"]
+
+
+def test_layers_name_every_module():
+    assert sorted(LAYERS) == sorted(info.name for info in pkgutil.iter_modules(fracdyn.__path__))
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_modules_import_only_earlier_layers(name):
+    tree = ast.parse((Path(fracdyn.__file__).parent / f"{name}.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):  # imports inside functions count too
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):  # from . import x, from .x import y
+            base = ".".join(filter(None, ["fracdyn" if node.level else "", node.module]))
+            names = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        imported.update(name.split(".")[1] for name in names if name.startswith("fracdyn."))
+    assert imported <= set(LAYERS[: LAYERS.index(name)])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import fracdyn
-from fracdyn import cli
+from fracdyn import cli, solver
 from fracdyn.artifacts import write_csv
 from fracdyn.cli import main
 from fracdyn.expconfig import ExperimentConfig, serialize_config
@@ -460,6 +460,39 @@ class TestSweep:
         assert main(["sweep", str(a), str(b)]) == 2
         capsys.readouterr()
 
+    def test_configs_that_fail_to_load_fail_alone(self, tmp_path, capsys):
+        a = self._write(tmp_path, "a.cfg", tmp_path / "out" / "a")
+        # epsilon without a target, writing where `a` writes: only configs
+        # that loaded take part in the disjoint-directories check
+        no_target = tmp_path / "no-target.cfg"
+        no_target.write_text("\n".join(line for line in a.read_text().splitlines()
+                                       if not line.startswith("target")))
+        missing = tmp_path / "missing.cfg"
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes(b"[run]\nsystem = caf\xe9\n")
+        bad_alpha = self._write(tmp_path, "alpha.cfg", tmp_path / "out" / "alpha", alpha=7.0)
+        b = self._write(tmp_path, "b.cfg", tmp_path / "out" / "b", epsilon=0.02)
+        paths = [a, no_target, missing, latin1, bad_alpha, b]
+        assert main(["sweep", *map(str, paths)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert err[:2] == [
+            f"error in {no_target}: the epsilon shorthand needs a target equilibrium",
+            f"error in {missing}: [Errno 2] No such file or directory: '{missing}'",
+        ]
+        assert err[2].startswith(f"error in {latin1}: 'utf-8' codec can't decode")
+        assert err[3:] == ["error in maxwell-bloch-5d-controlled run: fractional order "
+                           "must lie in (0, 1], got 7.0"]
+        assert captured.out.splitlines()[-6:] == [
+            f"{a}: ok", f"{no_target}: failed (exit 2)", f"{missing}: failed (exit 2)",
+            f"{latin1}: failed (exit 2)", f"{bad_alpha}: failed (exit 2)", f"{b}: ok"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["a", "b"]
+        for name, path in (("a", a), ("b", b)):
+            assert main(["simulate", "--config", str(path),
+                         "--output", str(tmp_path / "lone" / name)]) == 0
+            assert tree_bytes(tmp_path / "out" / name) == tree_bytes(tmp_path / "lone" / name)
+        capsys.readouterr()
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
         a = self._write(tmp_path, "a.cfg", tmp_path / "out-a")
@@ -483,13 +516,13 @@ class TestSweep:
 
     def test_groups_split_by_system_and_steps(self, tmp_path, capsys, monkeypatch):
         calls = []
-        integrate = cli.integrate
+        integrate = solver.integrate
 
         def recording_integrate(sysdef, cfg):
             calls.append((sysdef.name, len(cfg.x0), cfg.n_steps))
             return integrate(sysdef, cfg)
 
-        monkeypatch.setattr(cli, "integrate", recording_integrate)
+        monkeypatch.setattr(solver, "integrate", recording_integrate)
         paths = [
             self._write(tmp_path, "a.cfg", tmp_path / "out" / "a"),
             self._plain(tmp_path, "b", (0.1, 0.2, 0.3, 0.4, 0.5)),
@@ -505,7 +538,7 @@ class TestSweep:
 
     def test_overflowing_member_fails_alone(self, tmp_path, capsys, monkeypatch):
         # two plain members per batch, so the failing one shares a batch
-        monkeypatch.setattr(cli, "SWEEP_BATCH_BYTES", 2 * 8 * 5 * 31)
+        monkeypatch.setattr(solver, "BATCH_BYTES", 2 * 8 * 5 * 31)
         plain = [self._plain(tmp_path, f"p{i}", (0.1 * i, 0.2, 0.3, 0.4, -0.5))
                  for i in range(4)]
         controlled = self._write(tmp_path, "k.cfg", tmp_path / "out" / "k")
@@ -561,13 +594,13 @@ class TestSweep:
 
     def test_failures_rerun_survivors_as_one_batch(self, tmp_path, capsys, monkeypatch):
         sizes = []
-        integrate = cli.integrate
+        integrate = solver.integrate
 
         def recording_integrate(sysdef, cfg):
             sizes.append(len(cfg.x0))
             return integrate(sysdef, cfg)
 
-        monkeypatch.setattr(cli, "integrate", recording_integrate)
+        monkeypatch.setattr(solver, "integrate", recording_integrate)
         paths = [self._write(tmp_path, "a.cfg", tmp_path / "out" / "a", **E2_RUN),
                  self._write(tmp_path, "late.cfg", tmp_path / "out" / "late",
                              **{**E2_RUN, "gains": (29.7,) * 5}),
@@ -604,7 +637,7 @@ class TestSweep:
     @pytest.mark.parametrize("case", ["numerical", "unresolved"])
     def test_writers_do_not_change_the_output(self, tmp_path, capsys, monkeypatch, case):
         # two e2 members per batch, so several batches pass through the writers
-        monkeypatch.setattr(cli, "SWEEP_BATCH_BYTES", 2 * 8 * 5 * 601)
+        monkeypatch.setattr(solver, "BATCH_BYTES", 2 * 8 * 5 * 601)
         paths = [self._write(tmp_path, f"e{i}.cfg", tmp_path / "out" / f"e{i}",
                              **{**E2_RUN, "epsilon": 0.01 * (i + 1)}) for i in range(5)]
         paths.append(self._plain(tmp_path, "p", (0.1, 0.2, 0.3, 0.4, 0.5)))
@@ -658,9 +691,9 @@ class TestSweep:
         # the first batch's writers are running when the second batch fails;
         # the autouse fixture then finds no child left
         self._force_writers(monkeypatch, 2)
-        monkeypatch.setattr(cli, "SWEEP_BATCH_BYTES", 2 * 8 * 5 * 31)
+        monkeypatch.setattr(solver, "BATCH_BYTES", 2 * 8 * 5 * 31)
         calls = []
-        integrate = cli.integrate
+        integrate = solver.integrate
 
         def failing_integrate(sysdef, cfg):
             calls.append(len(cfg.x0))
@@ -668,7 +701,7 @@ class TestSweep:
                 raise RuntimeError("second batch fails")
             return integrate(sysdef, cfg)
 
-        monkeypatch.setattr(cli, "integrate", failing_integrate)
+        monkeypatch.setattr(solver, "integrate", failing_integrate)
         paths = [self._write(tmp_path, f"c{i}.cfg", tmp_path / "out" / f"c{i}",
                              epsilon=0.01 * (i + 1)) for i in range(4)]
         with pytest.raises(RuntimeError, match="second batch fails"):

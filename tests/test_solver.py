@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracdyn import maxbloch, registry
+from fracdyn import maxbloch, registry, solver
 from fracdyn.numkit import mittag_leffler
 from fracdyn.solver import (
     _BLOCK,
@@ -19,10 +19,13 @@ from fracdyn.solver import (
     corrector_weight,
     corrector_weights,
     integrate,
+    integrate_batches,
     predictor_weight,
     predictor_weights,
 )
 from fracdyn.systems import SystemDef
+
+from conftest import bits
 
 ALPHAS = (0.05, 0.3, 0.65, 1.0)
 
@@ -448,6 +451,76 @@ class TestReplay:
         assert message == f"non-finite {stage} at step {step} (t = {step * 4.0:.10g})"
         assert (step_index, time) == (step, step * 4.0)
         assert rows == ((0, 2) if path == "batch" else None)
+
+
+BATCH_GAINS = [(1.2, 1.2, 0.5, 0.5, 0.0), (0.8, 1.9, 1.1, 0.6, 1.3), (2.0, 0.5, 0.7, 1.7, 0.9),
+               (1.0, 1.0, 1.0, 1.0, 1.0), (0.3, 0.9, 1.4, 0.2, 0.6)]
+BATCH_TARGET = maxbloch.e1(math.sqrt(3.0) / 4.0, 0.25)
+
+
+def batched_runs(x0, n_steps=300):
+    """integrate_batches over the controlled model, run b with BATCH_GAINS[b];
+    the batches and the number of runs `build` was asked for, per call."""
+    sizes = []
+
+    def build(rows):
+        sizes.append(len(rows))
+        return registry.build_system(maxbloch.CONTROLLED_SYSTEM_NAME,
+                                     gains=[BATCH_GAINS[b] for b in rows],
+                                     target=[BATCH_TARGET] * len(rows))
+
+    cfg = SolverConfig(alpha=0.65, h=0.01, n_steps=n_steps, x0=x0)
+    return list(integrate_batches(build, cfg)), sizes
+
+
+def lone_run(b, x0, n_steps=300):
+    sys = maxbloch.controlled_system(BATCH_GAINS[b], BATCH_TARGET)
+    return integrate(sys, SolverConfig(alpha=0.65, h=0.01, n_steps=n_steps, x0=x0))
+
+
+class TestIntegrateBatches:
+    X0 = [BATCH_TARGET + 0.01 * (b + 1) for b in range(5)]
+
+    # 301 grid points of 5 float64 values per run
+    @pytest.mark.parametrize("cap, sizes", [(solver.BATCH_BYTES, [5]),
+                                            (2 * 8 * 5 * 301, [2, 2, 1]),
+                                            (2 * 8 * 5 * 301 - 1, [1] * 5),
+                                            (1, [1] * 5)])
+    def test_runs_equal_their_lone_runs_in_batches_under_the_cap(self, monkeypatch,
+                                                                 cap, sizes):
+        monkeypatch.setattr(solver, "BATCH_BYTES", cap)
+        batches, built = batched_runs(self.X0)
+        assert [len(batch) for batch in batches] == sizes == built
+        assert [b for batch in batches for b, _ in batch] == list(range(5))
+        for batch in batches:
+            assert all(traj.times is batch[0][1].times for _, traj in batch)
+            for b, traj in batch:
+                lone = lone_run(b, self.X0[b])
+                assert bits(traj.times) == bits(lone.times)
+                assert bits(traj.states) == bits(lone.states)
+
+    def test_failures_rerun_the_survivors_as_one_batch(self):
+        x0 = list(self.X0)
+        x0[1] = BATCH_TARGET + 1e150                   # fails past step 0
+        x0[3] = np.array([1e200, 1.0, 1.0, 1.0, 1e200])  # fails at step 0
+        (batch,), sizes = batched_runs(x0)
+        assert sizes == [5, 4, 3]
+        assert [b for b, _ in batch] == list(range(5))
+        for b, outcome in batch:
+            if b in (1, 3):
+                with pytest.raises(NumericalError) as alone:
+                    lone_run(b, x0[b])
+                assert str(outcome) == str(alone.value)
+                assert (outcome.step_index, outcome.time) == (alone.value.step_index,
+                                                              alone.value.time)
+            else:
+                assert bits(outcome.states) == bits(lone_run(b, x0[b]).states)
+        assert batch[1][1].step_index >= 1 and batch[3][1].step_index == 0
+
+    def test_a_lone_initial_state_is_rejected(self):
+        cfg = SolverConfig(alpha=0.65, h=0.01, n_steps=10, x0=self.X0[0])
+        with pytest.raises(ValueError, match=r"\(B, d\) x0, got shape \(5,\)"):
+            next(integrate_batches(lambda rows: maxbloch.system(), cfg))
 
 
 class TestConvergenceOrder:
