@@ -12,7 +12,6 @@ from .expconfig import ConfigError, ExperimentConfig, load_config, parse_config,
 from .numkit import (
     ConvergenceError,
     DomainError,
-    char_poly,
     eigenvalues,
     mittag_leffler,
     poly_roots,
@@ -23,10 +22,8 @@ from .solver import (
     SolverConfig,
     Trajectory,
     convergence_order,
-    corrector_weight,
     integrate,
     integrate_batches,
-    predictor_weight,
 )
 from .stability import (
     CubicCoeffs,
@@ -49,7 +46,6 @@ from .systems import (
     as_gains,
     as_state,
     controlled,
-    finite_difference_jacobian,
     is_equilibrium,
     validate_alpha,
 )

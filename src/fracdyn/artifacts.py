@@ -16,7 +16,7 @@ import numpy as np
 from .stability import _fmt, _kv_join
 from .svgplot import line_chart, polyline_template
 
-__all__ = ["TemplateCache", "row_templates", "write_artifacts", "write_csv"]
+__all__ = ["TemplateCache", "distance", "row_templates", "write_artifacts", "write_csv"]
 
 # Rows per template: bounds each template and the tuple of values formatted
 # into it. Longer chunks were no faster.
@@ -63,6 +63,23 @@ class TemplateCache:
         return self.csv, self.polyline
 
 
+def distance(x, target):
+    """Euclidean distance from state `x` to `target`.
+
+    np.linalg.norm squares the components, so it overflows to inf for a
+    distance above about 1.3e154. Only then is the norm taken again, of the
+    difference divided by its largest component, so every smaller distance
+    keeps the bits of the plain norm.
+    """
+    with np.errstate(over="ignore"):
+        diff = x - target
+        dist = np.linalg.norm(diff)
+        if np.isinf(dist) and np.isfinite(diff).all():
+            scale = np.max(np.abs(diff))
+            dist = scale * np.linalg.norm(diff / scale)
+    return dist
+
+
 def _write_report_kv(path, cfg, traj, target):
     final = traj.states[-1]
     pairs = [
@@ -79,8 +96,8 @@ def _write_report_kv(path, cfg, traj, target):
     if target is not None:
         for i, v in enumerate(target, start=1):
             pairs.append((f"target_{i}", _fmt(v)))
-        pairs.append(("initial_distance", _fmt(np.linalg.norm(traj.states[0] - target))))
-        pairs.append(("final_distance", _fmt(np.linalg.norm(final - target))))
+        pairs.append(("initial_distance", _fmt(distance(traj.states[0], target))))
+        pairs.append(("final_distance", _fmt(distance(final, target))))
     path.write_text(_kv_join(pairs) + "\n", encoding="utf-8")
 
 

@@ -22,6 +22,7 @@ import argparse
 import dataclasses
 import itertools
 import os
+import re
 import sys
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -29,7 +30,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import maxbloch, registry
-from .artifacts import TemplateCache, write_artifacts
+from .artifacts import TemplateCache, distance, write_artifacts
 from .expconfig import ConfigError, ExperimentConfig, load_config
 from .numkit import ConvergenceError, DomainError
 from .solver import (
@@ -87,8 +88,8 @@ def _print_summary(cfg, traj, target):
     """Print the lines that follow a run's written artifacts."""
     print("final state: " + " ".join(_fmt(v) for v in traj.states[-1]))
     if target is not None:
-        print(f"initial distance to target: {_fmt(np.linalg.norm(traj.states[0] - target))}")
-        print(f"final distance to target: {_fmt(np.linalg.norm(traj.states[-1] - target))}")
+        print(f"initial distance to target: {_fmt(distance(traj.states[0], target))}")
+        print(f"final distance to target: {_fmt(distance(traj.states[-1], target))}")
     print(f"wrote {Path(cfg.output_dir) / 'trajectory.csv'} and "
           f"{traj.states.shape[1]} figure(s)")
 
@@ -331,8 +332,22 @@ def _add_simulate_options(sub):
     sub.add_argument("--output", help="output directory")
 
 
+# argparse reads -1 and -.5 as negative numbers but -1e-3 as an unknown
+# option. No fracdyn option starts with a digit, so such a token is a number.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser, for the command and each subcommand, that also reads
+    negative numbers in exponent form as values."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracdyn",
         description="Fractional-order dynamical systems toolkit",
     )

@@ -30,9 +30,7 @@ __all__ = [
     "A1",
     "A2",
     "field",
-    "field_matrix_form",
     "jacobian",
-    "controlled_jacobian",
     "e1",
     "e2",
     "equilibrium_point",
@@ -70,16 +68,6 @@ def field(x):
     """
     x1, x2, x3, x4, x5 = np.asarray(x, dtype=float).T
     return np.array([x3, x4, x1 * x5, x2 * x5, -(x1 * x3 + x2 * x4)]).T
-
-
-def field_matrix_form(x):
-    """Same field evaluated as A*x + x1*(A1*x) + x2*(A2*x).
-
-    Agrees with `field` to rounding; the toolkit runs on the componentwise
-    form and keeps this one as an equivalence oracle.
-    """
-    v = np.asarray(x, dtype=float)
-    return A @ v + v[0] * (A1 @ v) + v[1] * (A2 @ v)
 
 
 def jacobian(x):
@@ -171,11 +159,6 @@ def controlled_system(k, x_e):
         ]
 
     return replace(sysdef, float_field=float_field)
-
-
-def controlled_jacobian(x, k):
-    """Jacobian of the controlled model, J(x) - diag(k) (independent of x_e)."""
-    return jacobian(x) - np.diag(as_gains(k, 5))
 
 
 def lipschitz_bound(x0, delta):

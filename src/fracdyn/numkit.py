@@ -17,7 +17,6 @@ __all__ = [
     "companion_matrix",
     "poly_roots",
     "eigenvalues",
-    "char_poly",
     "geometric_multiplicity",
     "mittag_leffler",
 ]
@@ -96,24 +95,6 @@ def _as_square(m):
 def eigenvalues(m):
     """Eigenvalues, with multiplicity, of a small dense real matrix (n <= 8)."""
     return _sorted_complex(np.linalg.eigvals(_as_square(m)))
-
-
-def char_poly(m):
-    """Monic characteristic polynomial det(lambda*I - M), ascending coefficients.
-
-    Uses the Faddeev-LeVerrier recursion, which shares no code with the
-    eigenvalue routine; the eigenvalues-versus-roots cross check in the test
-    suite relies on that independence.
-    """
-    a = _as_square(m)
-    n = a.shape[0]
-    eye = np.eye(n)
-    coeffs_desc = [1.0]
-    mk = np.zeros((n, n))
-    for k in range(1, n + 1):
-        mk = a @ mk + coeffs_desc[-1] * eye
-        coeffs_desc.append(-np.trace(a @ mk) / k)
-    return np.array(coeffs_desc[::-1])
 
 
 def geometric_multiplicity(m, eigenvalue, rank_tol=1e-7):

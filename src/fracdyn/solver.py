@@ -64,10 +64,6 @@ __all__ = [
     "NumericalError",
     "SolverConfig",
     "Trajectory",
-    "predictor_weight",
-    "corrector_weight",
-    "predictor_weights",
-    "corrector_weights",
     "integrate",
     "BATCH_BYTES",
     "integrate_batches",
@@ -155,51 +151,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     predictor_states: Optional[np.ndarray] = None
-
-
-def _check_weight_index(j, n):
-    if n < 0 or not 0 <= j <= n:
-        raise IndexError(f"weight index j={j} outside 0..{n}")
-
-
-def predictor_weight(j, n, alpha):
-    """Predictor weight b[j, n+1]; equals 1 for every j when alpha = 1."""
-    _check_weight_index(j, n)
-    alpha = validate_alpha(alpha)
-    return float(n + 1 - j) ** alpha - float(n - j) ** alpha
-
-
-def corrector_weight(j, n, alpha):
-    """Corrector weight a[j, n+1] with its separate j = 0 branch."""
-    _check_weight_index(j, n)
-    alpha = validate_alpha(alpha)
-    if j == 0:
-        return float(n) ** (alpha + 1.0) - (n - alpha) * float(n + 1) ** alpha
-    d = float(n - j)
-    return (d + 2.0) ** (alpha + 1.0) + d ** (alpha + 1.0) - 2.0 * (d + 1.0) ** (alpha + 1.0)
-
-
-def predictor_weights(n, alpha):
-    """Vector of b[j, n+1] for j = 0..n.
-
-    The sum telescopes to (n + 1)^alpha, which the tests use as an exact
-    consistency check.
-    """
-    alpha = validate_alpha(alpha)
-    if n < 0:
-        raise IndexError("n must be non-negative")
-    return _lag_weights(n + 1, alpha)[0][::-1].copy()
-
-
-def corrector_weights(n, alpha):
-    """Vector of a[j, n+1] for j = 0..n."""
-    alpha = validate_alpha(alpha)
-    if n < 0:
-        raise IndexError("n must be non-negative")
-    out = np.empty(n + 1)
-    out[0] = _first_corrector_weights(n, alpha)
-    out[1:] = _lag_weights(n, alpha)[1][::-1]
-    return out
 
 
 def _lag_weights(m, alpha):

@@ -301,14 +301,6 @@ class RouthHurwitz(enum.Enum):
             return "(0, 2/3)"
         return None
 
-    def covers(self, alpha):
-        alpha = validate_alpha(alpha)
-        if self is RouthHurwitz.STABLE_ALL_ALPHA:
-            return alpha < 1.0
-        if self is RouthHurwitz.STABLE_BELOW_TWO_THIRDS:
-            return alpha < 2.0 / 3.0
-        return False
-
 
 def routh_hurwitz_cubic(coeffs):
     """Root-free stability ranges for a monic cubic with positive coefficients.
@@ -317,8 +309,8 @@ def routh_hurwitz_cubic(coeffs):
     every order in (0, 1); negative discriminant certifies orders below 2/3.
     Anything else (including the zero-discriminant boundary) is NotDecided
     and should fall back to the argument test on explicit roots; the result
-    takes no order, and `RouthHurwitz.covers` answers for one. Violated sign
-    preconditions raise instead of classifying silently.
+    takes no order, and its `alpha_range` names the orders it certifies.
+    Violated sign preconditions raise instead of classifying silently.
     """
     if not (coeffs.a1 > 0 and coeffs.a2 > 0 and coeffs.a3 > 0):
         raise numkit.DomainError(
@@ -485,10 +477,17 @@ def e2_gain_condition(k, m):
         raise numkit.DomainError("gains must be finite and strictly positive, m finite")
     k1, k2, k3, k4, k5 = gains
 
-    delta1 = (k1 - k3) ** 2 + 4 * m
-    delta2 = (k2 - k4) ** 2 + 4 * m
-    u = -((k1 - k3) ** 2) / 4
-    v = -((k2 - k4) ** 2) / 4
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        try:
+            sq13, sq24 = (k1 - k3) ** 2, (k2 - k4) ** 2
+        except OverflowError:  # a float `**` raises where `*` would give inf
+            sq13 = sq24 = math.inf
+        delta1 = sq13 + 4 * m
+        delta2 = sq24 + 4 * m
+        u = -sq13 / 4
+        v = -sq24 / 4
+    if any(isinstance(q, float) and not math.isfinite(q) for q in (delta1, delta2, u, v)):
+        raise numkit.DomainError("gains or m too large: delta1, delta2, u or v is not finite")
 
     s1 = cmath.sqrt(complex(float(delta1), 0.0))
     s2 = cmath.sqrt(complex(float(delta2), 0.0))

@@ -6,6 +6,9 @@ A polyline template shared between charts keeps it so: its text depends
 only on the series length.
 """
 
+import math
+import sys
+
 import numpy as np
 
 __all__ = ["line_chart", "polyline_template"]
@@ -64,6 +67,14 @@ def line_chart(values, y_label, template=None):
         pad = 0.05 * (hi - lo)
     lo -= pad
     hi += pad
+    scale = 1.0
+    if math.isinf(hi - lo):
+        # the padded range overflows: chart the whole float range, at a
+        # quarter of the scale so that its span and ticks stay finite
+        scale = 0.25
+        values = values * scale
+        hi = sys.float_info.max * scale
+        lo = -hi
     last = max(values.size - 1, 1)
 
     def px(i):
@@ -92,7 +103,7 @@ def line_chart(values, y_label, template=None):
         )
         out.append(
             f'<text x="{x0 - 8:.2f}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="monospace" font-size="11">{v:.6g}</text>'
+            f'font-family="monospace" font-size="11">{v / scale:.6g}</text>'
         )
     for i in _ticks(0, values.size - 1):
         idx = int(round(i))

@@ -33,7 +33,6 @@ __all__ = [
     "as_gains",
     "is_equilibrium",
     "controlled",
-    "finite_difference_jacobian",
 ]
 
 # A feedback target must be an equilibrium of the base system: its field
@@ -162,20 +161,3 @@ def controlled(sys, k, x_e):
     return SystemDef(
         name=sys.name + "-controlled", dim=sys.dim, field=field, jacobian=jacobian
     )
-
-
-def finite_difference_jacobian(field, x, step=1e-6):
-    """Central-difference Jacobian of a vector field at x.
-
-    Serves as the independent consistency oracle for analytic Jacobians.
-    """
-    x = as_state(x)
-    n = x.size
-    out = np.empty((n, n))
-    for j in range(n):
-        offset = np.zeros(n)
-        offset[j] = step
-        hi = np.asarray(field(x + offset), dtype=float)
-        lo = np.asarray(field(x - offset), dtype=float)
-        out[:, j] = (hi - lo) / (2.0 * step)
-    return out

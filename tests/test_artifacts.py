@@ -2,6 +2,7 @@
 the SVG plots are byte for byte what per-cell formatting gives, whichever
 trajectories share a template, and writing keeps no O(N) memory."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracdyn import artifacts, svgplot
-from fracdyn.artifacts import TemplateCache, row_templates, write_artifacts, write_csv
+from fracdyn.artifacts import TemplateCache, distance, row_templates, write_artifacts, write_csv
 from fracdyn.expconfig import ExperimentConfig
 from fracdyn.solver import Trajectory
 from fracdyn.svgplot import line_chart, polyline_template
+
+from conftest import bits
 
 CSV_ROWS = artifacts._ROWS
 SVG_POINTS = svgplot._TEMPLATE_POINTS
@@ -123,6 +126,34 @@ def test_polyline_matches_per_point_format(size):
         want = polyline_oracle(values)
         assert polyline_of(line_chart(values, "y")) == want
         assert polyline_of(line_chart(values, "y", template=template)) == want
+
+
+# finite values at both ends of the float range, and any other finite value
+FINITE = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, 1e154, -1e154, 1.7e308, -1.7e308,
+                           1.7976931348623157e308, -1.7976931348623157e308])
+          | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(FINITE, min_size=1, max_size=6)
+       | st.tuples(FINITE, st.integers(1, 3)).map(lambda c: [c[0]] * c[1]))
+def test_chart_of_a_finite_series_is_finite(values):
+    svg = line_chart(values, "y").lower()
+    assert "nan" not in svg and "inf" not in svg
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(FINITE, min_size=5, max_size=5), st.lists(FINITE, min_size=5, max_size=5))
+def test_distance_is_the_plain_norm_until_that_overflows(x, target):
+    x, target = np.array(x), np.array(target)
+    with np.errstate(over="ignore"):
+        diff = x - target
+        plain = np.linalg.norm(diff)
+    got = distance(x, target)
+    if np.isfinite(plain):
+        assert bits([got]) == bits([plain])
+    else:
+        assert got == pytest.approx(math.hypot(*diff.tolist()), rel=1e-15)
 
 
 def test_writers_peak_below_the_row_by_row_writers(tmp_path):

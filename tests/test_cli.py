@@ -1,6 +1,8 @@
 import contextlib
+import io
 import math
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracdyn
 from fracdyn import cli, solver
@@ -61,6 +65,16 @@ class TestSimulate:
         report = read_kv(out / "report.kv")
         assert report["system"] == "maxwell-bloch-5d-controlled"
         assert float(report["final_distance"]) < float(report["initial_distance"])
+
+    def test_distance_whose_square_overflows_is_finite(self, tmp_path, capsys):
+        out = tmp_path / "far"
+        assert main(["simulate", "--system", "maxwell-bloch-5d", "--alpha", "0.5",
+                     "--h", "0.1", "--steps", "2", "--x0", "1e308", "1e308", "0", "0", "0",
+                     "--target-e2", "0", "--output", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "initial distance to target: 1.4142135623730951e+308\n" in captured.out
+        assert captured.err == ""
+        assert read_kv(out / "report.kv")["initial_distance"] == "1.4142135623730951e+308"
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -317,6 +331,8 @@ class TestGainsCheck:
         ["--gains", "-1", "1", "0.5", "0.5", "0", "--e1", "0.5", "0"],
         # m^2 and the discriminant overflow
         ["--gains", "1", "1", "1", "1", "1", "--e1", "1e200", "1e200"],
+        # (k1 - k3)^2 overflows
+        ["--gains", "1e200", "1", "1", "1", "1", "--e2", "1"],
     ])
     def test_non_finite_input_is_bad_input(self, capsys, argv):
         assert main(["gains-check"] + argv) == 2
@@ -873,6 +889,41 @@ class TestEntryPoints:
         assert proc.returncode == 141
         assert proc.stderr == ""
 
+    @pytest.mark.parametrize("argv, plain", [
+        (["stability", "maxwell-bloch-5d", "--alpha", "0.65", "--e2", "-1.25e-1"],
+         ["stability", "maxwell-bloch-5d", "--alpha", "0.65", "--e2", "-0.125"]),
+        (["stability", "maxwell-bloch-5d", "--alpha", "0.65", "--point", "0", "0", "0", "0",
+          "-1.25E-1"],
+         ["stability", "maxwell-bloch-5d", "--alpha", "0.65", "--point", "0", "0", "0", "0",
+          "-0.125"]),
+        (["gains-check", "--gains", "1.2", "1.2", "0.5", "0.5", "0", "--e1", "-5e-1", "-0e0"],
+         ["gains-check", "--gains", "1.2", "1.2", "0.5", "0.5", "0", "--e1", "-0.5", "-0"]),
+        (["simulate", "--system", "maxwell-bloch-5d", "--alpha", "0.65", "--h", "0.01",
+          "--steps", "20", "--epsilon", "-1e-3", "--target-e2", "-1.25e-1"],
+         ["simulate", "--system", "maxwell-bloch-5d", "--alpha", "0.65", "--h", "0.01",
+          "--steps", "20", "--epsilon", "-0.001", "--target-e2", "-0.125"]),
+        (["simulate", "--system", "zero-field-5d", "--alpha", "0.5", "--h", "0.1",
+          "--steps", "5", "--x0", "1", "-2e0", "3", "0", "-5.e-1"],
+         ["simulate", "--system", "zero-field-5d", "--alpha", "0.5", "--h", "0.1",
+          "--steps", "5", "--x0", "1", "-2", "3", "0", "-0.5"]),
+        (["convergence", "--alpha", "0.65", "--h-list", "0.1", "0.05", "0.025",
+          "--x0", "-1e-3"],
+         ["convergence", "--alpha", "0.65", "--h-list", "0.1", "0.05", "0.025",
+          "--x0", "-0.001"]),
+    ])
+    def test_negative_numbers_in_exponent_form(self, tmp_path, capsys, argv, plain):
+        # argparse itself reads -0.125 but not -1.25e-1 as a number; the
+        # plain stability run is the one tests/golden/stdout/stability-e2.text holds
+        out = tmp_path / "out"
+        runs = []
+        for args in (argv, plain):
+            output = ["--output", str(out)] if args[0] == "simulate" else []
+            code = main(args + output)
+            files = sorted((path.name, path.read_bytes()) for path in out.glob("*"))
+            runs.append((code, capsys.readouterr(), files))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][1].err == ""
+
     def test_console_script(self):
         proc = subprocess.run(
             [sys.executable, "-m", "fracdyn.cli", "stability", "maxwell-bloch-5d",
@@ -881,3 +932,40 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "Unstable" in proc.stdout
+
+
+# 0, the smallest subnormal and values whose squares or products overflow,
+# or any float, NaN and infinities too; gains are mostly of the first kind,
+# which the commands accept, and m, n and alpha of either sign
+EDGES = [0.0, 5e-324, 0.125, 1.0, 1e154, 1e200, 1.7e308]
+GAINS = st.sampled_from(EDGES) | st.floats()
+NUMBERS = st.sampled_from(EDGES).flatmap(lambda v: st.sampled_from([v, -v])) | st.floats()
+# a non-finite number as the output prints it: inf, -inf, nan, or +infi
+NON_FINITE = re.compile(r"(?<![a-z])[-+]?(inf|nan)", re.IGNORECASE)
+
+
+@st.composite
+def classifying_argvs(draw):
+    """argv of a `stability` or `gains-check` run at either family, in either format."""
+    def number(strategy=NUMBERS):
+        return repr(draw(strategy))
+
+    point = (["--e1", number(), number()] if draw(st.booleans()) else ["--e2", number()])
+    gains = ["--gains"] + [number(GAINS) for _ in range(5)]
+    fmt = ["--format", draw(st.sampled_from(["text", "kv"]))]
+    if draw(st.booleans()):
+        alpha = ["--alpha", number()] if draw(st.booleans()) else []
+        return ["gains-check", *gains, *point, *alpha, *fmt]
+    return ["stability", "maxwell-bloch-5d", "--alpha", number(), *point,
+            *(gains if draw(st.booleans()) else []), *fmt]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(classifying_argvs())
+def test_exit_code_contract_of_the_classifying_commands(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # no exception escapes
+    assert code in (0, 2), err.getvalue()
+    if code == 0:
+        assert not NON_FINITE.search(out.getvalue()), out.getvalue()

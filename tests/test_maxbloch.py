@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from fracdyn import maxbloch, numkit
 from fracdyn.solver import NumericalError, SolverConfig, integrate
-from fracdyn.systems import controlled, finite_difference_jacobian
+from fracdyn.systems import controlled
 
 from conftest import bits
+from oracles import char_poly, controlled_jacobian, field_matrix_form, finite_difference_jacobian
 
 
 # Signed zeros, subnormals, products that overflow, infinities and NaN
@@ -41,14 +42,14 @@ class TestField:
         )
 
     def test_matrix_form_equivalence(self, rng):
-        assert np.array_equal(maxbloch.field_matrix_form(np.zeros(5)), np.zeros(5))
+        assert np.array_equal(field_matrix_form(np.zeros(5)), np.zeros(5))
         np.testing.assert_allclose(
-            maxbloch.field_matrix_form([1.0, 0.0, 0.0, 0.0, 1.0]),
+            field_matrix_form([1.0, 0.0, 0.0, 0.0, 1.0]),
             [0.0, 0.0, 1.0, 0.0, 0.0], atol=1e-15,
         )
         for _ in range(1000):
             x = rng.uniform(-5.0, 5.0, 5)
-            delta = maxbloch.field(x) - maxbloch.field_matrix_form(x)
+            delta = maxbloch.field(x) - field_matrix_form(x)
             assert np.max(np.abs(delta)) <= 1e-14
 
     def test_rotation_symmetry(self, rng):
@@ -121,14 +122,14 @@ class TestJacobian:
             s = m * m + n * n
             if s < 1e-3:
                 continue
-            coeffs = numkit.char_poly(maxbloch.jacobian(maxbloch.e1(m, n)))
+            coeffs = char_poly(maxbloch.jacobian(maxbloch.e1(m, n)))
             np.testing.assert_allclose(coeffs, [0.0, 0.0, 0.0, s, 0.0, 1.0], atol=1e-9)
 
     def test_char_poly_at_second_family(self, rng):
         # det(lambda*I - J) = lambda * (lambda^2 - m)^2
         for _ in range(100):
             m = rng.uniform(-2.0, 2.0)
-            coeffs = numkit.char_poly(maxbloch.jacobian(maxbloch.e2(m)))
+            coeffs = char_poly(maxbloch.jacobian(maxbloch.e2(m)))
             expected = [0.0, m * m, 0.0, -2.0 * m, 0.0, 1.0]
             np.testing.assert_allclose(coeffs, expected, atol=1e-9)
 
@@ -151,7 +152,7 @@ class TestControlled:
             )
         x = rng.uniform(-2.0, 2.0, 5)
         np.testing.assert_array_equal(
-            maxbloch.controlled_jacobian(x, np.zeros(5)), maxbloch.jacobian(x)
+            controlled_jacobian(x, np.zeros(5)), maxbloch.jacobian(x)
         )
 
     def test_field_vanishes_at_target(self):
@@ -223,7 +224,7 @@ class TestControlled:
             x = rng.uniform(-2.0, 2.0, 5)
             k = rng.uniform(0.0, 2.0, 5)
             np.testing.assert_array_equal(
-                maxbloch.controlled_jacobian(x, k),
+                controlled_jacobian(x, k),
                 maxbloch.jacobian(x) - np.diag(k),
             )
 
@@ -232,7 +233,7 @@ class TestControlled:
         sys = maxbloch.controlled_system(self.GAINS, target)
         x = rng.uniform(-1.0, 1.0, 5)
         np.testing.assert_array_equal(
-            sys.jacobian(x), maxbloch.controlled_jacobian(x, self.GAINS)
+            sys.jacobian(x), controlled_jacobian(x, self.GAINS)
         )
 
     def test_char_poly_factorization_at_second_family(self, rng):
@@ -241,8 +242,8 @@ class TestControlled:
         for _ in range(50):
             k = rng.uniform(0.05, 2.0, 5)
             m = rng.uniform(-1.5, 1.5)
-            jac = maxbloch.controlled_jacobian(maxbloch.e2(m), k)
-            coeffs = numkit.char_poly(jac)
+            jac = controlled_jacobian(maxbloch.e2(m), k)
+            coeffs = char_poly(jac)
             factors = [
                 np.array([k[4], 1.0]),
                 np.array([k[0] * k[2] - m, k[0] + k[2], 1.0]),
@@ -262,8 +263,8 @@ class TestControlled:
             m, n = rng.uniform(-1.5, 1.5, 2)
             if m * m + n * n < 1e-3:
                 continue
-            jac = maxbloch.controlled_jacobian(maxbloch.e1(m, n), k)
-            coeffs = numkit.char_poly(jac)
+            jac = controlled_jacobian(maxbloch.e1(m, n), k)
+            coeffs = char_poly(jac)
             cubic = cubic_from_gains(k[2], k[3], k[4], m, n)
             expected = np.convolve(
                 np.convolve([k[0], 1.0], [k[1], 1.0]),

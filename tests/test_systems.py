@@ -9,13 +9,13 @@ from fracdyn.systems import (
     as_gains,
     as_state,
     controlled,
-    finite_difference_jacobian,
     is_equilibrium,
     validate_alpha,
 )
 from fracdyn.solver import SolverConfig, integrate
 
 from conftest import bits
+from oracles import finite_difference_jacobian
 
 E1 = maxbloch.e1(np.sqrt(3.0) / 4.0, 0.25)
 
