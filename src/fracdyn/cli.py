@@ -2,7 +2,10 @@
 
 Subcommands:
     simulate     integrate a configured run; writes trajectory.csv,
-                 per-component orbit plots fig1.svg..figN.svg and report.kv
+                 per-component orbit plots fig1.svg..figN.svg and report.kv;
+                 a run whose CSV is worth forking a writer for (the sweep's
+                 rule) streams its rows to one forked writer as they are
+                 integrated, and writes the CSV inline if that writer fails
     stability    classify an equilibrium of a registered system
     gains-check  closed-form feedback-gain diagnostics for the controlled
                  Maxwell-Bloch model at either equilibrium family
@@ -30,7 +33,13 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import maxbloch, registry
-from .artifacts import TemplateCache, distance, write_artifacts
+from .artifacts import (
+    CsvWriter,
+    TemplateCache,
+    distance,
+    write_artifacts,
+    write_plots_and_report,
+)
 from .expconfig import ConfigError, ExperimentConfig, load_config
 from .numkit import ConvergenceError, DomainError
 from .solver import (
@@ -50,7 +59,11 @@ from .systems import controlled
 # batch were no faster forked below 0.05 s of inline writing (4 configs at
 # N=2000), faster in some series of runs and slower in others up to about
 # 0.1 s (12 at N=1000, 6 or 8 at N=2000) and faster in most series from
-# about 0.1 s (16 at N=1000, 12 at N=2000).
+# about 0.1 s (16 at N=1000, 12 at N=2000). The same rule decides whether
+# a lone simulate streams its trajectory.csv to a forked writer: the 5-D
+# model forks from N=19599 (0.1 s), and paper-scale runs (N=500, 4.5 ms)
+# write inline. With the second CPU free, a streamed 5-D run was about as
+# fast as an inline one at N=2000 and faster from N=5000 on.
 WRITE_MEMBER_S = 2e-3
 WRITE_VALUE_S = 1e-6
 FORK_MIN_WRITE_S = 0.1
@@ -65,10 +78,14 @@ def _resolve(cfg):
     if target is not None and target.size != sysdef.dim:
         raise ConfigError("target dimension does not match the system")
     if cfg.x0 is None:
-        return sysdef, target + cfg.epsilon, target
-    x0 = np.asarray(cfg.x0, dtype=float)
-    if x0.size != sysdef.dim:
-        raise ConfigError(f"x0 has {x0.size} components, system needs {sysdef.dim}")
+        with np.errstate(over="ignore"):  # SolverConfig refuses a non-finite x0
+            x0 = target + cfg.epsilon
+    else:
+        x0 = np.asarray(cfg.x0, dtype=float)
+        if x0.size != sysdef.dim:
+            raise ConfigError(f"x0 has {x0.size} components, system needs {sysdef.dim}")
+    if target is not None and np.isfinite(x0).all() and not np.isfinite(distance(x0, target)):
+        raise ConfigError("the distance from x0 to the target leaves the float range")
     return sysdef, x0, target
 
 
@@ -78,8 +95,24 @@ def _solver_config(cfg, x0):
 
 def _run_experiment(cfg):
     sysdef, x0, target = _resolve(cfg)
-    traj = integrate(sysdef, _solver_config(cfg, x0))
-    write_artifacts(cfg, traj, target)
+    solver_cfg = _solver_config(cfg, x0)
+    writer, streamed = None, False
+    if _forks_pay(_write_seconds(cfg.steps, x0.size), _writer_cpus()):
+        try:
+            writer = CsvWriter(Path(cfg.output_dir) / "trajectory.csv", solver_cfg.times(),
+                               x0.size)
+        except OSError:  # no process to spare: write the CSV inline
+            pass
+    if writer is None:
+        traj = integrate(sysdef, solver_cfg)
+    else:
+        try:
+            traj = integrate(sysdef, solver_cfg, on_rows=writer.send)
+            writer.commit()
+        finally:
+            streamed = writer.reap()  # also when the run failed: see CsvWriter
+    # a writer that failed or was killed leaves the CSV to write_artifacts
+    (write_plots_and_report if streamed else write_artifacts)(cfg, traj, target)
     _print_summary(cfg, traj, target)
     return 0
 
@@ -207,10 +240,25 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
+def _writer_cpus():
+    """CPUs that forked writers may use; 1 where there is no os.fork."""
+    return _cpu_count() if hasattr(os, "fork") else 1
+
+
+def _write_seconds(steps, dim):
+    """Estimated time to write the artifacts of one run in this process."""
+    return WRITE_MEMBER_S + WRITE_VALUE_S * (steps + 1) * dim
+
+
 def _inline_write_seconds(members):
     """Estimated time to write the artifacts of `members` in this process."""
-    return sum(WRITE_MEMBER_S + WRITE_VALUE_S * (m.cfg.steps + 1) * m.x0.size
-               for m in members)
+    return sum(_write_seconds(m.cfg.steps, m.x0.size) for m in members)
+
+
+def _forks_pay(seconds, cpus):
+    """Whether writing in forked processes what takes `seconds` to write
+    inline pays: on two CPUs or more, from FORK_MIN_WRITE_S."""
+    return cpus >= 2 and seconds >= FORK_MIN_WRITE_S
 
 
 def _wait(pids):
@@ -231,7 +279,7 @@ def _fork_writers(batch, cpus):
     this process, with status 0 only if all its writes succeeded.
     """
     runs = [(member, traj) for member, traj in batch if not isinstance(traj, NumericalError)]
-    if cpus < 2 or _inline_write_seconds(member for member, _ in runs) < FORK_MIN_WRITE_S:
+    if not _forks_pay(_inline_write_seconds(member for member, _ in runs), cpus):
         return []
     writers, pids = min(cpus, len(runs)), []
     for share in range(writers):
@@ -288,7 +336,7 @@ def _cmd_sweep(args):
     # error inline writing raises, though the writers may have written later
     # members of that batch. A member's summary or failure is printed once
     # its files are complete; the empty batch last finishes the final one.
-    cpus = _cpu_count() if hasattr(os, "fork") else 1
+    cpus = _writer_cpus()
     previous, pids = [], []
     try:
         for batch in itertools.chain(*map(_sweep_group, groups.values()), [[]]):

@@ -115,7 +115,9 @@ def family_of(point):
     to the second family.
     """
     p = as_state(point, 5)
-    if np.max(np.abs(p[2:])) <= FAMILY_TOL and p[0] ** 2 + p[1] ** 2 > FAMILY_TOL:
+    with np.errstate(over="ignore"):  # a square past the float range is inf, still > FAMILY_TOL
+        off_origin = p[0] ** 2 + p[1] ** 2 > FAMILY_TOL
+    if np.max(np.abs(p[2:])) <= FAMILY_TOL and off_origin:
         return "e1", (float(p[0]), float(p[1]))
     if np.max(np.abs(p[:4])) <= FAMILY_TOL:
         return "e2", (float(p[4]),)

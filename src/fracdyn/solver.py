@@ -138,6 +138,10 @@ class SolverConfig:
     def horizon(self):
         return self.h * self.n_steps
 
+    def times(self):
+        """A new array of the grid t_0..t_N, t_n = n * h."""
+        return np.arange(self.n_steps + 1, dtype=float) * self.h
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -303,7 +307,7 @@ class _Scheme:
             preds[s:e] = xps
 
 
-def integrate(sys, cfg, keep_predictor=False):
+def integrate(sys, cfg, keep_predictor=False, on_rows=None):
     """Integrate the system over the whole horizon and return the trajectory.
 
     Deterministic: identical inputs give identical output arrays, and a
@@ -322,6 +326,12 @@ def integrate(sys, cfg, keep_predictor=False):
     free of side effects; in a failing segment the field may also see
     non-finite states after the first failure. A lone run of a system with
     a `float_field` steps on Python floats.
+
+    `on_rows`, if given, is called after each accepted segment with a view
+    of the states that became final: states[0..255], states[256..511] and
+    so on up to states[N], _BLOCK rows each but the last, so a caller can
+    write them out while the run goes on. A segment that raises passes no
+    rows.
     """
     n_steps = cfg.n_steps
     field, float_field = sys.field, sys.float_field
@@ -348,10 +358,11 @@ def integrate(sys, cfg, keep_predictor=False):
                 F[..., s + 1 : e + 1, :], states[s + 1 : e + 1] = saved
                 scheme.steps(field, s, e, preds, scheme.check)
             scheme.push(e)
+            if on_rows is not None:
+                on_rows(states[s + 1 if s else 0 : e + 1])
             s = e
 
-    times = np.arange(n_steps + 1, dtype=float) * cfg.h
-    return Trajectory(times=times, states=states, predictor_states=preds)
+    return Trajectory(times=cfg.times(), states=states, predictor_states=preds)
 
 
 def integrate_batches(build, cfg):

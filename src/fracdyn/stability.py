@@ -257,6 +257,14 @@ class CubicCoeffs:
         return (self.a3, self.a2, self.a1, 1.0)
 
 
+def _fits_float(q):
+    """Whether the real number `q` converts to a finite float."""
+    try:
+        return math.isfinite(q)
+    except OverflowError:  # an int or Fraction beyond the float range
+        return False
+
+
 def cubic_from_gains(k3, k4, k5, m, n):
     """Cubic factor of the controlled characteristic polynomial at an
     equilibrium (m, n, 0, 0, 0) with m^2 + n^2 != 0.
@@ -265,7 +273,7 @@ def cubic_from_gains(k3, k4, k5, m, n):
     and a3 = k3*k4*k5 + k3*n^2 + k4*m^2. Exact input types survive; float
     coefficients or a discriminant that overflow raise DomainError.
     """
-    if not all(math.isfinite(v) for v in (k3, k4, k5, m, n)):
+    if not all(map(_fits_float, (k3, k4, k5, m, n))):
         raise numkit.DomainError("gains, m and n must be finite")
     if k3 <= 0 or k4 <= 0 or k5 < 0:
         raise numkit.DomainError("gains must satisfy k3 > 0, k4 > 0, k5 >= 0")
@@ -468,12 +476,14 @@ def e2_gain_condition(k, m):
 
     All five gains must be strictly positive. Arithmetic on the reported
     quantities is plain Python, so exact rational inputs give exact
-    rational delta1, delta2, u, v.
+    rational delta1, delta2, u, v. The eigenvalues are taken in floats, so
+    a gain, m, delta1, delta2, u or v beyond the float range raises
+    DomainError, exact or not.
     """
     gains = tuple(k)
     if len(gains) != 5:
         raise numkit.DomainError("expected five feedback gains")
-    if any(not 0 < g < math.inf for g in gains) or not math.isfinite(m):
+    if any(not 0 < g < math.inf for g in gains) or not -math.inf < m < math.inf:
         raise numkit.DomainError("gains must be finite and strictly positive, m finite")
     k1, k2, k3, k4, k5 = gains
 
@@ -486,8 +496,10 @@ def e2_gain_condition(k, m):
         delta2 = sq24 + 4 * m
         u = -sq13 / 4
         v = -sq24 / 4
-    if any(isinstance(q, float) and not math.isfinite(q) for q in (delta1, delta2, u, v)):
+    if not all(map(_fits_float, (delta1, delta2, u, v))):
         raise numkit.DomainError("gains or m too large: delta1, delta2, u or v is not finite")
+    if not all(map(_fits_float, (*gains, m))):  # only exact inputs can fail here
+        raise numkit.DomainError("gains or m too large: they exceed the float range")
 
     s1 = cmath.sqrt(complex(float(delta1), 0.0))
     s2 = cmath.sqrt(complex(float(delta2), 0.0))

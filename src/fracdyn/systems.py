@@ -69,7 +69,10 @@ def as_states(x, dim=None):
 
 def as_gains(k, dim):
     """Feedback gain vector of length dim; a scalar expands to the full diagonal."""
-    arr = np.asarray(k, dtype=float)
+    try:
+        arr = np.asarray(k, dtype=float)
+    except OverflowError:  # an int or Fraction beyond the float range
+        raise ValueError("feedback gains must be finite and non-negative") from None
     if arr.ndim == 0:
         arr = np.full(dim, float(arr))
     if arr.ndim != 1 or arr.size != dim:

@@ -1,4 +1,6 @@
 import contextlib
+import errno
+import gc
 import io
 import math
 import os
@@ -7,6 +9,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -16,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracdyn
-from fracdyn import cli, solver
+from fracdyn import artifacts, cli, solver
 from fracdyn.artifacts import write_csv
 from fracdyn.cli import main
 from fracdyn.expconfig import ExperimentConfig, serialize_config
@@ -182,6 +185,21 @@ class TestSimulate:
                      "--h", "1e308", "--steps", "10", "--x0", "1", "1", "1", "1", "1",
                      "--output", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error: horizon h * steps = inf is not finite\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("system, start, target, message", [
+        ("maxwell-bloch-5d", ["--epsilon", "1.7e308"], ["--target-e1", "0", "1.7e308"],
+         "state contains non-finite components"),
+        ("zero-field-5d", ["--epsilon", "1.7e308"], ["--target-e2", "0"],
+         "the distance from x0 to the target leaves the float range"),
+        ("zero-field-5d", ["--x0", "0", "0", "1.7e308", "1.7e308", "0"], ["--target-e2", "0"],
+         "the distance from x0 to the target leaves the float range"),
+    ])
+    def test_start_beyond_the_float_range_is_bad_input(self, tmp_path, capsys, system, start,
+                                                       target, message):
+        assert main(["simulate", "--system", system, "--alpha", "0.3", "--h", "0.01",
+                     "--steps", "1", *start, *target, "--output", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("start", [["--epsilon", "0.1"], ["--x0", "1"]])
@@ -445,6 +463,7 @@ class TestSweep:
         yield
         with pytest.raises(ChildProcessError):  # no child, running or unreaped
             os.waitpid(-1, os.WNOHANG)
+        assert gc.get_freeze_count() == 0  # collections cover every object again
 
     def _write(self, tmp_path, name, outdir, **changes):
         fields = dict(
@@ -848,6 +867,248 @@ class TestSweep:
         capsys.readouterr()
 
 
+def kill_if_forked(function):
+    """`function`, but a forked writer that calls it is killed first, as by
+    the kernel's OOM killer."""
+    def stand_in(*args):
+        if os.getpid() != TEST_PID:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return function(*args)
+    return stand_in
+
+
+def fail_if_forked(function):
+    """`function`, but in a forked writer it raises, so the writer exits 1."""
+    def stand_in(*args):
+        if os.getpid() != TEST_PID:
+            raise OSError("no space left for the writer")
+        return function(*args)
+    return stand_in
+
+
+def controlled_run(steps, output):
+    return ["simulate", "--system", "maxwell-bloch-5d-controlled", "--alpha", "0.65",
+            "--h", "0.01", "--steps", str(steps), "--epsilon", "0.01",
+            "--gains", "1.2", "1.2", "0.5", "0.5", "0", "--target-e1", repr(SQRT3_4), "0.25",
+            "--output", str(output)]
+
+
+def decay_run(steps, output):
+    return ["simulate", "--system", "linear-decay", "--alpha", "0.8", "--h", "0.001",
+            "--steps", str(steps), "--x0", "1.5", "--output", str(output)]
+
+
+EARLY_BLOW_UP = ["simulate", "--system", "maxwell-bloch-5d", "--alpha", "0.65", "--h", "0.01",
+                 "--steps", "3000", "--x0", *["1e150"] * 5]
+# fails at step 442, after the writer has had the rows of the first segment
+LATE_BLOW_UP = ["simulate", "--system", "maxwell-bloch-5d-controlled", "--alpha", "0.65",
+                "--h", "0.01", "--steps", "600", "--epsilon", "0.01",
+                "--gains", *["29.7"] * 5, "--target-e2", "-0.125"]
+
+
+class TestStreamedCsv:
+    """A lone simulate whose writing pays for a fork streams its
+    trajectory.csv to a forked writer; every outcome equals inline writing."""
+
+    @pytest.fixture(autouse=True)
+    def no_writer_left_running(self):
+        yield
+        with pytest.raises(ChildProcessError):  # no child, running or unreaped
+            os.waitpid(-1, os.WNOHANG)
+        assert gc.get_freeze_count() == 0  # collections cover every object again
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The forks a run makes, recorded in the returned list."""
+        made, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+        return made
+
+    def _run(self, argv, root, capsys, monkeypatch, stream):
+        """Exit code, stdout, stderr and files under `root` of a simulate
+        with its CSV streamed or written inline; `root` is then removed."""
+        monkeypatch.setattr(cli, "FORK_MIN_WRITE_S", 0.0 if stream else math.inf)
+        code = main(argv)
+        captured = capsys.readouterr()
+        written = tree_bytes(root) if root.exists() else None
+        shutil.rmtree(root, ignore_errors=True)
+        return code, captured.out, captured.err, written
+
+    def _both(self, argv, root, capsys, monkeypatch, forks):
+        inline = self._run(argv, root, capsys, monkeypatch, stream=False)
+        assert forks == []
+        streamed = self._run(argv, root, capsys, monkeypatch, stream=True)
+        return inline, streamed
+
+    @pytest.mark.parametrize("steps, dim, streams", [(500, 5, False), (19598, 5, False),
+                                                     (19599, 5, True), (20000, 5, True),
+                                                     (20000, 1, False)])
+    def test_the_sweep_rule_picks_the_long_runs(self, steps, dim, streams):
+        assert cli._forks_pay(cli._write_seconds(steps, dim), 2) == streams
+        assert not cli._forks_pay(cli._write_seconds(steps, dim), 1)
+
+    @pytest.mark.parametrize("run", [controlled_run, decay_run], ids=["controlled", "decay"])
+    @pytest.mark.parametrize("steps", [1, 255, 256, 257, 511, 3000])
+    def test_streaming_does_not_change_the_output(self, tmp_path, capsys, monkeypatch, forks,
+                                                  run, steps):
+        # the writer, not the inline fallback, must write the CSV: only the
+        # inline run may call write_artifacts
+        calls, write_artifacts = [], cli.write_artifacts
+        monkeypatch.setattr(cli, "write_artifacts",
+                            lambda *args: calls.append(1) or write_artifacts(*args))
+        inline, streamed = self._both(run(steps, tmp_path / "out" / "run"), tmp_path / "out",
+                                      capsys, monkeypatch, forks)
+        assert forks == [1] and calls == [1]
+        assert streamed == inline
+        code, _, err, written = inline
+        assert code == 0 and err == ""
+        assert sorted(written) == sorted(f"run/{name}" for name in (
+            "trajectory.csv", "report.kv",
+            *(f"fig{i}.svg" for i in range(1, 6 if run is controlled_run else 2))))
+        assert written["run/trajectory.csv"].count(b"\n") == steps + 2
+
+    @pytest.mark.parametrize("argv, step", [(EARLY_BLOW_UP, 1), (LATE_BLOW_UP, 442)],
+                             ids=["early", "late"])
+    def test_blow_up_leaves_no_output(self, tmp_path, capsys, monkeypatch, forks, argv, step):
+        inline, streamed = self._both(argv + ["--output", str(tmp_path / "out" / "run")],
+                                      tmp_path / "out", capsys, monkeypatch, forks)
+        assert forks == [1]
+        assert streamed == inline
+        code, out, err, written = inline
+        assert (code, out, written) == (3, "", None)
+        assert err.startswith(f"numerical failure at step {step}: ")
+
+    def test_failure_after_the_last_row_leaves_no_output(self, tmp_path, capsys, monkeypatch,
+                                                          forks):
+        # the writer has every row but no commit: it writes nothing
+        integrate = cli.integrate
+
+        def failing_integrate(sysdef, cfg, on_rows):
+            integrate(sysdef, cfg, on_rows=on_rows)
+            raise RuntimeError("failed after the run")
+
+        monkeypatch.setattr(cli, "integrate", failing_integrate)
+        monkeypatch.setattr(cli, "FORK_MIN_WRITE_S", 0.0)
+        with pytest.raises(RuntimeError, match="failed after the run"):
+            main(controlled_run(600, tmp_path / "out"))
+        assert forks == [1]
+        assert not (tmp_path / "out").exists()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("name, stand_in", [
+        ("_copy_spool", kill_if_forked),   # killed once it has every row
+        ("_read_blocks", kill_if_forked),  # killed before it reads: the pipe breaks
+        ("_copy_spool", fail_if_forked),   # exits 1
+    ], ids=["killed-at-the-end", "killed-at-the-start", "exits-1"])
+    def test_failed_writer_costs_only_time(self, tmp_path, capsys, monkeypatch, forks,
+                                           name, stand_in):
+        argv = controlled_run(3000, tmp_path / "out" / "run")
+        inline = self._run(argv, tmp_path / "out", capsys, monkeypatch, stream=False)
+        monkeypatch.setattr(artifacts, name, stand_in(getattr(artifacts, name)))
+        assert self._run(argv, tmp_path / "out", capsys, monkeypatch, stream=True) == inline
+        assert forks == [1]
+
+    def test_failed_fork_writes_inline(self, tmp_path, capsys, monkeypatch):
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+        argv = controlled_run(600, tmp_path / "out" / "run")
+        inline = self._run(argv, tmp_path / "out", capsys, monkeypatch, stream=False)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert self._run(argv, tmp_path / "out", capsys, monkeypatch, stream=True) == inline
+
+    def test_blocked_output_path_fails_like_inline_writing(self, tmp_path, capsys, monkeypatch,
+                                                           forks):
+        runs = []
+        for stream in (False, True):
+            (tmp_path / "out").mkdir()
+            (tmp_path / "out" / "run").write_text("a file where a directory must go")
+            runs.append(self._run(controlled_run(600, tmp_path / "out" / "run"),
+                                  tmp_path / "out", capsys, monkeypatch, stream))
+        assert forks == [1]
+        assert runs[1] == runs[0]
+        code, out, err, written = runs[0]
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "run" in err
+        assert written == {"run": b"a file where a directory must go"}
+
+    def test_unwritable_csv_fails_like_inline_writing(self, tmp_path, capsys, monkeypatch,
+                                                      forks):
+        # trajectory.csv is a directory: the writer fails, and so does the
+        # inline fallback, at the CSV and before the plots
+        runs = []
+        for stream in (False, True):
+            (tmp_path / "out" / "run" / "trajectory.csv").mkdir(parents=True)
+            runs.append(self._run(controlled_run(600, tmp_path / "out" / "run"),
+                                  tmp_path / "out", capsys, monkeypatch, stream))
+        assert forks == [1]
+        assert runs[1] == runs[0]
+        code, out, err, written = runs[0]
+        assert (code, out, written) == (2, "", {})
+        assert err.startswith("error: ") and err.count("\n") == 1 and "trajectory.csv" in err
+
+    @pytest.mark.parametrize("argv, code", [(controlled_run(600, "out"), 0),
+                                            (LATE_BLOW_UP + ["--output", "out"], 3)],
+                             ids=["written", "blow-up"])
+    def test_writer_prints_nothing(self, tmp_path, argv, code):
+        # stdout is a pipe, so the marker is still buffered when the writer
+        # forks; neither it nor anything else may reach the streams from it
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import os, sys; from fracdyn import cli; cli._cpu_count = lambda: 2; "
+             "cli.FORK_MIN_WRITE_S = 0.0; fork = os.fork; "
+             "os.fork = lambda: print('#fork#', file=sys.stderr) or fork(); "
+             f"print('#marker#'); sys.exit(cli.main({argv!r}))"],
+            cwd=tmp_path, env=CHILD_ENV, capture_output=True, text=True,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.count("#marker#") == 1
+        assert proc.stdout.count("final state:") == (code == 0)
+        assert proc.stderr.startswith("#fork#\n") and proc.stderr.count("\n") == 1 + (code != 0)
+
+    def test_killed_run_leaves_no_writer_running(self, tmp_path):
+        # a default-rule run (N=20000) killed while it integrates: the writer
+        # reads the end of the pipe before a commit and exits without writing
+        argv = controlled_run(20000, tmp_path / "out")
+        script = "\n".join([
+            "import os, sys",
+            "from fracdyn import cli",
+            "cli._cpu_count = lambda: 2",
+            "fork = os.fork",
+            "def announced_fork():",
+            "    pid = fork()",
+            "    if pid:",
+            "        print('forked', flush=True)",
+            "    return pid",
+            "os.fork = announced_fork",
+            f"sys.exit(cli.main({argv!r}))",
+        ])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            env=CHILD_ENV, stdout=subprocess.PIPE, start_new_session=True)
+        try:
+            assert proc.stdout.readline() == b"forked\n"
+            proc.send_signal(signal.SIGKILL)
+            assert proc.wait() == -signal.SIGKILL
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    break
+                time.sleep(0.01)
+            else:
+                pytest.fail("the killed run's writer still runs after 10 s")
+            assert not (tmp_path / "out").exists()
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.stdout.close()
+            proc.wait()
+
+
 class TestEntryPoints:
     def test_help_and_usage_codes(self, capsys):
         assert main(["--help"]) == 0
@@ -969,3 +1230,61 @@ def test_exit_code_contract_of_the_classifying_commands(argv):
     assert code in (0, 2), err.getvalue()
     if code == 0:
         assert not NON_FINITE.search(out.getvalue()), out.getvalue()
+
+
+SYSTEM_DIMS = {"maxwell-bloch-5d": 5, "maxwell-bloch-5d-controlled": 5,
+               "zero-field-5d": 5, "linear-decay": 1}
+
+
+@st.composite
+def simulate_argvs(draw):
+    """argv of a short `simulate` of any registered system, without --output:
+    mostly one it accepts, with x0, epsilon and targets on the edges of the
+    float range too, and now and then any number or option."""
+    def number(strategy=NUMBERS):
+        return repr(draw(strategy))
+
+    def mostly(strategy):
+        return number(strategy if draw(st.integers(0, 9)) else NUMBERS)
+
+    def now_and_then():
+        return not draw(st.integers(0, 9))
+
+    system = draw(st.sampled_from(sorted(SYSTEM_DIMS)))
+    controlled = system == "maxwell-bloch-5d-controlled"
+    argv = ["simulate", "--system", system,
+            "--alpha", mostly(st.sampled_from([0.3, 0.65, 1.0])
+                              | st.floats(0.0, 1.0, exclude_min=True)),
+            "--h", mostly(st.sampled_from([0.01, 0.1, 1.0]) | st.floats(1e-3, 10.0)),
+            "--steps", str(draw(st.integers(1, 16)))]
+    targeted = controlled or (SYSTEM_DIMS[system] == 5 and draw(st.booleans()))
+    if targeted != now_and_then():
+        if draw(st.booleans()):
+            argv += ["--target-e1", number(), number()]
+        else:
+            argv += ["--target-e2", number()]
+    if targeted and draw(st.booleans()):
+        argv += ["--epsilon", number()]
+    else:
+        dim = 2 if now_and_then() else SYSTEM_DIMS[system]
+        argv += ["--x0", *(number() for _ in range(dim))]
+    if controlled != now_and_then():
+        argv += ["--gains", *(number(GAINS) for _ in range(5))]
+    return argv
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(simulate_argvs())
+def test_exit_code_contract_of_simulate(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        output = Path(tmp) / "run"
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--output", str(output)])  # no exception escapes
+        assert code in (0, 2, 3), err.getvalue()
+        if code == 0:
+            # the last line names the output path, which is not a number
+            printed = out.getvalue().splitlines()[:-1]
+            assert not any(map(NON_FINITE.search, printed)), out.getvalue()
+        if code == 3:
+            assert not output.exists()

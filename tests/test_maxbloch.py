@@ -305,6 +305,10 @@ class TestEquilibria:
         with pytest.raises(ValueError):
             maxbloch.family_of([0.1, 0.0, 1.0, 0.0, 0.0])
 
+    def test_family_of_a_point_whose_square_overflows(self):
+        # m^2 + n^2 is inf, which still lies off the origin; no overflow warning
+        assert maxbloch.family_of(maxbloch.e1(0.0, 1e200)) == ("e1", (0.0, 1e200))
+
     def test_grid_scan_finds_only_the_two_families(self):
         grid = (-1.0, -0.5, 0.0, 0.5, 1.0)
         for point in itertools.product(grid, repeat=5):

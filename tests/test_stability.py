@@ -146,6 +146,17 @@ class TestCubic:
         with pytest.raises(numkit.DomainError):
             cubic_from_gains(0.5, 0.5, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("k, m, n", [
+        ([Fraction(10**400), 1, 1, 1, 1], 0.5, 0.25),
+        ([1, 1, 1, 1, 10**400], 0.5, 0.25),
+        ([1, 1, 1, 1, 1], Fraction(10**400), 0.25),
+        ([1, 1, 1, 1, 1], 0.5, -10**400),
+    ], ids=["k1", "k5", "m", "n"])
+    def test_exact_inputs_beyond_the_float_range(self, k, m, n):
+        # ValueError, which DomainError is, not the OverflowError of float()
+        with pytest.raises(ValueError, match="must be finite"):
+            e1_gain_condition(k, m, n)
+
 
 class TestRouthHurwitz:
     def test_negative_discriminant_branch(self):
@@ -263,6 +274,21 @@ class TestE2GainAnalysis:
             e2_gain_condition((1.0, 1.0, 1.0, 1.0, 0.0), -0.125)
         with pytest.raises(numkit.DomainError):
             e2_gain_condition((1.0, 1.0, 1.0), -0.125)
+
+    @pytest.mark.parametrize("k, m", [
+        ([Fraction(10**400), 1, 1, 1, 1], 0),
+        ([Fraction(10**400), 1, Fraction(10**400), 1, 1], 0),  # the deltas fit
+        ([1, 1, 1, 1, 10**400], Fraction(-1, 8)),
+        ([1, 1, 1, 1, 1], -10**400),
+    ], ids=["delta1", "k1-and-k3", "k5", "m"])
+    def test_exact_inputs_beyond_the_float_range(self, k, m):
+        with pytest.raises(numkit.DomainError, match="too large"):
+            e2_gain_condition(k, m)
+
+    def test_exact_inputs_at_the_float_range_stay_exact(self):
+        big = Fraction(10**300)
+        rep = e2_gain_condition([big, 1, big, 1, 1], Fraction(-1, 8))
+        assert rep.delta1 == Fraction(-1, 2) and rep.u == 0
 
     def test_closed_form_matches_numeric_eigenvalues(self, rng):
         for _ in range(200):
