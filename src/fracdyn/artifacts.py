@@ -7,7 +7,9 @@ chunk of rows, as the plots' polylines are filled into templates whose
 x-coordinates are already text. Both depend only on the time grid and d,
 so the trajectories on one grid can share them through a TemplateCache.
 A CsvWriter formats the same rows in a forked process while the run that
-computes them goes on.
+computes them goes on. It and a sweep's writers are forked by `fork` and
+reaped by `reap` where `writer_count` picks them; while they live,
+collections skip the objects they share with the forking process.
 """
 
 import gc
@@ -26,10 +28,13 @@ __all__ = [
     "CsvWriter",
     "TemplateCache",
     "distance",
+    "fork",
+    "reap",
     "row_templates",
     "write_artifacts",
     "write_csv",
     "write_plots_and_report",
+    "writer_count",
 ]
 
 # Rows per template: bounds each template and the tuple of values formatted
@@ -77,27 +82,98 @@ def _csv_text(times, dim, blocks, templates=None):
         yield template % tuple(block.ravel().tolist())
 
 
-def _save_text(path, chunks):
-    with open(path, "w", encoding="utf-8") as out:
-        out.writelines(chunks)
-
-
 def write_csv(path, traj, templates=None):
     """Write trajectory `traj` to `path` as CSV; `templates` as in `_csv_text`."""
-    _save_text(path, _csv_text(traj.times, traj.states.shape[1], _row_blocks(traj.states),
-                               templates))
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(_csv_text(traj.times, traj.states.shape[1], _row_blocks(traj.states),
+                                 templates))
+
+
+# Writing one member's artifacts inline takes about 2 ms plus 1 us per
+# trajectory value (5-D model: 3.5 ms at N=300, 12 ms at N=2000). Forking and
+# reaping a batch's writers costs about 10 ms; on two CPUs, sweeps of one
+# batch were no faster forked below 0.05 s of inline writing (4 configs at
+# N=2000), faster in some series of runs and slower in others up to about
+# 0.1 s (12 at N=1000, 6 or 8 at N=2000) and faster in most series from
+# about 0.1 s (16 at N=1000, 12 at N=2000). The same rule decides whether
+# a lone simulate streams its trajectory.csv to a forked writer: the 5-D
+# model forks from N=19599 (0.1 s), and paper-scale runs (N=500, 4.5 ms)
+# write inline. With the second CPU free, a streamed 5-D run was about as
+# fast as an inline one at N=2000 and faster from N=5000 on.
+WRITE_MEMBER_S = 2e-3
+WRITE_VALUE_S = 1e-6
+FORK_MIN_WRITE_S = 0.1
+
+
+def _cpu_count():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def writer_count(shapes):
+    """How many forked writers should write the runs whose trajectories have
+    the (N+1, d) `shapes`: 0, to write them inline, where there is no
+    os.fork, on one CPU or below FORK_MIN_WRITE_S of estimated inline
+    writing; else one per CPU, but no more than the runs."""
+    cpus = _cpu_count() if hasattr(os, "fork") else 1
+    seconds = sum(WRITE_MEMBER_S + WRITE_VALUE_S * rows * dim for rows, dim in shapes)
+    if cpus < 2 or seconds < FORK_MIN_WRITE_S:
+        return 0
+    return min(cpus, len(shapes))
+
+
+def fork(body):
+    """Run `body()` in a forked process, which leaves by os._exit (flushing
+    no buffered output of this one) with status 0 only if `body` returned;
+    its pid, for `reap`. OSError if there is no process to spare.
+
+    Until reap, collections skip the objects the two processes share: a full
+    one writes to every object it scans, and each page it writes is then
+    copied (N=20000, two CPUs: 1500 page faults, 11-16 ms of a 0.2-0.3 s run)."""
+    gc.freeze()
+    try:
+        pid = os.fork()
+    except OSError:
+        gc.unfreeze()
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            body()
+            status = 0
+        finally:
+            os._exit(status)
+    return pid
+
+
+def reap(pids):
+    """Wait for the forked processes `pids`, emptying the list, and let
+    collections cover every object again; True if all exited with 0."""
+    ok = True
+    while pids:
+        ok = os.waitpid(pids[-1], 0)[1] == 0 and ok
+        pids.pop()
+    gc.unfreeze()
+    return ok
 
 
 _END = b"."  # follows the last row sent to a CsvWriter
 
 
 def _widen(fd, size):
-    """Let the pipe written through `fd` hold `size` bytes, where the system
-    allows it (Linux, up to the user's pipe size limit)."""
+    """Let the pipe written through `fd` hold `size` bytes, or as many as the
+    system allows (Linux: up to /proc/sys/fs/pipe-max-size, unless the
+    process may exceed it)."""
     try:
         import fcntl
-        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, size)
-    except (ImportError, AttributeError, OSError):
+        try:
+            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, size)
+        except OSError:  # EPERM above the limit
+            with open("/proc/sys/fs/pipe-max-size", encoding="ascii") as limit:
+                fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, min(size, int(limit.read())))
+    except (ImportError, AttributeError, OSError, ValueError):
         pass
 
 
@@ -135,62 +211,47 @@ class CsvWriter:
     short of CPU time nor for one that was just woken. The text goes to an
     anonymous temporary file, encoded as write_csv encodes it. Only once
     `commit` has followed the last row does the writer create the output
-    directory and copy that text into the file, and exit with status 0; a
-    run that fails, or a process that dies, closes the pipe early, and the
-    writer leaves nothing behind. It exits by os._exit, which flushes no
-    buffered output of the forking process, and touches no standard stream.
-    The constructor raises OSError if there is no process to spare.
+    directory and copy that text into the file; a run that fails, or a
+    process that dies, closes the pipe early, and the writer leaves nothing
+    behind. It touches no standard stream. The constructor raises OSError,
+    as `fork` does, if there is no process to spare.
     """
 
     def __init__(self, path, times, dim):
         read, self.fd = os.pipe()
+
+        def body():
+            os.close(self.fd)
+            _defer_to_sender()
+            with open(read, "rb") as pipe, \
+                    tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+                spool.writelines(_csv_text(times, dim, _read_blocks(pipe, len(times), dim)))
+                if pipe.read(len(_END)) != _END:
+                    raise EOFError("the run ended without a commit")
+                _copy_spool(spool, path)
+
         try:
             _widen(self.fd, 8 * len(times) * dim + len(_END))
-            # Until reap, collections skip the objects the two processes
-            # share: a full one writes to every object it scans, and each
-            # page it writes is then copied (at N=20000 on two CPUs, about
-            # 1500 page faults and 11-16 ms of a 0.2-0.3 s integration).
-            gc.freeze()
-            self.pid = os.fork()
+            self.pid = fork(body)
         except OSError:
-            gc.unfreeze()
             os.close(read)
             os.close(self.fd)
             raise
-        if self.pid == 0:
-            status = 1
-            try:
-                os.close(self.fd)
-                _defer_to_sender()
-                with open(read, "rb") as pipe, \
-                        tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
-                    spool.writelines(_csv_text(times, dim, _read_blocks(pipe, len(times), dim)))
-                    if pipe.read(len(_END)) == _END:
-                        _copy_spool(spool, path)
-                        status = 0
-            finally:
-                os._exit(status)
         os.close(read)
 
-    def send(self, states):
-        """Pass the (rows, dim) array `states`, the next rows of the file, on to
-        the writer. Once a write fails, as when the writer is gone, the rest
-        is dropped."""
-        self._write(states)
-
-    def commit(self):
-        """Tell the writer that every row has been sent: it writes the file."""
-        self._write(_END)
-
-    def _write(self, data):
-        if self.fd is None:
-            return
+    def send(self, data):
+        """Pass `data`, the next rows as a (rows, dim) array or _END, on to the
+        writer; once a write fails (the writer is gone), the rest is dropped."""
         view = memoryview(data).cast("B")
         try:
-            while view:
+            while view and self.fd is not None:
                 view = view[os.write(self.fd, view):]
         except OSError:  # BrokenPipeError if the writer is gone
             self._close()
+
+    def commit(self):
+        """Tell the writer that every row has been sent: it writes the file."""
+        self.send(_END)
 
     def _close(self):
         if self.fd is not None:
@@ -198,11 +259,9 @@ class CsvWriter:
             self.fd = None
 
     def reap(self):
-        """Close the pipe, let collections cover every object again and wait
-        for the writer; True if it wrote the file."""
+        """Close the pipe and wait for the writer; True if it wrote the file."""
         self._close()
-        gc.unfreeze()
-        return os.waitpid(self.pid, 0)[1] == 0
+        return reap([self.pid])
 
 
 class TemplateCache:

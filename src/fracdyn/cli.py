@@ -3,18 +3,20 @@
 Subcommands:
     simulate     integrate a configured run; writes trajectory.csv,
                  per-component orbit plots fig1.svg..figN.svg and report.kv;
-                 a run whose CSV is worth forking a writer for (the sweep's
-                 rule) streams its rows to one forked writer as they are
-                 integrated, and writes the CSV inline if that writer fails
+                 a run that artifacts.writer_count gives a writer streams its
+                 CSV to it while it integrates, or writes it inline if that fails
     stability    classify an equilibrium of a registered system
     gains-check  closed-form feedback-gain diagnostics for the controlled
                  Maxwell-Bloch model at either equilibrium family
     convergence  empirical order study against an analytic solution
     sweep        run several simulate configs, each writing the bytes of its
                  lone simulate; solver.integrate_batches integrates those that
-                 share (system, alpha, h, steps), and a batch with enough to
-                 write is written by forked processes, one per CPU, while the
-                 next is integrated, inline if one fails (--jobs is ignored)
+                 share (system, alpha, h, steps), and the writers that
+                 artifacts.writer_count gives a batch write it while the next
+                 is integrated, inline if one fails (--jobs is ignored)
+
+Both kinds of writer are forked and reaped in artifacts, where collections
+skip the objects a writer shares with this process while it lives.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical failure
 during integration (the failing step index goes to stderr), 141 (128 +
@@ -22,7 +24,9 @@ SIGPIPE) when the reader of standard output goes away, as in `| head`.
 """
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import itertools
 import os
 import re
@@ -37,8 +41,11 @@ from .artifacts import (
     CsvWriter,
     TemplateCache,
     distance,
+    fork,
+    reap,
     write_artifacts,
     write_plots_and_report,
+    writer_count,
 )
 from .expconfig import ConfigError, ExperimentConfig, load_config
 from .numkit import ConvergenceError, DomainError
@@ -52,22 +59,6 @@ from .solver import (
 )
 from .stability import _fmt, classify_equilibrium, e1_gain_condition, e2_gain_condition
 from .systems import controlled
-
-# Writing one member's artifacts inline takes about 2 ms plus 1 us per
-# trajectory value (5-D model: 3.5 ms at N=300, 12 ms at N=2000). Forking and
-# reaping a batch's writers costs about 10 ms; on two CPUs, sweeps of one
-# batch were no faster forked below 0.05 s of inline writing (4 configs at
-# N=2000), faster in some series of runs and slower in others up to about
-# 0.1 s (12 at N=1000, 6 or 8 at N=2000) and faster in most series from
-# about 0.1 s (16 at N=1000, 12 at N=2000). The same rule decides whether
-# a lone simulate streams its trajectory.csv to a forked writer: the 5-D
-# model forks from N=19599 (0.1 s), and paper-scale runs (N=500, 4.5 ms)
-# write inline. With the second CPU free, a streamed 5-D run was about as
-# fast as an inline one at N=2000 and faster from N=5000 on.
-WRITE_MEMBER_S = 2e-3
-WRITE_VALUE_S = 1e-6
-FORK_MIN_WRITE_S = 0.1
-
 
 def _resolve(cfg):
     """Turn an ExperimentConfig into (system, x0, target point or None)."""
@@ -97,12 +88,10 @@ def _run_experiment(cfg):
     sysdef, x0, target = _resolve(cfg)
     solver_cfg = _solver_config(cfg, x0)
     writer, streamed = None, False
-    if _forks_pay(_write_seconds(cfg.steps, x0.size), _writer_cpus()):
-        try:
+    if writer_count([(cfg.steps + 1, x0.size)]):
+        with contextlib.suppress(OSError):  # no process to spare: write the CSV inline
             writer = CsvWriter(Path(cfg.output_dir) / "trajectory.csv", solver_cfg.times(),
                                x0.size)
-        except OSError:  # no process to spare: write the CSV inline
-            pass
     if writer is None:
         traj = integrate(sysdef, solver_cfg)
     else:
@@ -233,72 +222,24 @@ def _sweep_group(members):
         yield [(members[b], outcome) for b, outcome in batch]
 
 
-def _cpu_count():
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _write_share(runs):
+    """Write the artifacts of the (member, trajectory) pairs `runs`."""
+    cache = TemplateCache() if len(runs) > 1 else None
+    for member, traj in runs:
+        write_artifacts(member.cfg, traj, member.target, cache)
 
 
-def _writer_cpus():
-    """CPUs that forked writers may use; 1 where there is no os.fork."""
-    return _cpu_count() if hasattr(os, "fork") else 1
-
-
-def _write_seconds(steps, dim):
-    """Estimated time to write the artifacts of one run in this process."""
-    return WRITE_MEMBER_S + WRITE_VALUE_S * (steps + 1) * dim
-
-
-def _inline_write_seconds(members):
-    """Estimated time to write the artifacts of `members` in this process."""
-    return sum(_write_seconds(m.cfg.steps, m.x0.size) for m in members)
-
-
-def _forks_pay(seconds, cpus):
-    """Whether writing in forked processes what takes `seconds` to write
-    inline pays: on two CPUs or more, from FORK_MIN_WRITE_S."""
-    return cpus >= 2 and seconds >= FORK_MIN_WRITE_S
-
-
-def _wait(pids):
-    """Reap the writers `pids`, emptying the list; True if all exited with 0."""
-    ok = True
-    while pids:
-        ok = os.waitpid(pids[-1], 0)[1] == 0 and ok
-        pids.pop()
-    return ok
-
-
-def _fork_writers(batch, cpus):
-    """Fork the processes that write `batch`'s trajectories; their pids.
-
-    None fork on one CPU or below FORK_MIN_WRITE_S of inline writing; else
-    one writer per CPU, but no more than the trajectories, writes a strided
-    share. A writer leaves by os._exit, which flushes no buffered output of
-    this process, with status 0 only if all its writes succeeded.
-    """
+def _fork_writers(batch):
+    """The pids of the writers writer_count picks for `batch`'s trajectories,
+    each forked to write a strided share; none if it is written inline."""
     runs = [(member, traj) for member, traj in batch if not isinstance(traj, NumericalError)]
-    if not _forks_pay(_inline_write_seconds(member for member, _ in runs), cpus):
-        return []
-    writers, pids = min(cpus, len(runs)), []
+    writers, pids = writer_count([traj.states.shape for _, traj in runs]), []
     for share in range(writers):
         try:
-            pid = os.fork()
+            pids.append(fork(functools.partial(_write_share, runs[share::writers])))
         except OSError:  # no process to spare: write the batch inline
-            _wait(pids)
+            reap(pids)
             return []
-        if pid == 0:
-            status = 1
-            try:
-                mine = runs[share::writers]
-                cache = TemplateCache() if len(mine) > 1 else None
-                for member, traj in mine:
-                    write_artifacts(member.cfg, traj, member.target, cache)
-                status = 0
-            finally:
-                os._exit(status)
-        pids.append(pid)
     return pids
 
 
@@ -336,11 +277,10 @@ def _cmd_sweep(args):
     # error inline writing raises, though the writers may have written later
     # members of that batch. A member's summary or failure is printed once
     # its files are complete; the empty batch last finishes the final one.
-    cpus = _writer_cpus()
     previous, pids = [], []
     try:
         for batch in itertools.chain(*map(_sweep_group, groups.values()), [[]]):
-            inline = not pids or not _wait(pids)
+            inline = not pids or not reap(pids)
             cache = TemplateCache() if inline and len(previous) > 1 else None
             for member, outcome in previous:
                 if isinstance(outcome, NumericalError):
@@ -351,9 +291,9 @@ def _cmd_sweep(args):
                 if inline:
                     write_artifacts(member.cfg, outcome, member.target, cache)
                 _print_summary(member.cfg, outcome, member.target)
-            previous, pids = batch, _fork_writers(batch, cpus)
+            previous, pids = batch, _fork_writers(batch)
     finally:
-        _wait(pids)  # writers still running when the sweep fails
+        reap(pids)  # writers still running when the sweep fails
 
     for path, code in zip(args.configs, codes):
         print(f"{path}: {'ok' if code == 0 else f'failed (exit {code})'}")

@@ -1,8 +1,11 @@
 """Artifact text from cached templates: trajectory.csv and the polylines of
 the SVG plots are byte for byte what per-cell formatting gives, whichever
-trajectories share a template, and writing keeps no O(N) memory."""
+trajectories share a template, and writing keeps no O(N) memory. Also the
+rule that picks forked writers and the pipe a CsvWriter is sent through."""
 
+import gc
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -192,3 +195,56 @@ def test_lone_write_keeps_no_template(tmp_path):
         tracemalloc.stop()
     assert peak - before <= 1.73e6
     assert kept - before < 8 * n
+
+
+@pytest.mark.parametrize("runs, steps, dim, cpus, writers", [
+    # writing a batch of `runs` 5-D trajectories forks one writer per CPU,
+    # but no more than the runs, or none on one CPU or below 0.1 s
+    (16, 2000, 5, 2, 2), (16, 2000, 5, 1, 0), (3, 20000, 5, 16, 3), (1, 20000, 5, 2, 1),
+    (0, 0, 5, 2, 0), (16, 30, 5, 2, 0), (1000000, 30, 5, 2, 2), (5, 20000, 5, 64, 5),
+    # sweeps: large ones fork, small ones write inline
+    (64, 2000, 5, 2, 2), (48, 300, 5, 2, 2), (2, 30, 5, 2, 0), (4, 2000, 5, 2, 0),
+    (12, 1000, 5, 2, 0),
+    # a lone simulate streams its CSV from N=19599 on the 5-D model
+    (1, 500, 5, 2, 0), (1, 19598, 5, 2, 0), (1, 19599, 5, 2, 1), (1, 19599, 5, 1, 0),
+    (1, 20000, 5, 1, 0), (1, 20000, 1, 2, 0),
+])
+def test_writer_count_is_clamped(monkeypatch, runs, steps, dim, cpus, writers):
+    monkeypatch.setattr(artifacts, "_cpu_count", lambda: cpus)
+    assert artifacts.writer_count([(steps + 1, dim)] * runs) == writers
+
+
+def test_writer_count_is_zero_without_fork(monkeypatch):
+    monkeypatch.setattr(artifacts, "_cpu_count", lambda: 2)
+    monkeypatch.delattr(os, "fork")
+    assert artifacts.writer_count([(2001, 5)] * 64) == 0
+
+
+def test_reap_waits_for_every_fork_and_reports_a_failed_one():
+    pids = [artifacts.fork(lambda: None), artifacts.fork(lambda: 1 / 0),
+            artifacts.fork(lambda: None)]
+    assert gc.get_freeze_count() > 0  # collections skip what the forks share
+    assert not artifacts.reap(pids) and pids == []
+    assert gc.get_freeze_count() == 0
+    pids = [artifacts.fork(lambda: None)]
+    assert artifacts.reap(pids) and pids == []
+    with pytest.raises(ChildProcessError):  # no child, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_streamed_pipe_holds_what_the_system_allows(tmp_path):
+    # N=60000, d=5 asks for more than the default pipe-max-size of 1 MiB,
+    # which an unprivileged process may not exceed
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_GETPIPE_SZ"):
+        pytest.skip("no pipe sizes on this system")
+    times = np.arange(60_001) * 0.01
+    request = 8 * len(times) * 5 + 1
+    with open("/proc/sys/fs/pipe-max-size", encoding="ascii") as limit:
+        allowed = min(request, int(limit.read()))
+    writer = artifacts.CsvWriter(tmp_path / "out" / "trajectory.csv", times, 5)
+    try:
+        assert fcntl.fcntl(writer.fd, fcntl.F_GETPIPE_SZ) >= allowed
+    finally:
+        assert not writer.reap()  # no commit: the writer writes nothing
+    assert not (tmp_path / "out").exists()

@@ -666,8 +666,8 @@ class TestSweep:
 
     def _force_writers(self, monkeypatch, cpus):
         """Fork a writer per CPU (cpus > 1) for any batch, however small."""
-        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
-        monkeypatch.setattr(cli, "FORK_MIN_WRITE_S", 0.0)
+        monkeypatch.setattr(artifacts, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(artifacts, "FORK_MIN_WRITE_S", 0.0)
 
     @pytest.mark.parametrize("case", ["numerical", "unresolved"])
     def test_writers_do_not_change_the_output(self, tmp_path, capsys, monkeypatch, case):
@@ -757,6 +757,33 @@ class TestSweep:
         assert code == 0 and err == "" and len(written) == 3 * 7
         assert runs[2] == runs[1]
 
+    def test_failed_second_fork_writes_the_batch_inline(self, tmp_path, capsys, monkeypatch):
+        # the first writer forks and the second cannot: the first is reaped
+        # and the sweep writes the whole batch itself (every writer.pid holds
+        # this process's id), with the bytes of a sweep that writes inline
+        monkeypatch.setattr(cli, "write_artifacts", write_artifacts_and_pid)
+        paths = [self._write(tmp_path, f"c{i}.cfg", tmp_path / "out" / f"c{i}",
+                             epsilon=0.01 * (i + 1)) for i in range(3)]
+        argv = ["sweep", *map(str, paths)]
+        self._force_writers(monkeypatch, 1)
+        inline = self._run_sweep(argv, tmp_path / "out", capsys)
+        assert inline[0] == 0 and len(inline[3]) == 3 * 8
+        made, fork = [], os.fork
+
+        def second_fork_fails():
+            made.append(1)
+            if len(made) == 2:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        self._force_writers(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        assert self._run_sweep(argv, tmp_path / "out", capsys) == inline
+        assert made == [1, 1]
+        with pytest.raises(ChildProcessError):  # the first writer was reaped
+            os.waitpid(-1, os.WNOHANG)
+        assert gc.get_freeze_count() == 0
+
     def _forking_sweep(self, tmp_path, then):
         """A child interpreter's argv that runs, on two CPUs, a sweep that
         forks writers by the default rule (16 configs at N=2000, 0.36 s of
@@ -764,7 +791,8 @@ class TestSweep:
         paths = [self._write(tmp_path, f"c{i}.cfg", tmp_path / "out" / f"c{i}",
                              steps=2000, epsilon=0.001 * (i + 1)) for i in range(16)]
         return [sys.executable, "-c",
-                "import sys; from fracdyn import cli; cli._cpu_count = lambda: 2; "
+                "import sys; from fracdyn import artifacts, cli; "
+                "artifacts._cpu_count = lambda: 2; "
                 f"code = cli.main({['sweep', *map(str, paths)]!r}); {then}"]
 
     def test_killed_sweep_leaves_no_writer_running(self, tmp_path):
@@ -804,9 +832,9 @@ class TestSweep:
     def test_writers_are_forked_only_when_they_pay(self, tmp_path, capsys, monkeypatch,
                                                    cpus, configs, min_write_s, forked):
         monkeypatch.setattr(cli, "write_artifacts", write_artifacts_and_pid)
-        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(artifacts, "_cpu_count", lambda: cpus)
         if min_write_s is not None:
-            monkeypatch.setattr(cli, "FORK_MIN_WRITE_S", min_write_s)
+            monkeypatch.setattr(artifacts, "FORK_MIN_WRITE_S", min_write_s)
         paths = [self._write(tmp_path, f"c{i}.cfg", tmp_path / "out" / f"c{i}")
                  for i in range(configs)]
         assert main(["sweep", *map(str, paths), "--jobs", "2"]) == 0
@@ -823,37 +851,14 @@ class TestSweep:
         argv = ["sweep", *map(str, paths)]
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys; from fracdyn import cli; cli._cpu_count = lambda: 2; "
-             f"cli.FORK_MIN_WRITE_S = 0.0; print('#marker#'); sys.exit(cli.main({argv!r}))"],
+             "import sys; from fracdyn import artifacts, cli; artifacts._cpu_count = lambda: 2; "
+             "artifacts.FORK_MIN_WRITE_S = 0.0; print('#marker#'); "
+             f"sys.exit(cli.main({argv!r}))"],
             env=CHILD_ENV, capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("#marker#") == 1 and proc.stdout.count(": ok") == 3
         assert proc.stderr == ""
-
-    @pytest.mark.parametrize("batch, write_s, cpus, writers", [
-        (16, 1.4, 2, 2), (16, 1.4, 1, 1), (3, 1.4, 16, 3), (1, 1.4, 2, 1), (0, 0.0, 2, 1),
-        (16, 0.09, 2, 1), (1000000, 1e9, 2, 2), (5, 1e9, 64, 5),
-    ])
-    def test_writer_count_is_clamped(self, monkeypatch, batch, write_s, cpus, writers):
-        # processes that write a batch of `batch` trajectories, 1 meaning inline,
-        # when writing it inline would take `write_s` seconds
-        monkeypatch.setattr(cli, "_inline_write_seconds", lambda members: write_s)
-        monkeypatch.setattr(cli, "write_artifacts", lambda cfg, traj, target, cache: None)
-        pids = cli._fork_writers([(cli._Member(0, None, None, None), None)] * batch, cpus)
-        forked = len(pids)
-        assert cli._wait(pids) and pids == []
-        assert max(1, forked) == writers
-
-    @pytest.mark.parametrize("configs, steps, forks", [(64, 2000, True), (16, 2000, True),
-                                                       (48, 300, True), (2, 30, False),
-                                                       (4, 2000, False), (12, 1000, False)])
-    def test_write_estimate_picks_the_pool_for_large_sweeps(self, configs, steps, forks):
-        # whether a batch of `configs` members forks its writers
-        cfg = ExperimentConfig(system="maxwell-bloch-5d", alpha=0.65, h=0.01, steps=steps,
-                               x0=(0.1,) * 5)
-        members = [cli._Member(i, cfg, np.full(5, 0.1), None) for i in range(configs)]
-        assert (cli._inline_write_seconds(members) >= cli.FORK_MIN_WRITE_S) == forks
 
     def test_rerun_gives_identical_bytes(self, tmp_path, capsys):
         paths = [self._write(tmp_path, f"c{i}.cfg", tmp_path / "out" / f"c{i}",
@@ -922,13 +927,13 @@ class TestStreamedCsv:
         """The forks a run makes, recorded in the returned list."""
         made, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
-        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(artifacts, "_cpu_count", lambda: 2)
         return made
 
     def _run(self, argv, root, capsys, monkeypatch, stream):
         """Exit code, stdout, stderr and files under `root` of a simulate
         with its CSV streamed or written inline; `root` is then removed."""
-        monkeypatch.setattr(cli, "FORK_MIN_WRITE_S", 0.0 if stream else math.inf)
+        monkeypatch.setattr(artifacts, "FORK_MIN_WRITE_S", 0.0 if stream else math.inf)
         code = main(argv)
         captured = capsys.readouterr()
         written = tree_bytes(root) if root.exists() else None
@@ -940,13 +945,6 @@ class TestStreamedCsv:
         assert forks == []
         streamed = self._run(argv, root, capsys, monkeypatch, stream=True)
         return inline, streamed
-
-    @pytest.mark.parametrize("steps, dim, streams", [(500, 5, False), (19598, 5, False),
-                                                     (19599, 5, True), (20000, 5, True),
-                                                     (20000, 1, False)])
-    def test_the_sweep_rule_picks_the_long_runs(self, steps, dim, streams):
-        assert cli._forks_pay(cli._write_seconds(steps, dim), 2) == streams
-        assert not cli._forks_pay(cli._write_seconds(steps, dim), 1)
 
     @pytest.mark.parametrize("run", [controlled_run, decay_run], ids=["controlled", "decay"])
     @pytest.mark.parametrize("steps", [1, 255, 256, 257, 511, 3000])
@@ -989,7 +987,7 @@ class TestStreamedCsv:
             raise RuntimeError("failed after the run")
 
         monkeypatch.setattr(cli, "integrate", failing_integrate)
-        monkeypatch.setattr(cli, "FORK_MIN_WRITE_S", 0.0)
+        monkeypatch.setattr(artifacts, "FORK_MIN_WRITE_S", 0.0)
         with pytest.raises(RuntimeError, match="failed after the run"):
             main(controlled_run(600, tmp_path / "out"))
         assert forks == [1]
@@ -1013,7 +1011,7 @@ class TestStreamedCsv:
         def no_fork():
             raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
-        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(artifacts, "_cpu_count", lambda: 2)
         argv = controlled_run(600, tmp_path / "out" / "run")
         inline = self._run(argv, tmp_path / "out", capsys, monkeypatch, stream=False)
         monkeypatch.setattr(os, "fork", no_fork)
@@ -1057,8 +1055,8 @@ class TestStreamedCsv:
         # forks; neither it nor anything else may reach the streams from it
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import os, sys; from fracdyn import cli; cli._cpu_count = lambda: 2; "
-             "cli.FORK_MIN_WRITE_S = 0.0; fork = os.fork; "
+             "import os, sys; from fracdyn import artifacts, cli; "
+             "artifacts._cpu_count = lambda: 2; artifacts.FORK_MIN_WRITE_S = 0.0; fork = os.fork; "
              "os.fork = lambda: print('#fork#', file=sys.stderr) or fork(); "
              f"print('#marker#'); sys.exit(cli.main({argv!r}))"],
             cwd=tmp_path, env=CHILD_ENV, capture_output=True, text=True,
@@ -1074,8 +1072,8 @@ class TestStreamedCsv:
         argv = controlled_run(20000, tmp_path / "out")
         script = "\n".join([
             "import os, sys",
-            "from fracdyn import cli",
-            "cli._cpu_count = lambda: 2",
+            "from fracdyn import artifacts, cli",
+            "artifacts._cpu_count = lambda: 2",
             "fork = os.fork",
             "def announced_fork():",
             "    pid = fork()",
@@ -1288,3 +1286,95 @@ def test_exit_code_contract_of_simulate(argv):
             assert not any(map(NON_FINITE.search, printed)), out.getvalue()
         if code == 3:
             assert not output.exists()
+
+
+EDGE_NUMBERS = (st.sampled_from(EDGES).flatmap(lambda v: st.sampled_from([v, -v]))
+                | st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def convergence_argvs(draw):
+    """argv of a `convergence` study of at most 16 steps per step size: mostly
+    halving step sizes that divide a short horizon, and now and then an
+    edge number as horizon, step size, t_min, alpha or x0, or another system."""
+    def now_and_then():
+        return not draw(st.integers(0, 9))
+
+    tau = draw(EDGE_NUMBERS if now_and_then() else st.sampled_from([0.25, 1.0, 2.0]))
+    first = draw(st.sampled_from([1, 2, 4]))
+    hs = [tau / (first * 2 ** i) for i in range(draw(st.integers(1, 3)))]
+    if now_and_then():
+        hs[draw(st.integers(0, len(hs) - 1))] = draw(EDGE_NUMBERS)
+    alpha = draw(NUMBERS if now_and_then() else st.sampled_from([0.3, 0.65, 1.0])
+                 | st.floats(0.0, 1.0, exclude_min=True))
+    argv = ["convergence", "--alpha", repr(alpha), "--h-list", *map(repr, hs),
+            "--tau", repr(tau),
+            "--x0", repr(draw(NUMBERS if now_and_then() else st.floats(-10.0, 10.0)))]
+    if draw(st.booleans()):
+        t_min = draw(EDGE_NUMBERS if now_and_then() else st.sampled_from([0.0, tau / 2]))
+        argv += ["--t-min", repr(t_min)]
+    if now_and_then():
+        argv += ["--system", draw(st.sampled_from(sorted(SYSTEM_DIMS)))]
+    return argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(convergence_argvs())
+def test_exit_code_contract_of_convergence(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # no exception escapes
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 0:
+        assert not NON_FINITE.search(out.getvalue()), out.getvalue()
+
+
+def config_text(argv, output_dir):
+    """The config file that runs `simulate_argvs`' argv `argv` into `output_dir`."""
+    options, name = {}, None
+    for token in argv[1:]:
+        if token.startswith("--"):
+            name = token[2:]
+            options[name] = []
+        else:
+            options[name].append(token)
+    lines = ["[run]", *(f"{key} = {options[key][0]}" for key in ("system", "alpha", "h", "steps")),
+             f"output_dir = {output_dir}", "[initial]"]
+    lines += [f"{key} = {' '.join(options[key])}" for key in ("x0", "epsilon") if key in options]
+    lines.append("[control]")
+    if "gains" in options:
+        lines.append("gains = " + " ".join(options["gains"]))
+    for family in ("e1", "e2"):
+        if f"target-{family}" in options:
+            lines.append(f"target = {family} " + " ".join(options[f"target-{family}"]))
+    return "\n".join(lines) + "\n"
+
+
+def steady_argv(steps, epsilon):
+    """argv of the reference run at `steps` steps and offset `epsilon`."""
+    argv = [*REFERENCE_RUN]
+    argv[argv.index("--steps") + 1] = str(steps)
+    argv[argv.index("--epsilon") + 1] = repr(epsilon)
+    return argv
+
+
+STEADY_ARGVS = st.builds(steady_argv, st.integers(1, 16), st.floats(-0.1, 0.1))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(simulate_argvs() | STEADY_ARGVS, min_size=1, max_size=3), st.integers(0, 9))
+def test_exit_code_contract_of_sweep(runs, apart):
+    # every config writes to one directory when apart == 0, which fails the
+    # sweep; the other configs' lines, printed whatever the exit code, hold
+    # no non-finite number either
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"c{i}.cfg" for i in range(len(runs))]
+        for i, (path, argv) in enumerate(zip(paths, runs)):
+            path.write_text(config_text(argv, Path(tmp) / "out" / f"c{i if apart else 0}"))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["sweep", *map(str, paths)])  # no exception escapes
+        assert code in (0, 2, 3), err.getvalue()
+        # the printed paths are not numbers, whatever the directory's name
+        printed = out.getvalue().replace(tmp, "")
+        assert not NON_FINITE.search(printed), printed
