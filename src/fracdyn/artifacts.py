@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .stability import _fmt, _kv_join
+from .numkit import _fmt, _kv_join
 from .svgplot import line_chart, polyline_template
 
 __all__ = [

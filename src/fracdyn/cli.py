@@ -18,6 +18,11 @@ Subcommands:
 Both kinds of writer are forked and reaped in artifacts, where collections
 skip the objects a writer shares with this process while it lives.
 
+A command loads the fracdyn modules it runs on first use, when it starts:
+`stability` and `gains-check` never load the solver or the writers, and no
+writer compiles a module. `run`, the `fracdyn` script, exits without the
+collector's teardown.
+
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical failure
 during integration (the failing step index goes to stderr), 141 (128 +
 SIGPIPE) when the reader of standard output goes away, as in `| head`.
@@ -27,6 +32,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import gc
 import itertools
 import os
 import re
@@ -36,78 +42,62 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import maxbloch, registry
-from .artifacts import (
-    CsvWriter,
-    TemplateCache,
-    distance,
-    fork,
-    reap,
-    write_artifacts,
-    write_plots_and_report,
-    writer_count,
-)
-from .expconfig import ConfigError, ExperimentConfig, load_config
-from .numkit import ConvergenceError, DomainError
-from .solver import (
-    NumericalError,
-    SolverConfig,
-    _max_errors,
-    convergence_order,
-    integrate,
-    integrate_batches,
-)
-from .stability import _fmt, classify_equilibrium, e1_gain_condition, e2_gain_condition
-from .systems import controlled
 
 def _resolve(cfg):
     """Turn an ExperimentConfig into (system, x0, target point or None)."""
+    from . import artifacts, expconfig, maxbloch, registry
     target = None
     if cfg.target is not None:
         target = maxbloch.equilibrium_point(cfg.target[0], cfg.target[1:])
     sysdef = registry.build_system(cfg.system, gains=cfg.gains, target=target)
     if target is not None and target.size != sysdef.dim:
-        raise ConfigError("target dimension does not match the system")
+        raise expconfig.ConfigError("target dimension does not match the system")
     if cfg.x0 is None:
         with np.errstate(over="ignore"):  # SolverConfig refuses a non-finite x0
             x0 = target + cfg.epsilon
     else:
         x0 = np.asarray(cfg.x0, dtype=float)
         if x0.size != sysdef.dim:
-            raise ConfigError(f"x0 has {x0.size} components, system needs {sysdef.dim}")
-    if target is not None and np.isfinite(x0).all() and not np.isfinite(distance(x0, target)):
-        raise ConfigError("the distance from x0 to the target leaves the float range")
+            raise expconfig.ConfigError(f"x0 has {x0.size} components, system needs {sysdef.dim}")
+    if (target is not None and np.isfinite(x0).all()
+            and not np.isfinite(artifacts.distance(x0, target))):
+        raise expconfig.ConfigError("the distance from x0 to the target leaves the float range")
     return sysdef, x0, target
 
 
 def _solver_config(cfg, x0):
+    from .solver import SolverConfig
     return SolverConfig(alpha=cfg.alpha, h=cfg.h, n_steps=cfg.steps, x0=x0)
 
 
 def _run_experiment(cfg):
+    from . import artifacts, solver
     sysdef, x0, target = _resolve(cfg)
     solver_cfg = _solver_config(cfg, x0)
     writer, streamed = None, False
-    if writer_count([(cfg.steps + 1, x0.size)]):
+    if artifacts.writer_count([(cfg.steps + 1, x0.size)]):
         with contextlib.suppress(OSError):  # no process to spare: write the CSV inline
-            writer = CsvWriter(Path(cfg.output_dir) / "trajectory.csv", solver_cfg.times(),
-                               x0.size)
+            writer = artifacts.CsvWriter(Path(cfg.output_dir) / "trajectory.csv",
+                                         solver_cfg.times(), x0.size)
     if writer is None:
-        traj = integrate(sysdef, solver_cfg)
+        traj = solver.integrate(sysdef, solver_cfg)
     else:
         try:
-            traj = integrate(sysdef, solver_cfg, on_rows=writer.send)
+            traj = solver.integrate(sysdef, solver_cfg, on_rows=writer.send)
             writer.commit()
         finally:
             streamed = writer.reap()  # also when the run failed: see CsvWriter
     # a writer that failed or was killed leaves the CSV to write_artifacts
-    (write_plots_and_report if streamed else write_artifacts)(cfg, traj, target)
+    write = artifacts.write_plots_and_report if streamed else artifacts.write_artifacts
+    write(cfg, traj, target)
     _print_summary(cfg, traj, target)
     return 0
 
 
 def _print_summary(cfg, traj, target):
     """Print the lines that follow a run's written artifacts."""
+    from .artifacts import distance
+    from .numkit import _fmt
     print("final state: " + " ".join(_fmt(v) for v in traj.states[-1]))
     if target is not None:
         print(f"initial distance to target: {_fmt(distance(traj.states[0], target))}")
@@ -118,6 +108,7 @@ def _print_summary(cfg, traj, target):
 
 def _experiment_config(args):
     """The config file, if any, with every given flag overriding it."""
+    from .expconfig import ConfigError, ExperimentConfig, load_config
     changes = {"output_dir" if name == "output" else name: getattr(args, name)
                for name in ("system", "alpha", "h", "steps", "seed", "output")
                if getattr(args, name) is not None}
@@ -143,28 +134,27 @@ def _cmd_simulate(args):
     return _run_experiment(_experiment_config(args))
 
 
-def _point_from_args(args):
-    if args.e1 is not None:
-        return maxbloch.e1(args.e1[0], args.e1[1])
-    if args.e2 is not None:
-        return maxbloch.e2(args.e2[0])
-    return np.asarray(args.point, dtype=float)
-
-
 def _cmd_stability(args):
+    from . import maxbloch, registry, stability, systems
     if args.system == maxbloch.CONTROLLED_SYSTEM_NAME:
-        raise ConfigError("classify the controlled model by passing --gains "
-                          f"with {maxbloch.SYSTEM_NAME}")
+        raise ValueError("classify the controlled model by passing --gains "
+                         f"with {maxbloch.SYSTEM_NAME}")
     sysdef = registry.build_system(args.system)
-    point = _point_from_args(args)
+    if args.e1 is not None:
+        point = maxbloch.e1(args.e1[0], args.e1[1])
+    elif args.e2 is not None:
+        point = maxbloch.e2(args.e2[0])
+    else:
+        point = np.asarray(args.point, dtype=float)
     if args.gains is not None:
-        sysdef = controlled(sysdef, args.gains, point)
-    report = classify_equilibrium(sysdef, point, args.alpha)
+        sysdef = systems.controlled(sysdef, args.gains, point)
+    report = stability.classify_equilibrium(sysdef, point, args.alpha)
     print(report.to_kv() if args.format == "kv" else report.to_text())
     return 0
 
 
 def _cmd_gains_check(args):
+    from .stability import e1_gain_condition, e2_gain_condition
     rep = (e2_gain_condition(args.gains, *args.e2) if args.e2 is not None
            else e1_gain_condition(args.gains, *args.e1))
     print(rep.to_kv(args.alpha) if args.format == "kv" else rep.to_text(args.alpha))
@@ -172,21 +162,21 @@ def _cmd_gains_check(args):
 
 
 def _cmd_convergence(args):
-    oracle = registry.oracle_for(args.system, args.alpha, [args.x0])
+    from . import registry, solver
+    system = registry.LINEAR_DECAY if args.system is None else args.system
+    oracle = registry.oracle_for(system, args.alpha, [args.x0])
     if oracle is None:
-        raise ConfigError(
-            f"{args.system} has no analytic solution; pick {registry.LINEAR_DECAY}"
-        )
-    sysdef = registry.build_system(args.system)
+        raise ValueError(f"{system} has no analytic solution; pick {registry.LINEAR_DECAY}")
+    sysdef = registry.build_system(system)
     hs = list(args.h_list)
     rep = None
     if len(hs) >= 3:
-        rep = convergence_order(sysdef, args.alpha, oracle, hs, args.tau,
-                                [args.x0], t_min=args.t_min)
+        rep = solver.convergence_order(sysdef, args.alpha, oracle, hs, args.tau,
+                                       [args.x0], t_min=args.t_min)
         errors = rep.max_errors
     else:
-        errors = _max_errors(sysdef, args.alpha, oracle, hs, args.tau,
-                             [args.x0], t_min=args.t_min)
+        errors = solver._max_errors(sysdef, args.alpha, oracle, hs, args.tau,
+                                    [args.x0], t_min=args.t_min)
     print(f"{'h':>12} {'max error':>16}")
     for h, err in zip(hs, errors):
         print(f"{h:>12.6g} {err:>16.6e}")
@@ -203,13 +193,14 @@ class _Member(NamedTuple):
     """A resolved sweep config and its position on the command line."""
 
     index: int
-    cfg: ExperimentConfig
+    cfg: "ExperimentConfig"
     x0: np.ndarray
     target: Optional[np.ndarray]
 
 
 def _sweep_group(members):
     """Integrate one group's members; yields batches of (member, outcome) pairs."""
+    from . import maxbloch, registry, solver
     cfg = members[0].cfg
 
     def build(rows):
@@ -218,12 +209,13 @@ def _sweep_group(members):
         return registry.build_system(cfg.system, gains=[members[b].cfg.gains for b in rows],
                                      target=[members[b].target for b in rows])
 
-    for batch in integrate_batches(build, _solver_config(cfg, [m.x0 for m in members])):
+    for batch in solver.integrate_batches(build, _solver_config(cfg, [m.x0 for m in members])):
         yield [(members[b], outcome) for b, outcome in batch]
 
 
 def _write_share(runs):
     """Write the artifacts of the (member, trajectory) pairs `runs`."""
+    from .artifacts import TemplateCache, write_artifacts
     cache = TemplateCache() if len(runs) > 1 else None
     for member, traj in runs:
         write_artifacts(member.cfg, traj, member.target, cache)
@@ -232,37 +224,40 @@ def _write_share(runs):
 def _fork_writers(batch):
     """The pids of the writers writer_count picks for `batch`'s trajectories,
     each forked to write a strided share; none if it is written inline."""
-    runs = [(member, traj) for member, traj in batch if not isinstance(traj, NumericalError)]
-    writers, pids = writer_count([traj.states.shape for _, traj in runs]), []
+    from . import artifacts, solver
+    runs = [(member, traj) for member, traj in batch
+            if not isinstance(traj, solver.NumericalError)]
+    writers, pids = artifacts.writer_count([traj.states.shape for _, traj in runs]), []
     for share in range(writers):
         try:
-            pids.append(fork(functools.partial(_write_share, runs[share::writers])))
+            pids.append(artifacts.fork(functools.partial(_write_share, runs[share::writers])))
         except OSError:  # no process to spare: write the batch inline
-            reap(pids)
+            artifacts.reap(pids)
             return []
     return pids
 
 
 def _cmd_sweep(args):
+    from . import artifacts, expconfig, solver
     if args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+        raise expconfig.ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     codes, configs = [0] * len(args.configs), {}
     for index, path in enumerate(args.configs):
         try:
-            configs[index] = load_config(path)
+            configs[index] = expconfig.load_config(path)
         except (ValueError, OSError) as exc:  # ConfigError, or a file that is not UTF-8
             print(f"error in {path}: {exc}", file=sys.stderr)
             codes[index] = 2
     outdirs = [Path(cfg.output_dir).resolve() for cfg in configs.values()]
     if len(set(outdirs)) != len(outdirs):
-        raise ConfigError("sweep configs must write to disjoint output directories")
+        raise expconfig.ConfigError("sweep configs must write to disjoint output directories")
 
     groups = {}
     for index, cfg in configs.items():
         try:
             _, x0, target = _resolve(cfg)
             _solver_config(cfg, x0)  # bad alpha, h or steps fail this config only
-        except (ConfigError, ValueError) as exc:
+        except ValueError as exc:  # ConfigError is one
             print(f"error in {cfg.system} run: {exc}", file=sys.stderr)
             codes[index] = 2
             continue
@@ -280,20 +275,20 @@ def _cmd_sweep(args):
     previous, pids = [], []
     try:
         for batch in itertools.chain(*map(_sweep_group, groups.values()), [[]]):
-            inline = not pids or not reap(pids)
-            cache = TemplateCache() if inline and len(previous) > 1 else None
+            inline = not pids or not artifacts.reap(pids)
+            cache = artifacts.TemplateCache() if inline and len(previous) > 1 else None
             for member, outcome in previous:
-                if isinstance(outcome, NumericalError):
+                if isinstance(outcome, solver.NumericalError):
                     print(f"numerical failure in {member.cfg.system} run at step "
                           f"{outcome.step_index}: {outcome}", file=sys.stderr)
                     codes[member.index] = 3
                     continue
                 if inline:
-                    write_artifacts(member.cfg, outcome, member.target, cache)
+                    artifacts.write_artifacts(member.cfg, outcome, member.target, cache)
                 _print_summary(member.cfg, outcome, member.target)
             previous, pids = batch, _fork_writers(batch)
     finally:
-        reap(pids)  # writers still running when the sweep fails
+        artifacts.reap(pids)  # writers still running when the sweep fails
 
     for path, code in zip(args.configs, codes):
         print(f"{path}: {'ok' if code == 0 else f'failed (exit {code})'}")
@@ -357,18 +352,18 @@ def _build_parser():
     stab.add_argument("--format", choices=("text", "kv"), default="text")
     stab.set_defaults(func=_cmd_stability)
 
-    gc = subs.add_parser("gains-check", help="feedback gain diagnostics")
-    gc.add_argument("--gains", type=float, nargs=5, required=True,
+    gains = subs.add_parser("gains-check", help="feedback gain diagnostics")
+    gains.add_argument("--gains", type=float, nargs=5, required=True,
                     metavar=("K1", "K2", "K3", "K4", "K5"))
-    family = gc.add_mutually_exclusive_group(required=True)
+    family = gains.add_mutually_exclusive_group(required=True)
     family.add_argument("--e1", type=float, nargs=2, metavar=("M", "N"))
     family.add_argument("--e2", type=float, nargs=1, metavar="M")
-    gc.add_argument("--alpha", type=float, help="also report the verdict at this order")
-    gc.add_argument("--format", choices=("text", "kv"), default="text")
-    gc.set_defaults(func=_cmd_gains_check)
+    gains.add_argument("--alpha", type=float, help="also report the verdict at this order")
+    gains.add_argument("--format", choices=("text", "kv"), default="text")
+    gains.set_defaults(func=_cmd_gains_check)
 
     conv = subs.add_parser("convergence", help="empirical order study")
-    conv.add_argument("--system", default=registry.LINEAR_DECAY)
+    conv.add_argument("--system")  # linear-decay, the system with an analytic solution
     conv.add_argument("--alpha", type=float, required=True)
     conv.add_argument("--h-list", dest="h_list", type=float, nargs="+", required=True)
     conv.add_argument("--tau", type=float, default=1.0, help="horizon (default 1)")
@@ -398,9 +393,6 @@ def main(argv=None):
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here rather than at exit
         return code
-    except NumericalError as exc:
-        print(f"numerical failure at step {exc.step_index}: {exc}", file=sys.stderr)
-        return 3
     except BrokenPipeError:
         # the reader closed stdout: stop quietly; output still buffered goes
         # to devnull, so the flush at interpreter exit cannot fail again
@@ -408,10 +400,28 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (ConfigError, ConvergenceError, DomainError, ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
+        # ConfigError and DomainError are ValueErrors; the two RuntimeErrors
+        # a command reports are looked up only once an error arrives
+        from .numkit import ConvergenceError
+        from .solver import NumericalError
+        if isinstance(exc, NumericalError):
+            print(f"numerical failure at step {exc.step_index}: {exc}", file=sys.stderr)
+            return 3
+        if isinstance(exc, RuntimeError) and not isinstance(exc, ConvergenceError):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
+def run():
+    """The `fracdyn` script: main, then exit without the collector's teardown.
+    gc.freeze moves every object out of reach of the collections that run at
+    exit; atexit handlers and the flush of the standard streams still run."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -2,7 +2,8 @@
 
 Polynomials are coefficient sequences in ascending degree order; matrices
 are square numpy arrays of dimension at most 8. Everything here is a pure
-function of its inputs and safe to call concurrently.
+function of its inputs and safe to call concurrently. `_fmt` is the float
+format of every printed report and artifact.
 """
 
 import functools
@@ -31,6 +32,14 @@ class DomainError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """Series truncation target not met within the iteration budget."""
+
+
+def _fmt(x):
+    return f"{float(x):.17g}"
+
+
+def _kv_join(pairs):
+    return "\n".join(f"{k}={v}" for k, v in pairs)
 
 
 def _sorted_complex(values):

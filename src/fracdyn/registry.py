@@ -19,24 +19,6 @@ SYSTEMS = (
 )
 
 
-def _zero_field_system():
-    return SystemDef(
-        name=ZERO_FIELD,
-        dim=5,
-        field=lambda x: np.zeros_like(x, dtype=float),
-        jacobian=lambda x: np.zeros(np.shape(x) + (5,)),
-    )
-
-
-def _linear_decay_system():
-    return SystemDef(
-        name=LINEAR_DECAY,
-        dim=1,
-        field=lambda x: -np.asarray(x, dtype=float),
-        jacobian=lambda x: np.full(np.shape(x) + (1,), -1.0),
-    )
-
-
 def build_system(name, gains=None, target=None):
     """Instantiate a registered system by name.
 
@@ -55,9 +37,11 @@ def build_system(name, gains=None, target=None):
             raise ValueError(f"{name} needs gains and a target equilibrium")
         return maxbloch.controlled_system(gains, target)
     if name == ZERO_FIELD:
-        return _zero_field_system()
+        return SystemDef(name=ZERO_FIELD, dim=5, field=lambda x: np.zeros_like(x, dtype=float),
+                         jacobian=lambda x: np.zeros(np.shape(x) + (5,)))
     if name == LINEAR_DECAY:
-        return _linear_decay_system()
+        return SystemDef(name=LINEAR_DECAY, dim=1, field=lambda x: -np.asarray(x, dtype=float),
+                         jacobian=lambda x: np.full(np.shape(x) + (1,), -1.0))
     raise ValueError(f"unknown system {name!r}; available: {', '.join(SYSTEMS)}")
 
 

@@ -411,12 +411,14 @@ class ConvergenceReport:
 
 
 def _max_errors(sys, alpha, oracle, h_list, tau, x0, t_min=0.0):
-    """Max-norm error against `oracle` on grid points t >= t_min, per step size."""
+    """Max-norm error against `oracle` on grid points t >= t_min, per step size.
+    Bad input fails before the first run: every step size is checked and the
+    oracle evaluated on its grid first."""
     if not (0.0 < tau < math.inf and 0.0 <= t_min < math.inf):
         raise ValueError("tau must be positive and t_min non-negative, both finite")
     if t_min > tau:
         raise ValueError(f"no grid point lies in t >= t_min = {t_min} up to the horizon {tau}")
-    errors = []
+    cfgs = []
     for h in h_list:
         if not 0.0 < h < math.inf:
             raise ValueError("step sizes must be positive and finite")
@@ -425,17 +427,23 @@ def _max_errors(sys, alpha, oracle, h_list, tau, x0, t_min=0.0):
         n_steps = round(tau / h)
         if abs(n_steps * h - tau) > 1e-9 * tau:
             raise ValueError(f"step size {h} does not divide the horizon {tau}")
-        cfg = SolverConfig(alpha=alpha, h=h, n_steps=n_steps, x0=x0)
-        traj = integrate(sys, cfg)
-        keep = traj.times >= t_min - 1e-12
-        times = traj.times[keep]
+        cfgs.append(SolverConfig(alpha=alpha, h=h, n_steps=n_steps, x0=x0))
+    studies = []
+    for cfg in cfgs:
+        times = cfg.times()
+        keep = times >= t_min - 1e-12
+        times = times[keep]
         exact = np.array([oracle(t) for t in times], dtype=float)
         if not np.isfinite(exact).all():
             t = next(t for t, value in zip(times, exact) if not np.isfinite(value).all())
             raise ValueError(f"oracle is not finite at t = {t:.10g}")
+        studies.append((cfg, keep, exact))
+    errors = []
+    for cfg, keep, exact in studies:
+        states = integrate(sys, cfg).states[keep]
         # right-align each oracle value with its state, as `state - exact` would
-        exact = np.expand_dims(exact, tuple(range(1, traj.states.ndim - exact.ndim + 1)))
-        errors.append(float(np.max(np.abs(traj.states[keep] - exact), initial=0.0)))
+        exact = np.expand_dims(exact, tuple(range(1, states.ndim - exact.ndim + 1)))
+        errors.append(float(np.max(np.abs(states - exact), initial=0.0)))
     return errors
 
 

@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import numkit
+from .numkit import _fmt, _kv_join
 from .systems import as_gains, as_state, is_equilibrium, validate_alpha
 
 __all__ = [
@@ -69,16 +70,8 @@ class Verdict(enum.Enum):
         return self.value
 
 
-def _fmt(x):
-    return f"{float(x):.17g}"
-
-
 def _yes_no(flag):
     return "yes" if flag else "no"
-
-
-def _kv_join(pairs):
-    return "\n".join(f"{k}={v}" for k, v in pairs)
 
 
 def _eig_text(lam):

@@ -5,14 +5,17 @@ no linter in this project; these checks stand in for one."""
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import fracdyn
 
-# the command line front end exports `main` (the `fracdyn` script), no __all__
+# the command line front end exports `main` and `run` (the `fracdyn` script), no __all__
 MODULES = [f"fracdyn.{info.name}" for info in pkgutil.iter_modules(fracdyn.__path__)
            if info.name != "cli"]
 
@@ -37,14 +40,60 @@ def test_public_definitions_are_listed(name):
 
 
 def test_package_imports_exist():
-    tree = ast.parse(Path(fracdyn.__file__).read_text(encoding="utf-8"))
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        source = importlib.import_module("." * node.level + (node.module or ""), "fracdyn")
-        for alias in node.names:
-            assert hasattr(source, alias.name), f"{source.__name__}.{alias.name}"
-            assert getattr(fracdyn, alias.asname or alias.name) is getattr(source, alias.name)
+    # every exported name resolves to the object of the module that defines it
+    assert len(set(fracdyn.__all__)) == len(fracdyn.__all__)
+    for name in fracdyn.__all__:
+        value = getattr(fracdyn, name)
+        if inspect.ismodule(value):
+            assert value is importlib.import_module(f"fracdyn.{name}")
+            continue
+        source = importlib.import_module(f"fracdyn.{fracdyn._HOME[name]}")
+        assert value is getattr(source, name), f"{source.__name__}.{name}"
+        assert value.__module__ == source.__name__, f"{name} is defined elsewhere"
+    assert set(fracdyn.__all__) <= set(dir(fracdyn))
+    namespace = {}
+    exec("from fracdyn import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(fracdyn.__all__)
+    with pytest.raises(AttributeError):
+        fracdyn.no_such_name
+
+
+# child interpreters import the same fracdyn as this test session
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(Path(fracdyn.__file__).resolve().parents[1]),
+                  os.environ.get("PYTHONPATH")])))
+
+
+def loaded_after(statements):
+    """The fracdyn modules a fresh interpreter has loaded after `statements`."""
+    script = (f"import contextlib, io, sys\n{statements}\n"
+              "print(' '.join(sorted(m for m in sys.modules if m.startswith('fracdyn.'))))")
+    proc = subprocess.run([sys.executable, "-c", script], env=CHILD_ENV, capture_output=True,
+                          text=True, check=True)
+    return {name.partition(".")[2] for name in proc.stdout.split()}
+
+
+def test_package_import_loads_no_module():
+    assert loaded_after("import fracdyn; from fracdyn import __version__") == set()
+
+
+GAINS = ["--gains", "1.2", "1.2", "0.5", "0.5", "0"]
+
+
+# each command loads the modules it runs, and none of these
+@pytest.mark.parametrize("argv, unloaded", [
+    (["gains-check", *GAINS, "--e1", "0.5", "0", "--alpha", "0.65"],
+     {"solver", "artifacts", "svgplot", "expconfig"}),
+    (["stability", "maxwell-bloch-5d", "--alpha", "0.65", "--e2", "-0.125", *GAINS],
+     {"solver", "artifacts", "svgplot", "expconfig"}),
+    (["convergence", "--alpha", "0.65", "--h-list", "0.1", "0.05", "0.025"],
+     {"artifacts", "svgplot", "expconfig", "stability"}),
+], ids=["gains-check", "stability", "convergence"])
+def test_commands_load_only_what_they_run(argv, unloaded):
+    loaded = loaded_after("from fracdyn.cli import main\n"
+                          "with contextlib.redirect_stdout(io.StringIO()):\n"
+                          f"    assert main({argv!r}) == 0")
+    assert "cli" in loaded and not loaded & unloaded, sorted(loaded & unloaded)
 
 
 @pytest.mark.parametrize("path", sorted(Path(fracdyn.__file__).parent.glob("*.py")),

@@ -12,6 +12,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracdyn
-from fracdyn import artifacts, cli, solver
+from fracdyn import artifacts, registry, solver
 from fracdyn.artifacts import write_csv
 from fracdyn.cli import main
 from fracdyn.expconfig import ExperimentConfig, serialize_config
@@ -393,8 +394,20 @@ class TestConvergence:
                      "--h-list"] + h_list) == 2
         assert "does not divide" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("h_list, message", [
+        (["0.1", "1e-7"], "error: step size 1e-07 needs over 1000000 steps to reach 1.0\n"),
+        (["0.1", "0.03"], "error: step size 0.03 does not divide the horizon 1.0\n"),
+    ])
+    def test_bad_step_size_fails_before_any_run(self, capsys, monkeypatch, h_list, message):
+        calls, integrate = [], solver.integrate
+        monkeypatch.setattr(solver, "integrate",
+                            lambda *args: calls.append(1) or integrate(*args))
+        assert main(["convergence", "--alpha", "0.65", "--tau", "1", "--h-list", *h_list]) == 2
+        assert capsys.readouterr().err == message
+        assert calls == []
+
     def test_non_finite_oracle_is_bad_input(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli.registry, "oracle_for",
+        monkeypatch.setattr(registry, "oracle_for",
                             lambda *args: lambda t: math.nan if t > 0.5 else 1.0)
         assert main(["convergence", "--alpha", "0.65", "--h-list", "0.1"]) == 2
         assert capsys.readouterr().err == "error: oracle is not finite at t = 0.6\n"
@@ -432,24 +445,24 @@ def tree_bytes(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-cli_write_artifacts = cli.write_artifacts
+real_write_artifacts = artifacts.write_artifacts
 TEST_PID = os.getpid()
 
 
 def write_artifacts_and_pid(cfg, traj, target, cache=None):
-    """cli.write_artifacts, then the writing process's id in writer.pid."""
-    cli_write_artifacts(cfg, traj, target, cache)
+    """artifacts.write_artifacts, then the writing process's id in writer.pid."""
+    real_write_artifacts(cfg, traj, target, cache)
     (Path(cfg.output_dir) / "writer.pid").write_text(str(os.getpid()))
 
 
 def write_unless_forked(cfg, traj, target, cache=None):
-    """cli.write_artifacts, but a writer forked from this test process is
+    """artifacts.write_artifacts, but a writer forked from this test process is
     killed first, as by the kernel's OOM killer, leaving a file `killed`
     two levels above its output directory."""
     if os.getpid() != TEST_PID:
         (Path(cfg.output_dir).parents[1] / "killed").touch()
         os.kill(os.getpid(), signal.SIGKILL)
-    cli_write_artifacts(cfg, traj, target, cache)
+    real_write_artifacts(cfg, traj, target, cache)
 
 
 E2_RUN = dict(target=("e2", -0.125), gains=(0.25, 1.5, 0.25, 2.0 / 3.0, 1.0), steps=600)
@@ -745,7 +758,7 @@ class TestSweep:
         capsys.readouterr()
 
     def test_killed_writer_costs_only_time(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "write_artifacts", write_unless_forked)
+        monkeypatch.setattr(artifacts, "write_artifacts", write_unless_forked)
         paths = [self._write(tmp_path, f"c{i}.cfg", tmp_path / "out" / f"c{i}",
                              epsilon=0.01 * (i + 1)) for i in range(3)]
         runs = {}
@@ -761,7 +774,7 @@ class TestSweep:
         # the first writer forks and the second cannot: the first is reaped
         # and the sweep writes the whole batch itself (every writer.pid holds
         # this process's id), with the bytes of a sweep that writes inline
-        monkeypatch.setattr(cli, "write_artifacts", write_artifacts_and_pid)
+        monkeypatch.setattr(artifacts, "write_artifacts", write_artifacts_and_pid)
         paths = [self._write(tmp_path, f"c{i}.cfg", tmp_path / "out" / f"c{i}",
                              epsilon=0.01 * (i + 1)) for i in range(3)]
         argv = ["sweep", *map(str, paths)]
@@ -831,7 +844,7 @@ class TestSweep:
     ])
     def test_writers_are_forked_only_when_they_pay(self, tmp_path, capsys, monkeypatch,
                                                    cpus, configs, min_write_s, forked):
-        monkeypatch.setattr(cli, "write_artifacts", write_artifacts_and_pid)
+        monkeypatch.setattr(artifacts, "write_artifacts", write_artifacts_and_pid)
         monkeypatch.setattr(artifacts, "_cpu_count", lambda: cpus)
         if min_write_s is not None:
             monkeypatch.setattr(artifacts, "FORK_MIN_WRITE_S", min_write_s)
@@ -952,8 +965,8 @@ class TestStreamedCsv:
                                                   run, steps):
         # the writer, not the inline fallback, must write the CSV: only the
         # inline run may call write_artifacts
-        calls, write_artifacts = [], cli.write_artifacts
-        monkeypatch.setattr(cli, "write_artifacts",
+        calls, write_artifacts = [], artifacts.write_artifacts
+        monkeypatch.setattr(artifacts, "write_artifacts",
                             lambda *args: calls.append(1) or write_artifacts(*args))
         inline, streamed = self._both(run(steps, tmp_path / "out" / "run"), tmp_path / "out",
                                       capsys, monkeypatch, forks)
@@ -980,13 +993,13 @@ class TestStreamedCsv:
     def test_failure_after_the_last_row_leaves_no_output(self, tmp_path, capsys, monkeypatch,
                                                           forks):
         # the writer has every row but no commit: it writes nothing
-        integrate = cli.integrate
+        integrate = solver.integrate
 
         def failing_integrate(sysdef, cfg, on_rows):
             integrate(sysdef, cfg, on_rows=on_rows)
             raise RuntimeError("failed after the run")
 
-        monkeypatch.setattr(cli, "integrate", failing_integrate)
+        monkeypatch.setattr(solver, "integrate", failing_integrate)
         monkeypatch.setattr(artifacts, "FORK_MIN_WRITE_S", 0.0)
         with pytest.raises(RuntimeError, match="failed after the run"):
             main(controlled_run(600, tmp_path / "out"))
@@ -1183,6 +1196,24 @@ class TestEntryPoints:
         assert runs[0] == runs[1]
         assert runs[0][0] == 0 and runs[0][1].err == ""
 
+    @pytest.mark.parametrize("argv, code", [
+        (["gains-check", "--gains", "1.2", "1.2", "0.5", "0.5", "0", "--e1", "0.5", "0",
+          "--alpha", "0.65"], 0),
+        (["stability", "maxwell-bloch-5d-controlled", "--alpha", "0.65", "--e2", "-0.125"], 2),
+        (EARLY_BLOW_UP + ["--output", "out"], 3),
+    ])
+    def test_module_entry_matches_main(self, tmp_path, monkeypatch, argv, code):
+        # `python -m fracdyn.cli` exits through run, which freezes the collector
+        monkeypatch.chdir(tmp_path)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == code
+        proc = subprocess.run([sys.executable, "-m", "fracdyn.cli", *argv], cwd=tmp_path,
+                              env=CHILD_ENV, capture_output=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, out.getvalue().encode(), err.getvalue().encode())
+        assert not (tmp_path / "out").exists()
+
     def test_console_script(self):
         proc = subprocess.run(
             [sys.executable, "-m", "fracdyn.cli", "stability", "maxwell-bloch-5d",
@@ -1277,9 +1308,12 @@ def test_exit_code_contract_of_simulate(argv):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         output = Path(tmp) / "run"
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.object(solver, "integrate", wraps=solver.integrate) as integrate:
             code = main(argv + ["--output", str(output)])  # no exception escapes
         assert code in (0, 2, 3), err.getvalue()
+        # bad input never reaches the integrator
+        assert code != 2 or not integrate.called, err.getvalue()
         if code == 0:
             # the last line names the output path, which is not a number
             printed = out.getvalue().splitlines()[:-1]
@@ -1322,9 +1356,12 @@ def convergence_argvs(draw):
 @given(convergence_argvs())
 def test_exit_code_contract_of_convergence(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(solver, "integrate", wraps=solver.integrate) as integrate:
         code = main(argv)  # no exception escapes
     assert code in (0, 2, 3), err.getvalue()
+    # bad input never reaches the integrator
+    assert code != 2 or not integrate.called, err.getvalue()
     if code == 0:
         assert not NON_FINITE.search(out.getvalue()), out.getvalue()
 
