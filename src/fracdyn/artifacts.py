@@ -99,7 +99,8 @@ def write_csv(path, traj, templates=None):
 # a lone simulate streams its trajectory.csv to a forked writer: the 5-D
 # model forks from N=19599 (0.1 s), and paper-scale runs (N=500, 4.5 ms)
 # write inline. With the second CPU free, a streamed 5-D run was about as
-# fast as an inline one at N=2000 and faster from N=5000 on.
+# fast as an inline one at N=2000 and faster from N=5000 on; at N=60000 it
+# took 1.11 s against 1.31 s, faster in 10 of 10 fresh-process pairs.
 WRITE_MEMBER_S = 2e-3
 WRITE_VALUE_S = 1e-6
 FORK_MIN_WRITE_S = 0.1
@@ -162,37 +163,6 @@ def reap(pids):
 _END = b"."  # follows the last row sent to a CsvWriter
 
 
-def _widen(fd, size):
-    """Let the pipe written through `fd` hold `size` bytes, or as many as the
-    system allows (Linux: up to /proc/sys/fs/pipe-max-size, unless the
-    process may exceed it)."""
-    try:
-        import fcntl
-        try:
-            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, size)
-        except OSError:  # EPERM above the limit
-            with open("/proc/sys/fs/pipe-max-size", encoding="ascii") as limit:
-                fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, min(size, int(limit.read())))
-    except (ImportError, AttributeError, OSError, ValueError):
-        pass
-
-
-def _defer_to_sender():
-    """Put this process under SCHED_BATCH where the system has it (Linux).
-
-    Linux tends to run a process that a pipe write wakes on the CPU of the
-    process that wrote, and to let it preempt that process. A CsvWriter
-    woken by each block could then stall the run that sends the blocks for
-    as long as it takes to format them, even with a second CPU free. A
-    SCHED_BATCH process preempts no process on waking; it waits for its
-    turn, or for the scheduler to move it to an idle CPU.
-    """
-    try:
-        os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
-    except (AttributeError, OSError):
-        pass
-
-
 def _copy_spool(spool, path):
     """Create `path`, and its directory if need be, with the text in `spool`."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -205,16 +175,15 @@ class CsvWriter:
     """A forked process that formats a run's trajectory.csv from its states
     as they are computed, for a run that goes on meanwhile.
 
-    The states reach it through a pipe as raw float64 bytes. The pipe is
-    made to hold all of them where the system allows, and the writer runs
-    under SCHED_BATCH, so that sending waits neither for a writer that is
-    short of CPU time nor for one that was just woken. The text goes to an
-    anonymous temporary file, encoded as write_csv encodes it. Only once
-    `commit` has followed the last row does the writer create the output
-    directory and copy that text into the file; a run that fails, or a
-    process that dies, closes the pipe early, and the writer leaves nothing
-    behind. It touches no standard stream. The constructor raises OSError,
-    as `fork` does, if there is no process to spare.
+    The states reach it through a pipe as raw float64 bytes. A send waits
+    while the pipe is full, so a writer that falls behind holds the run
+    back. The text goes to an anonymous temporary file, encoded as
+    write_csv encodes it. Only once `commit` has followed the last row does
+    the writer create the output directory and copy that text into the
+    file; a run that fails, or a process that dies, closes the pipe early,
+    and the writer leaves nothing behind. It touches no standard stream.
+    The constructor raises OSError, as `fork` does, if there is no process
+    to spare.
     """
 
     def __init__(self, path, times, dim):
@@ -222,7 +191,6 @@ class CsvWriter:
 
         def body():
             os.close(self.fd)
-            _defer_to_sender()
             with open(read, "rb") as pipe, \
                     tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
                 spool.writelines(_csv_text(times, dim, _read_blocks(pipe, len(times), dim)))
@@ -231,7 +199,6 @@ class CsvWriter:
                 _copy_spool(spool, path)
 
         try:
-            _widen(self.fd, 8 * len(times) * dim + len(_END))
             self.pid = fork(body)
         except OSError:
             os.close(read)

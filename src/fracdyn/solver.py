@@ -171,6 +171,21 @@ def _lag_weights(m, alpha):
     return np.diff(d[:-1]), a
 
 
+def _fast_length(n):
+    """The smallest 2^a * 3^b * 5^c >= n: numpy's FFT is slow at lengths
+    with a large prime factor (at N=10^6, a far-field tile of 2^6 * 7433
+    took over ten times as long as one of 2^19)."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def _first_corrector_weights(n, alpha):
     """a[0, n+1] for an integer n or an array of them."""
     n = np.asarray(n, dtype=float)
@@ -256,16 +271,19 @@ class _Scheme:
         states = self.states.reshape(N + 1, -1)
         size = q & -q
         j0, o1 = o0 - size * _BLOCK, min(o0 + size * _BLOCK, N)
-        nfft = o1 - j0  # outputs see lags 1..nfft-1 only, so nothing wraps
-        kernels = [rfft(c * weights)
-                   for c, weights in zip((self.cp, self.cc), _lag_weights(nfft, self.alpha))]
+        # The data are zero from o0 - j0 on, so every output kept, o0 - j0
+        # to o1 - j0 - 1, sees lags 1 to o1 - j0 - 1 only: nothing wraps at
+        # any length from o1 - j0 on, and a 5-smooth one transforms fast.
+        nfft = _fast_length(o1 - j0)
+        kernels = [rfft(c * weights, nfft) for c, weights in
+                   zip((self.cp, self.cc), _lag_weights(o1 - j0, self.alpha))]
         chunk = max(1, _FFT_VALUES // nfft)
         for i in range(0, len(rows), chunk):
             spectra = rfft(rows[i : i + chunk, j0:o0], nfft)
             slots = (rows[i : i + chunk, o0 + 1 : o1 + 1],
                      states[o0 + 1 : o1 + 1, i : i + chunk].T)
             for kernel, out in zip(kernels, slots):
-                out += irfft(spectra * kernel, nfft)[:, o0 - j0 :]
+                out += irfft(spectra * kernel, nfft)[:, o0 - j0 : o1 - j0]
 
     def steps(self, field, s, e, preds, check=_unchecked):
         """Steps s..e-1 on numpy arrays: states and field values s+1..e.

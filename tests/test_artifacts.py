@@ -230,21 +230,3 @@ def test_reap_waits_for_every_fork_and_reports_a_failed_one():
     assert artifacts.reap(pids) and pids == []
     with pytest.raises(ChildProcessError):  # no child, running or unreaped
         os.waitpid(-1, os.WNOHANG)
-
-
-def test_streamed_pipe_holds_what_the_system_allows(tmp_path):
-    # N=60000, d=5 asks for more than the default pipe-max-size of 1 MiB,
-    # which an unprivileged process may not exceed
-    fcntl = pytest.importorskip("fcntl")
-    if not hasattr(fcntl, "F_GETPIPE_SZ"):
-        pytest.skip("no pipe sizes on this system")
-    times = np.arange(60_001) * 0.01
-    request = 8 * len(times) * 5 + 1
-    with open("/proc/sys/fs/pipe-max-size", encoding="ascii") as limit:
-        allowed = min(request, int(limit.read()))
-    writer = artifacts.CsvWriter(tmp_path / "out" / "trajectory.csv", times, 5)
-    try:
-        assert fcntl.fcntl(writer.fd, fcntl.F_GETPIPE_SZ) >= allowed
-    finally:
-        assert not writer.reap()  # no commit: the writer writes nothing
-    assert not (tmp_path / "out").exists()

@@ -1020,6 +1020,31 @@ class TestStreamedCsv:
         assert self._run(argv, tmp_path / "out", capsys, monkeypatch, stream=True) == inline
         assert forks == [1]
 
+    def test_sends_wait_for_a_slow_writer(self, tmp_path, capsys, monkeypatch, forks):
+        # the writer sleeps before it reads, and N=3000 sends 120 KB of rows,
+        # more than a default 64 KiB pipe holds: the last sends must wait
+        read_blocks, sending = artifacts._read_blocks, []
+
+        def late_read_blocks(*args):
+            time.sleep(0.2)
+            return read_blocks(*args)
+
+        send = artifacts.CsvWriter.send
+
+        def timed_send(writer, data):
+            start = time.perf_counter()
+            send(writer, data)
+            sending.append(time.perf_counter() - start)
+
+        argv = controlled_run(3000, tmp_path / "out" / "run")
+        inline = self._run(argv, tmp_path / "out", capsys, monkeypatch, stream=False)
+        monkeypatch.setattr(artifacts, "_read_blocks", late_read_blocks)
+        monkeypatch.setattr(artifacts.CsvWriter, "send", timed_send)
+        streamed = self._run(argv, tmp_path / "out", capsys, monkeypatch, stream=True)
+        assert forks == [1]
+        assert streamed == inline and inline[0] == 0
+        assert sum(sending) > 0.1
+
     def test_failed_fork_writes_inline(self, tmp_path, capsys, monkeypatch):
         def no_fork():
             raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")

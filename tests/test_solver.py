@@ -14,6 +14,7 @@ from fracdyn.solver import (
     NumericalError,
     SolverConfig,
     _Scheme,
+    _fast_length,
     _first_corrector_weights,
     _lag_weights,
     _max_errors,
@@ -292,9 +293,11 @@ CONTROLLED_RUNS = (
     (maxbloch.controlled_system([0.25, 1.5, 0.25, 2.0 / 3.0, 1.0], CONTROLLED_E2),
      CONTROLLED_E2 + 0.01),
 )
-# inside one block, its edges, the first far-field tiles, and a run whose
-# last tiles are clipped to the steps that exist
-ORACLE_STEPS = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 4 * _BLOCK + 1, 3000)
+# inside one block, its edges, the first far-field tiles, and runs whose
+# last tiles are clipped to the steps that exist, at lengths that are not
+# 5-smooth and so transform zero-padded: 976 = 2^4 * 61 and 464 = 2^4 * 29
+# at N=2000, 952 and 440 at N=3000
+ORACLE_STEPS = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 4 * _BLOCK + 1, 2000, 3000)
 
 
 def assert_matches_direct_sum(sys, cfg):
@@ -303,6 +306,26 @@ def assert_matches_direct_sum(sys, cfg):
     for got, expected in ((traj.states, states), (traj.predictor_states, preds)):
         bad = np.abs(got - expected) > 1e-13 * np.maximum(1.0, np.abs(expected))
         assert not bad.any(), f"{sys.name} from {cfg.x0}, N={cfg.n_steps}: {np.argwhere(bad)[:3]}"
+
+
+def next_smooth_lengths(limit):
+    """The smallest 2^a * 3^b * 5^c >= n, at index n for n < limit, found by
+    dividing every integer below twice `limit` by 2, 3 and 5 while it can."""
+    rest = np.arange(2 * limit)
+    rest[0] = 7  # 0 is not a length
+    for p in (2, 3, 5):
+        while (divisible := rest % p == 0).any():
+            rest[divisible] //= p
+    candidates = np.where(rest == 1, np.arange(2 * limit), 2 * limit)
+    return np.minimum.accumulate(candidates[::-1])[::-1][:limit]
+
+
+def test_fast_length_is_the_next_5_smooth_length():
+    next_smooth = next_smooth_lengths(2**21 + 1)
+    for n in range(1, 2**16 + 1):
+        assert _fast_length(n) == next_smooth[n], n
+    for n in np.random.default_rng(24).integers(2**16, 2**21, 2000, endpoint=True).tolist():
+        assert _fast_length(n) == next_smooth[n], n
 
 
 class TestKernelAgainstDirectSum:
