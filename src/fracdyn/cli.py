@@ -13,7 +13,9 @@ Subcommands:
                  lone simulate; solver.integrate_batches integrates those that
                  share (system, alpha, h, steps), and the writers that
                  artifacts.writer_count gives a batch write it while the next
-                 is integrated, inline if one fails (--jobs is ignored)
+                 is integrated, inline if one fails (--jobs is ignored); the
+                 summaries come group by group, in the order of each group's
+                 first config, and in command-line order within a group
 
 Both kinds of writer are forked and reaped in artifacts, where collections
 skip the objects a writer shares with this process while it lives.
@@ -271,7 +273,8 @@ def _cmd_sweep(args):
     # member order, so a failing write ends the sweep at its member with the
     # error inline writing raises, though the writers may have written later
     # members of that batch. A member's summary or failure is printed once
-    # its files are complete; the empty batch last finishes the final one.
+    # its files are complete, so they come in group order, not command-line
+    # order; the empty batch last finishes the final one.
     previous, pids = [], []
     try:
         for batch in itertools.chain(*map(_sweep_group, groups.values()), [[]]):

@@ -70,8 +70,8 @@ def parse_config(text):
     parser.optionxform = str
     try:
         parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse configuration: {exc}") from exc
+    except configparser.Error as exc:  # its message spans lines: keep the error on one
+        raise ConfigError("cannot parse configuration: " + " ".join(str(exc).split())) from exc
     if not parser.has_section("run"):
         raise ConfigError("missing [run] section")
     run = parser["run"]

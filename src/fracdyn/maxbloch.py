@@ -8,7 +8,7 @@ vector field is
 
 which can equivalently be written A*x + x1*(A1*x) + x2*(A2*x) with the
 constant matrices below. Its equilibria form exactly two families:
-(m, n, 0, 0, 0) with m^2 + n^2 != 0, and (0, 0, 0, 0, m). The origin is
+(m, n, 0, 0, 0) with (m, n) != (0, 0), and (0, 0, 0, 0, m). The origin is
 the degenerate member of the second family.
 
 The controlled model (`controlled_system`) pairs its numpy field with the
@@ -25,7 +25,6 @@ from .systems import SystemDef, as_gains, as_state, controlled
 __all__ = [
     "SYSTEM_NAME",
     "CONTROLLED_SYSTEM_NAME",
-    "FAMILY_TOL",
     "A",
     "A1",
     "A2",
@@ -42,9 +41,6 @@ __all__ = [
 
 SYSTEM_NAME = "maxwell-bloch-5d"
 CONTROLLED_SYSTEM_NAME = "maxwell-bloch-5d-controlled"
-
-# Components below FAMILY_TOL in magnitude count as zero in `family_of`.
-FAMILY_TOL = 1e-12
 
 
 def _constant(entries):
@@ -86,7 +82,7 @@ def jacobian(x):
 
 def e1(m, n):
     """Equilibrium (m, n, 0, 0, 0); m and n must not both vanish."""
-    if m * m + n * n == 0:
+    if m == 0 and n == 0:
         raise ValueError("the (m, n, 0, 0, 0) family requires m^2 + n^2 != 0")
     return np.array([float(m), float(n), 0.0, 0.0, 0.0])
 
@@ -111,15 +107,14 @@ def equilibrium_point(tag, params):
 def family_of(point):
     """Family membership of a point: ("e1", (m, n)) or ("e2", (m,)).
 
-    Raises ValueError for points outside both families. The origin resolves
-    to the second family.
+    Membership is exact, as `e1` and `e2` build the points: zero components
+    must be exactly zero. Raises ValueError for points outside both
+    families. The origin resolves to the second family.
     """
     p = as_state(point, 5)
-    with np.errstate(over="ignore"):  # a square past the float range is inf, still > FAMILY_TOL
-        off_origin = p[0] ** 2 + p[1] ** 2 > FAMILY_TOL
-    if np.max(np.abs(p[2:])) <= FAMILY_TOL and off_origin:
+    if p[:2].any() and not p[2:].any():
         return "e1", (float(p[0]), float(p[1]))
-    if np.max(np.abs(p[:4])) <= FAMILY_TOL:
+    if not p[:4].any():
         return "e2", (float(p[4]),)
     raise ValueError("point belongs to neither equilibrium family")
 

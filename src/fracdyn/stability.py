@@ -27,7 +27,7 @@ import numpy as np
 
 from . import numkit
 from .numkit import _fmt, _kv_join
-from .systems import as_gains, as_state, is_equilibrium, validate_alpha
+from .systems import EQUILIBRIUM_TOL, as_gains, as_state, is_equilibrium, validate_alpha
 
 __all__ = [
     "ZERO_TOL",
@@ -52,12 +52,10 @@ __all__ = [
 ]
 
 # Eigenvalues with |lambda| below ZERO_TOL are treated as zero; margins
-# within ARG_TOL of the critical ray count as critical. A point whose field
-# is within EQUILIBRIUM_TOL of zero (max norm) counts as an equilibrium.
+# within ARG_TOL of the critical ray count as critical.
 ZERO_TOL = 1e-9
 ARG_TOL = 1e-9
 GM_RANK_TOL = 1e-7
-EQUILIBRIUM_TOL = 1e-10
 
 
 class Verdict(enum.Enum):
@@ -205,7 +203,7 @@ def classify_equilibrium(sys, x_e, alpha):
     A point where the field exceeds EQUILIBRIUM_TOL (max norm) is rejected.
     """
     point = as_state(x_e, sys.dim)
-    if not is_equilibrium(sys, point, EQUILIBRIUM_TOL):
+    if not is_equilibrium(sys, point):
         raise ValueError(
             f"point is not an equilibrium of {sys.name} (tolerance {EQUILIBRIUM_TOL:g})"
         )
@@ -260,7 +258,7 @@ def _fits_float(q):
 
 def cubic_from_gains(k3, k4, k5, m, n):
     """Cubic factor of the controlled characteristic polynomial at an
-    equilibrium (m, n, 0, 0, 0) with m^2 + n^2 != 0.
+    equilibrium (m, n, 0, 0, 0) with (m, n) != (0, 0).
 
     Coefficients are a1 = k3 + k4 + k5, a2 = k3*k4 + k3*k5 + k4*k5 + m^2 + n^2
     and a3 = k3*k4*k5 + k3*n^2 + k4*m^2. Exact input types survive; float
@@ -270,9 +268,9 @@ def cubic_from_gains(k3, k4, k5, m, n):
         raise numkit.DomainError("gains, m and n must be finite")
     if k3 <= 0 or k4 <= 0 or k5 < 0:
         raise numkit.DomainError("gains must satisfy k3 > 0, k4 > 0, k5 >= 0")
+    if m == 0 and n == 0:
+        raise numkit.DomainError("m and n must not both vanish")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        if m * m + n * n == 0:
-            raise numkit.DomainError("m and n must not both vanish")
         a1 = k3 + k4 + k5
         a2 = k3 * k4 + k3 * k5 + k4 * k5 + m * m + n * n
         a3 = k3 * k4 * k5 + k3 * n * n + k4 * m * m

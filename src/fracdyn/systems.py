@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 __all__ = [
-    "TARGET_TOL",
+    "EQUILIBRIUM_TOL",
     "SystemDef",
     "validate_alpha",
     "as_state",
@@ -35,9 +35,9 @@ __all__ = [
     "controlled",
 ]
 
-# A feedback target must be an equilibrium of the base system: its field
-# within TARGET_TOL of zero, max norm.
-TARGET_TOL = 1e-8
+# A point whose field is within EQUILIBRIUM_TOL of zero (max norm) counts
+# as an equilibrium, as a feedback target and as a point to classify.
+EQUILIBRIUM_TOL = 1e-10
 
 
 def validate_alpha(alpha):
@@ -110,7 +110,7 @@ class SystemDef:
             raise ValueError("system dimension must be at least 1")
 
 
-def is_equilibrium(sys, x, tol=1e-10):
+def is_equilibrium(sys, x, tol=EQUILIBRIUM_TOL):
     """True when the field vanishes at x, max norm within tol."""
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
@@ -131,7 +131,7 @@ def controlled(sys, k, x_e):
 
     The returned field is f(x) - k*(x - x_e) componentwise, the Jacobian is
     J(x) - diag(k), and x_e remains an equilibrium. A point that is not an
-    equilibrium of the base system (within TARGET_TOL) is rejected.
+    equilibrium of the base system (within EQUILIBRIUM_TOL) is rejected.
 
     Gains and targets may carry a leading batch axis, shape (B, n): row b
     of a (B, n) state is then fed back with gains k[b] towards x_e[b]. Each
@@ -144,10 +144,10 @@ def controlled(sys, k, x_e):
             f"{len(gains)} gain rows do not match {len(target)} target rows"
         )
     for point in np.atleast_2d(target):
-        if not is_equilibrium(sys, point, TARGET_TOL):
+        if not is_equilibrium(sys, point):
             raise ValueError(
                 f"target point is not an equilibrium of {sys.name} "
-                f"(tolerance {TARGET_TOL:g})"
+                f"(tolerance {EQUILIBRIUM_TOL:g})"
             )
     base_field = sys.field
     base_jacobian = sys.jacobian

@@ -28,6 +28,16 @@ def test_all_names_resolve(name):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
+def test_lazy_export_table_matches_the_modules():
+    # the package's table of exports is kept by hand: each name it lists is
+    # exported by its module, and each module it lists is one of the package
+    for module, names in fracdyn._EXPORTS.items():
+        missing = set(names) - set(importlib.import_module(f"fracdyn.{module}").__all__)
+        assert missing == set(), module
+    package = {info.name for info in pkgutil.iter_modules(fracdyn.__path__)}
+    assert set(fracdyn._EXPORTS) | set(fracdyn._MODULES) <= package
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_public_definitions_are_listed(name):
     # every public function or class defined here is in __all__

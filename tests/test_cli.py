@@ -174,6 +174,30 @@ class TestSimulate:
                      "--h", "0.1", "--steps", "5"]) == 2  # no x0/epsilon
         capsys.readouterr()
 
+    def test_missing_required_options(self, capsys):
+        assert main(["simulate", "--alpha", "0.5"]) == 2
+        assert capsys.readouterr().err == "error: missing required options: system, h, steps\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("[run]\nsystem =\nalpha = 0.5\nh = 0.1\nsteps = 5\n", "missing system name"),
+        ("[run]\nsystem = linear-decay\nalpha = 0.5\nh = 0.1\nsteps = 5\n"
+         "[initial]\nepsilon = 0.01\n[control]\ntarget =\n", "empty target"),
+    ], ids=["system", "target"])
+    def test_empty_config_value_is_bad_input(self, tmp_path, capsys, text, message):
+        path = tmp_path / "empty.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_malformed_config_is_one_error_line(self, tmp_path, capsys):
+        # configparser's own message spans three lines
+        path = tmp_path / "bad.cfg"
+        path.write_text("alpha = 1\n[run]\n", encoding="utf-8")
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse configuration: File contains no section")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("h", ["nan", "inf"])
     def test_non_finite_step_size_is_bad_input(self, tmp_path, capsys, h):
         assert main(["simulate", "--system", "linear-decay", "--alpha", "0.5",
@@ -341,6 +365,15 @@ class TestGainsCheck:
         assert "D(P) = 5" in out
         assert "(0, 1)" in out
 
+    def test_zero_discriminant_case(self, capsys):
+        # the repeated root comes out as a pair whose imaginary digits depend
+        # on LAPACK, so only the decision lines are pinned
+        assert main(["gains-check", "--gains", "1", "1", "2", "2", "0",
+                     "--e1", "1", "0", "--format", "kv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for line in ("discriminant=0", "routh_hurwitz=NotDecided", "alpha_range=undecided"):
+            assert line in lines
+
     @pytest.mark.parametrize("argv", [
         ["--gains", "1", "1", "1", "1", "1", "--e2", "nan"],
         ["--gains", "1", "1", "1", "1", "inf", "--e2", "-0.125"],
@@ -365,6 +398,25 @@ class TestGainsCheck:
         assert main(["gains-check", "--gains", "1", "1", "1", "1", "1",
                      "--e1", "1", "0", "--e2", "0.5"]) == 2
         assert "not allowed with argument" in capsys.readouterr().err
+
+
+MATRIX_GAINS = ["1.2", "1.2", "0.5", "0.5", "0.1"]
+
+
+@pytest.mark.parametrize("m, n, code", [("1e-7", "0", 0), ("1e-200", "0", 0), ("0", "0", 2)])
+def test_every_command_accepts_the_same_e1_targets(tmp_path, capsys, m, n, code):
+    # family membership is exact, and no command squares m or n to test it
+    argvs = [
+        ["simulate", "--system", "maxwell-bloch-5d-controlled", "--alpha", "0.65",
+         "--h", "0.01", "--steps", "10", "--epsilon", "0.01", "--gains", *MATRIX_GAINS,
+         "--target-e1", m, n, "--output", str(tmp_path)],
+        ["stability", "maxwell-bloch-5d", "--alpha", "0.65", "--gains", *MATRIX_GAINS,
+         "--e1", m, n],
+        ["gains-check", "--gains", *MATRIX_GAINS, "--e1", m, n],
+    ]
+    codes = [main(argv) for argv in argvs]
+    assert codes == [code] * 3, capsys.readouterr().err
+    capsys.readouterr()
 
 
 class TestConvergence:
@@ -540,6 +592,29 @@ class TestSweep:
                          "--output", str(tmp_path / "lone" / name)]) == 0
             assert tree_bytes(tmp_path / "out" / name) == tree_bytes(tmp_path / "lone" / name)
         capsys.readouterr()
+
+    def test_malformed_configs_print_one_error_line_each(self, tmp_path, capsys):
+        bad = [tmp_path / "bad0.cfg", tmp_path / "bad1.cfg"]
+        for path in bad:
+            path.write_text("alpha = 1\n[run]\n", encoding="utf-8")
+        a = self._write(tmp_path, "a.cfg", tmp_path / "out" / "a")
+        assert main(["sweep", str(bad[0]), str(a), str(bad[1])]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        for line, path in zip(err, bad):
+            assert line.startswith(f"error in {path}: cannot parse configuration: ")
+
+    def test_summaries_come_in_group_order(self, tmp_path, capsys):
+        # c0 and c2 form one group, c1 and c3 the next: the summaries follow
+        # the groups, the closing lines the command line
+        paths = [self._write(tmp_path, f"c{i}.cfg", tmp_path / "out" / f"c{i}", steps=steps)
+                 for i, steps in enumerate((30, 40, 30, 40))]
+        assert main(["sweep", *map(str, paths)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        wrote = [line for line in out if line.startswith("wrote ")]
+        assert wrote == [f"wrote {tmp_path / 'out' / name / 'trajectory.csv'} and 5 figure(s)"
+                         for name in ("c0", "c2", "c1", "c3")]
+        assert out[-4:] == [f"{path}: ok" for path in paths]
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):

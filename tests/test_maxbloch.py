@@ -218,6 +218,8 @@ class TestControlled:
     def test_target_outside_families_rejected(self):
         with pytest.raises(ValueError):
             maxbloch.controlled_system(self.GAINS, [1.0, 0.0, 1.0, 0.0, 0.0]).field(np.zeros(5))
+        with pytest.raises(ValueError):  # its field is 1e-9
+            maxbloch.controlled_system(self.GAINS, [1.0, 0.0, 1e-9, 0.0, 0.0])
 
     def test_jacobian_is_diagonal_shift(self, rng):
         for _ in range(20):
@@ -285,6 +287,8 @@ class TestEquilibria:
     def test_degenerate_first_family_rejected(self):
         with pytest.raises(ValueError):
             maxbloch.e1(0.0, 0.0)
+        with pytest.raises(ValueError):
+            maxbloch.e1(-0.0, 0.0)
 
     def test_equilibrium_point_tags(self):
         np.testing.assert_array_equal(
@@ -304,9 +308,16 @@ class TestEquilibria:
         assert maxbloch.family_of(np.zeros(5))[0] == "e2"
         with pytest.raises(ValueError):
             maxbloch.family_of([0.1, 0.0, 1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="neither equilibrium family"):
+            maxbloch.family_of([1.0, 0.0, 1e-13, 0.0, 0.0])  # membership is exact
+
+    @pytest.mark.parametrize("m", [1e-7, 1e-200, 5e-324])
+    def test_family_of_round_trip_near_the_origin(self, m):
+        # membership is exact: m^2 may underflow, and m is still off the origin
+        assert maxbloch.family_of(maxbloch.e1(m, 0.0)) == ("e1", (m, 0.0))
 
     def test_family_of_a_point_whose_square_overflows(self):
-        # m^2 + n^2 is inf, which still lies off the origin; no overflow warning
+        # no square is formed, so none overflows and nothing warns
         assert maxbloch.family_of(maxbloch.e1(0.0, 1e200)) == ("e1", (0.0, 1e200))
 
     def test_grid_scan_finds_only_the_two_families(self):

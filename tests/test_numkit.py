@@ -100,6 +100,8 @@ class TestPolyRoots:
             numkit.poly_roots([3.0])
         with pytest.raises(numkit.DomainError):
             numkit.poly_roots([1.0] + [0.0] * 8 + [1.0])  # degree 9
+        with pytest.raises(numkit.DomainError, match="flat sequence"):
+            numkit.poly_roots([[1.0, 1.0], [1.0, 1.0]])
 
     def test_trailing_zero_trimming(self):
         # (x + 1) padded with vanishing high-order coefficients
@@ -124,6 +126,8 @@ class TestEigenvalues:
             numkit.eigenvalues(np.zeros((2, 3)))
         with pytest.raises(numkit.DomainError):
             numkit.eigenvalues(np.zeros((9, 9)))
+        with pytest.raises(numkit.DomainError, match="non-finite"):
+            numkit.eigenvalues(np.diag([1.0, np.inf]))
 
 
 class TestCharPoly:

@@ -143,8 +143,14 @@ class TestCubic:
     def test_from_gains_guards(self):
         with pytest.raises(numkit.DomainError):
             cubic_from_gains(0.0, 0.5, 0.0, 0.5, 0.0)
-        with pytest.raises(numkit.DomainError):
+        with pytest.raises(numkit.DomainError, match="must not both vanish"):
             cubic_from_gains(0.5, 0.5, 0.0, 0.0, 0.0)
+
+    def test_from_gains_with_squares_below_the_float_range(self):
+        # m^2 underflows to 0, and m still does not vanish
+        c = cubic_from_gains(0.5, 0.5, 0.1, 1e-200, 0.0)
+        assert c.a2 == 0.5 * 0.5 + 0.5 * 0.1 + 0.5 * 0.1
+        assert c.a3 == 0.5 * 0.5 * 0.1
 
     @pytest.mark.parametrize("k, m, n", [
         ([Fraction(10**400), 1, 1, 1, 1], 0.5, 0.25),
@@ -182,6 +188,7 @@ class TestRouthHurwitz:
         c = CubicCoeffs(4.0, 5.0, 2.0)
         assert c.discriminant == 0.0
         assert routh_hurwitz_cubic(c) is RouthHurwitz.NOT_DECIDED
+        assert RouthHurwitz.NOT_DECIDED.alpha_range is None
 
     def test_sign_preconditions_enforced(self):
         with pytest.raises(numkit.DomainError):

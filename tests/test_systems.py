@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracdyn import maxbloch, registry
+from fracdyn import maxbloch, registry, stability
 from fracdyn.systems import (
+    EQUILIBRIUM_TOL,
     SystemDef,
     as_gains,
     as_state,
@@ -30,6 +31,8 @@ def test_alpha_bounds():
 
 def test_as_state_checks():
     np.testing.assert_array_equal(as_state(2.0), [2.0])
+    with pytest.raises(ValueError, match="flat vector"):
+        as_state(np.zeros((2, 5)))
     with pytest.raises(ValueError):
         as_state([1.0, 2.0], dim=3)
     with pytest.raises(ValueError):
@@ -90,6 +93,16 @@ def test_controlled_jacobian_is_exact_shift(rng):
 def test_controlled_rejects_non_equilibrium():
     with pytest.raises(ValueError):
         controlled(maxbloch.system(), np.ones(5), [1.0, 0.0, 1.0, 0.0, 0.0])
+
+
+def test_one_equilibrium_tolerance():
+    # a target is held to the tolerance every equilibrium test uses
+    assert stability.EQUILIBRIUM_TOL is EQUILIBRIUM_TOL == 1e-10
+    assert is_equilibrium.__defaults__ == (EQUILIBRIUM_TOL,)
+    sys = maxbloch.system()
+    with pytest.raises(ValueError, match="tolerance 1e-10"):
+        controlled(sys, np.ones(5), [1.0, 0.0, 1e-9, 0.0, 0.0])  # field 1e-9
+    controlled(sys, np.ones(5), [1.0, 0.0, 1e-10, 0.0, 0.0])  # field 1e-10
 
 
 def test_jacobians_match_finite_differences(rng):
