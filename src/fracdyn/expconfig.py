@@ -65,11 +65,12 @@ def _floats(text):
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
-def parse_config(text):
+def parse_config(text, source="<string>"):
+    """Parse configuration text; `source` names it in parse errors."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.optionxform = str
     try:
-        parser.read_string(text)
+        parser.read_string(text, source)
     except configparser.Error as exc:  # its message spans lines: keep the error on one
         raise ConfigError("cannot parse configuration: " + " ".join(str(exc).split())) from exc
     if not parser.has_section("run"):
@@ -138,4 +139,4 @@ def serialize_config(cfg):
 def load_config(path):
     """Read a configuration file."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read())
+        return parse_config(handle.read(), str(path))

@@ -14,7 +14,9 @@ on a monic cubic via its discriminant (`e1_gain_condition`), at
 (0, 0, 0, 0, m) a split into a linear factor and two quadratics with the
 catalogued gain windows C1..C5 (`e2_gain_condition`). Both cross-check
 against the argument condition on explicit eigenvalues, which alone gives
-the verdict. Every report renders itself: `to_text` and `to_kv`.
+the verdict; a cubic coefficient that underflows to 0 leaves the
+Routh-Hurwitz range NotDecided. Every report renders itself: `to_text`
+and `to_kv`.
 """
 
 import cmath
@@ -80,13 +82,15 @@ def _eig_pairs(i, lam):
     return [(f"eig_{i}_re", _fmt(lam.real)), (f"eig_{i}_im", _fmt(lam.imag))]
 
 
-def _eigenvalue_array(eigs):
+def _abs_args(eigs):
+    """|arg(lambda)| per eigenvalue, None where |lambda| <= ZERO_TOL. An empty
+    list raises ValueError, a non-finite eigenvalue DomainError."""
     values = np.asarray(eigs, dtype=complex).ravel()
     if values.size == 0:
         raise ValueError("eigenvalue list is empty")
     if not np.isfinite(values).all():
         raise numkit.DomainError("eigenvalues must be finite")
-    return values
+    return tuple(None if abs(lam) <= ZERO_TOL else abs(cmath.phase(lam)) for lam in values)
 
 
 def matignon_margins(eigs, alpha):
@@ -95,37 +99,8 @@ def matignon_margins(eigs, alpha):
     Conjugate eigenvalues get equal margins. Margins grow as alpha shrinks,
     so a configuration stable at some alpha stays stable at any smaller one.
     """
-    alpha = validate_alpha(alpha)
-    values = _eigenvalue_array(eigs)
-    half_ray = alpha * math.pi / 2.0
-    margins = []
-    for lam in values:
-        if abs(lam) <= ZERO_TOL:
-            margins.append(None)
-        else:
-            margins.append(abs(cmath.phase(lam)) - half_ray)
-    return tuple(margins)
-
-
-def _assess(eigs, alpha, jac=None):
-    values = np.asarray(eigs, dtype=complex).ravel()
-    margins = matignon_margins(values, alpha)
-    zero_count = sum(1 for m in margins if m is None)
-    nonzero = [m for m in margins if m is not None]
-
-    if any(m < -ARG_TOL for m in nonzero) or zero_count:
-        return Verdict.UNSTABLE, margins, zero_count
-    if all(m > ARG_TOL for m in nonzero):
-        return Verdict.ASYMPTOTICALLY_STABLE, margins, zero_count
-    # critical eigenvalues on the ray: stability needs geometric multiplicity one
-    if jac is None:
-        return Verdict.INDETERMINATE, margins, zero_count
-    critical = [values[i] for i, m in enumerate(margins)
-                if m is not None and abs(m) <= ARG_TOL]
-    for lam in critical:
-        if numkit.geometric_multiplicity(jac, lam, GM_RANK_TOL) != 1:
-            return Verdict.UNSTABLE, margins, zero_count
-    return Verdict.STABLE, margins, zero_count
+    half_ray = validate_alpha(alpha) * math.pi / 2.0
+    return tuple(None if arg is None else arg - half_ray for arg in _abs_args(eigs))
 
 
 def matignon_classify(eigs, alpha, jac=None):
@@ -135,8 +110,18 @@ def matignon_classify(eigs, alpha, jac=None):
     resolved (the multiplicity check needs the matrix) and comes back
     Indeterminate.
     """
-    verdict, _, _ = _assess(eigs, alpha, jac)
-    return verdict
+    margins = matignon_margins(eigs, alpha)
+    if None in margins or min(margins) < -ARG_TOL:
+        return Verdict.UNSTABLE
+    if min(margins) > ARG_TOL:
+        return Verdict.ASYMPTOTICALLY_STABLE
+    if jac is None:
+        return Verdict.INDETERMINATE
+    critical = [lam for lam, m in zip(np.asarray(eigs, dtype=complex).ravel(), margins)
+                if abs(m) <= ARG_TOL]
+    if any(numkit.geometric_multiplicity(jac, lam, GM_RANK_TOL) != 1 for lam in critical):
+        return Verdict.UNSTABLE
+    return Verdict.STABLE
 
 
 def stability_alpha_threshold(eigs):
@@ -146,13 +131,8 @@ def stability_alpha_threshold(eigs):
     a zero eigenvalue is present. The configuration is asymptotically stable
     for every alpha strictly below the threshold (capped at 1 in practice).
     """
-    values = _eigenvalue_array(eigs)
-    threshold = math.inf
-    for lam in values:
-        if abs(lam) <= ZERO_TOL:
-            return 0.0
-        threshold = min(threshold, 2.0 * abs(cmath.phase(lam)) / math.pi)
-    return threshold
+    args = _abs_args(eigs)
+    return 0.0 if None in args else 2.0 * min(args) / math.pi
 
 
 @dataclass(frozen=True)
@@ -209,14 +189,14 @@ def classify_equilibrium(sys, x_e, alpha):
         )
     jac = np.asarray(sys.jacobian(point), dtype=float)
     eigs = numkit.eigenvalues(jac)
-    verdict, margins, zero_count = _assess(eigs, alpha, jac)
+    margins = matignon_margins(eigs, alpha)
     return EquilibriumReport(
         point=tuple(float(v) for v in point),
         alpha=float(alpha),
         eigenvalues=tuple(complex(v) for v in eigs),
         margins=margins,
-        verdict=verdict,
-        zero_eigs=zero_count,
+        verdict=matignon_classify(eigs, alpha, jac),
+        zero_eigs=margins.count(None),
     )
 
 
@@ -397,13 +377,16 @@ def e1_gain_condition(k, m, n):
     """Evaluate the closed-form gain analysis at (m, n, 0, 0, 0).
 
     Gains must pass `systems.as_gains` (finite, non-negative), and the
-    cubic needs k3 > 0, k4 > 0 and m, n finite, not both zero.
+    cubic needs k3 > 0, k4 > 0 and m, n finite, not both zero. The
+    Routh-Hurwitz range is NotDecided where a2 or a3 underflows to 0.
     """
     k1, k2, k3, k4, k5 = as_gains(k, 5)
     cubic = cubic_from_gains(k3, k4, k5, m, n)
     roots = numkit.poly_roots(cubic.polynomial())
     eigs = (complex(-k1), complex(-k2)) + tuple(complex(r) for r in roots)
-    return E1GainReport(m, n, cubic, routh_hurwitz_cubic(cubic), eigs)
+    positive = min(cubic.a1, cubic.a2, cubic.a3) > 0  # a2 or a3 may underflow to 0
+    rh = routh_hurwitz_cubic(cubic) if positive else RouthHurwitz.NOT_DECIDED
+    return E1GainReport(m, n, cubic, rh, eigs)
 
 
 @dataclass(frozen=True, eq=False)

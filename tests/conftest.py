@@ -1,7 +1,15 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import fracdyn
+
+# child interpreters import the same fracdyn as this test session
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(Path(fracdyn.__file__).resolve().parents[1]),
+                  os.environ.get("PYTHONPATH")])))
 
 
 def seeded_rng(default_seed):
@@ -26,6 +34,12 @@ def bits(values):
     a = np.array(values, dtype=np.float64)
     a[np.isnan(a)] = np.nan
     return a.view(np.uint64).tolist()
+
+
+def tree_bytes(root):
+    """Every file under `root`, by relative path, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def assert_multiset_close(actual, expected, tol):

@@ -3,9 +3,9 @@ package imports and the layers its modules import each other in. There is
 no linter in this project; these checks stand in for one."""
 
 import ast
+import collections
 import importlib
 import inspect
-import os
 import pkgutil
 import subprocess
 import sys
@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import fracdyn
+from conftest import CHILD_ENV
 
 # the command line front end exports `main` and `run` (the `fracdyn` script), no __all__
 MODULES = [f"fracdyn.{info.name}" for info in pkgutil.iter_modules(fracdyn.__path__)
@@ -68,12 +69,6 @@ def test_package_imports_exist():
         fracdyn.no_such_name
 
 
-# child interpreters import the same fracdyn as this test session
-CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
-    filter(None, [str(Path(fracdyn.__file__).resolve().parents[1]),
-                  os.environ.get("PYTHONPATH")])))
-
-
 def loaded_after(statements):
     """The fracdyn modules a fresh interpreter has loaded after `statements`."""
     script = (f"import contextlib, io, sys\n{statements}\n"
@@ -118,6 +113,45 @@ def test_no_module_reads_the_environment(path):
              or (isinstance(node, ast.ImportFrom) and node.module == "os"
                  and hidden & {alias.name for alias in node.names})]
     assert reads == []
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _references(node):
+    """Names that `node` reads, as a variable, an attribute or an import."""
+    names = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.append(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.append(sub.name)
+    return names
+
+
+def test_every_private_definition_is_referenced():
+    # a module-level private function, class or constant that nothing else
+    # in the package reads is dead code
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(fracdyn.__file__).parent.glob("*.py"))]
+    read = collections.Counter(name for tree in trees for name in _references(tree))
+    dead = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names, own = [node.name], collections.Counter(_references(node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [sub.id for target in targets for sub in ast.walk(target)
+                         if isinstance(sub, ast.Name)]
+                own = collections.Counter()
+            else:
+                continue
+            dead += [name for name in names if _private(name) and read[name] <= own[name]]
+    assert dead == []
 
 
 # each module may import only the modules before it; `solver` takes systems

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fracdyn
+from conftest import CHILD_ENV, tree_bytes
 from fracdyn import artifacts, registry, solver
 from fracdyn.artifacts import write_csv
 from fracdyn.cli import main
@@ -27,11 +27,6 @@ from fracdyn.expconfig import ExperimentConfig, serialize_config
 from fracdyn.solver import Trajectory
 
 SQRT3_4 = math.sqrt(3.0) / 4.0
-
-# child interpreters import the same fracdyn as this test session
-SRC = str(Path(fracdyn.__file__).resolve().parents[1])
-CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
-    filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 REFERENCE_RUN = [
     "simulate",
@@ -400,23 +395,36 @@ class TestGainsCheck:
         assert "not allowed with argument" in capsys.readouterr().err
 
 
-MATRIX_GAINS = ["1.2", "1.2", "0.5", "0.5", "0.1"]
-
-
+# with k5 = 0 (the paper's gains) a3 = k4*m^2 underflows to 0 at m = 1e-200
+@pytest.mark.parametrize("gains", [["1.2", "1.2", "0.5", "0.5", "0.1"],
+                                   ["1.2", "1.2", "0.5", "0.5", "0"]], ids=["k5>0", "k5=0"])
 @pytest.mark.parametrize("m, n, code", [("1e-7", "0", 0), ("1e-200", "0", 0), ("0", "0", 2)])
-def test_every_command_accepts_the_same_e1_targets(tmp_path, capsys, m, n, code):
-    # family membership is exact, and no command squares m or n to test it
+def test_every_command_accepts_the_same_e1_targets(tmp_path, capsys, gains, m, n, code):
+    # family membership is exact, no command squares m or n to test it, and
+    # the Routh-Hurwitz diagnostic cannot refuse a point the others accept
     argvs = [
         ["simulate", "--system", "maxwell-bloch-5d-controlled", "--alpha", "0.65",
-         "--h", "0.01", "--steps", "10", "--epsilon", "0.01", "--gains", *MATRIX_GAINS,
+         "--h", "0.01", "--steps", "10", "--epsilon", "0.01", "--gains", *gains,
          "--target-e1", m, n, "--output", str(tmp_path)],
-        ["stability", "maxwell-bloch-5d", "--alpha", "0.65", "--gains", *MATRIX_GAINS,
+        ["stability", "maxwell-bloch-5d", "--alpha", "0.65", "--gains", *gains,
          "--e1", m, n],
-        ["gains-check", "--gains", *MATRIX_GAINS, "--e1", m, n],
+        ["gains-check", "--gains", *gains, "--e1", m, n],
     ]
     codes = [main(argv) for argv in argvs]
     assert codes == [code] * 3, capsys.readouterr().err
-    capsys.readouterr()
+    out = capsys.readouterr().out
+    if gains[4] == "0" and m == "1e-200":  # a3 == 0: a zero root, no range certified
+        assert "routh-hurwitz: NotDecided\n" in out
+        assert "argument-test threshold: unstable at every order" in out
+
+
+def test_config_parse_errors_name_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("alpha = 1\n[run]\n", encoding="utf-8")
+    for argv in (["simulate", "--config", str(path)], ["sweep", str(path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"file: {str(path)!r}, line: 1" in err and "<string>" not in err, argv
 
 
 class TestConvergence:
@@ -490,11 +498,6 @@ class TestConvergence:
         assert main(["convergence", "--system", "maxwell-bloch-5d",
                      "--alpha", "0.65", "--h-list", "0.04", "0.02", "0.01"]) == 2
         capsys.readouterr()
-
-
-def tree_bytes(root):
-    return {p.relative_to(root).as_posix(): p.read_bytes()
-            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 real_write_artifacts = artifacts.write_artifacts

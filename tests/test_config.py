@@ -76,6 +76,11 @@ class TestConfigValidation:
             ExperimentConfig(system="s", alpha=0.5, h=0.1, steps=1,
                              epsilon=0.01, target=("e1", 1.0))
 
+    def test_parse_errors_name_their_source(self):
+        for kwargs, name in (({}, "'<string>'"), ({"source": "exp.cfg"}, "'exp.cfg'")):
+            with pytest.raises(ConfigError, match=f"file: {name}, line: 1"):
+                parse_config("alpha = 1\n[run]\n", **kwargs)
+
     def test_unparseable_values(self):
         with pytest.raises(ConfigError):
             parse_config("[run]\nsystem = s\nalpha = fast\nh = 0.1\nsteps = 5\n")

@@ -9,15 +9,23 @@ stdout of `stability` and `gains-check`: the files under
 tests/golden/stdout/ hold the exact bytes the command printed, and a rerun
 must reproduce them byte for byte. `python tests/test_golden.py` rewrites
 them from the `fracdyn` found on PYTHONPATH.
+
+Byte identity holds for one numpy build on one CPU type. Another OpenBLAS
+kernel or numpy SIMD level may move the last bits, so runs in those
+environments are held to the same 1e-13 as the golden reports.
 """
 
+import dataclasses
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import CHILD_ENV, tree_bytes
 from fracdyn.cli import main
+from fracdyn.expconfig import ExperimentConfig, serialize_config
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -88,6 +96,11 @@ def read_kv(path):
     return dict(line.split("=", 1) for line in path.read_text().splitlines())
 
 
+def within_golden_tolerance(got, want):
+    """1e-13 relative, absolute below 1."""
+    return abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_report_matches_golden(name, tmp_path, capsys):
     assert main(RUNS[name] + ["--output", str(tmp_path)]) == 0
@@ -101,8 +114,7 @@ def test_report_matches_golden(name, tmp_path, capsys):
         except ValueError:
             assert got[key] == want, key
             continue
-        tol = 1e-13 * max(1.0, abs(want_value))
-        assert abs(float(got[key]) - want_value) <= tol, (key, got[key], want)
+        assert within_golden_tolerance(float(got[key]), want_value), (key, got[key], want)
 
 
 @pytest.mark.parametrize("name", sorted(STDOUT_RUNS))
@@ -110,6 +122,75 @@ def test_stdout_matches_golden(name, capsys):
     assert main(STDOUT_RUNS[name]) == 0
     expected = (GOLDEN / "stdout" / name).read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+def _dispatch_targets():
+    """The SIMD targets beyond its baseline that numpy dispatches to here."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
+# the README run and, batched beside it in one sweep, the e2 run
+SWEPT = {
+    "e1": ExperimentConfig(system="maxwell-bloch-5d-controlled", alpha=0.65, h=0.01,
+                           steps=500, epsilon=0.01, gains=(1.2, 1.2, 0.5, 0.5, 0.0),
+                           target=("e1", 0.4330127018922193, 0.25)),
+    "e2": ExperimentConfig(system="maxwell-bloch-5d-controlled", alpha=0.65, h=0.01,
+                           steps=500, epsilon=0.01,
+                           gains=(0.25, 1.5, 0.25, 0.6666666666666666, 1.0),
+                           target=("e2", -0.125)),
+}
+
+
+def _token_agrees(got, want):
+    try:
+        return within_golden_tolerance(float(got), float(want))
+    except ValueError:
+        return got == want
+
+
+def _numbers_agree(got, want):
+    """Two files with the same words, and numbers within the golden tolerance."""
+    got, want = (re.split(r"[,=\s]+", text.decode()) for text in (got, want))
+    return len(got) == len(want) and all(map(_token_agrees, got, want))
+
+
+def test_bytes_repeat_and_numbers_agree_across_kernels(tmp_path):
+    # the variables reach only the children, whose fracdyn reads none itself
+    targets = _dispatch_targets()
+    environments = {
+        "default": {},
+        "OPENBLAS_CORETYPE=Prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+        f"NPY_DISABLE_CPU_FEATURES={' '.join(targets)!r}"
+        + ("" if targets else " (numpy reports no dispatch target: nothing to disable)"):
+            {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)},
+    }
+    lone = {}
+    for index, (label, variables) in enumerate(environments.items()):
+        root = tmp_path / str(index)
+        root.mkdir()
+        for name, cfg in SWEPT.items():
+            (root / f"{name}.cfg").write_text(serialize_config(
+                dataclasses.replace(cfg, output_dir=str(root / "swept" / name))))
+        argvs = [RUNS["simulate-e1"] + ["--output", str(root / run)] for run in ("a", "b")]
+        argvs.append(["sweep", *(str(root / f"{name}.cfg") for name in SWEPT)])
+        children = [subprocess.Popen([sys.executable, "-m", "fracdyn.cli", *argv],
+                                     env=dict(CHILD_ENV, **variables),
+                                     stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+                    for argv in argvs]
+        for child, argv in zip(children, argvs):
+            _, err = child.communicate()
+            assert child.returncode == 0, (label, argv, err)
+        lone[label] = tree_bytes(root / "a")
+        assert tree_bytes(root / "b") == lone[label], f"{label}: two runs differ"
+        assert tree_bytes(root / "swept" / "e1") == lone[label], f"{label}: swept != lone"
+    default = lone.pop("default")
+    for label, files in lone.items():
+        for name in ("trajectory.csv", "report.kv"):
+            assert _numbers_agree(files[name], default[name]), f"{label}: {name}"
 
 
 def _regenerate():

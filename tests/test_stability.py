@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_multiset_close
@@ -333,6 +333,17 @@ GAIN = st.floats(0.01, 3.0)
 PARAM = st.floats(-3.0, 3.0)
 ORDER = st.floats(1e-3, 1.0)
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def _scaled(mantissa):
+    """Floats of every binary exponent from the subnormal 2^-1074 up to
+    2^200, where the cubic's discriminant already overflows at times."""
+    return st.builds(math.ldexp, mantissa, st.integers(-1073, 200))
+
+
+SCALED = _scaled(st.floats(-1.0, 1.0))
+SCALED_GAIN = _scaled(st.floats(0.0, 1.0))
+POSITIVE_SCALED_GAIN = _scaled(st.floats(0.5, 1.0))
 CASE_WINDOW = {"both_positive": "C2", "pos_neg": "C3", "neg_pos": "C4", "both_negative": "C5"}
 
 
@@ -365,6 +376,25 @@ class TestGainReportProperties:
         assume(m * m + n * n > 1e-6)
         rep = e1_gain_condition(k, m, n)
         _assert_verdict_follows_threshold(rep.verdict, rep.alpha_threshold, alpha)
+
+    @PROPERTY_SETTINGS
+    @given(st.tuples(SCALED_GAIN, SCALED_GAIN, POSITIVE_SCALED_GAIN, POSITIVE_SCALED_GAIN,
+                     SCALED_GAIN), SCALED, SCALED)
+    @example((0.0, 0.0, 1e-200, 1e-200, 0.0), 1e-200, 0.0)  # a2 == a3 == 0
+    def test_e1_report_never_refused(self, k, m, n):
+        # only a cubic or discriminant that overflows is refused, and a
+        # coefficient that underflows to 0 leaves the range NotDecided
+        assume(m != 0 or n != 0)
+        try:
+            rep = e1_gain_condition(k, m, n)
+        except numkit.DomainError as exc:
+            assert "the cubic is not finite" in str(exc)
+            return
+        rep.to_text()
+        if rep.cubic.a2 == 0 or rep.cubic.a3 == 0:
+            assert rep.routh_hurwitz is RouthHurwitz.NOT_DECIDED
+        else:
+            assert rep.routh_hurwitz is routh_hurwitz_cubic(rep.cubic)
 
     @PROPERTY_SETTINGS
     @given(st.lists(st.tuples(st.floats(1e-3, 10.0), st.floats(0.0, math.pi)),
@@ -411,6 +441,16 @@ class TestClassifyEquilibrium:
         report = classify_equilibrium(maxbloch.system(), maxbloch.e1(1.0, 0.0), 0.65)
         assert report.zero_eigs == 3
         assert sum(1 for m in report.margins if m is None) == 3
+
+    @pytest.mark.parametrize("gains, point, zeros", [
+        (None, maxbloch.e2(0.0), 5),
+        ([1.2, 1.2, 0.5, 0.5, 0.0], maxbloch.e1(1e-200, 0.0), 1),
+        ([1.2, 1.2, 0.5, 0.5, 0.0], maxbloch.e1(math.sqrt(3.0) / 4.0, 0.25), 0),
+    ])
+    def test_zero_eigs_counts_the_undefined_margins(self, gains, point, zeros):
+        sys = maxbloch.system() if gains is None else maxbloch.controlled_system(gains, point)
+        report = classify_equilibrium(sys, point, 0.65)
+        assert report.zero_eigs == report.margins.count(None) == zeros
 
     def test_report_serialization(self):
         target = maxbloch.e2(-0.125)
