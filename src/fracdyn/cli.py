@@ -170,22 +170,15 @@ def _cmd_convergence(args):
     if oracle is None:
         raise ValueError(f"{system} has no analytic solution; pick {registry.LINEAR_DECAY}")
     sysdef = registry.build_system(system)
-    hs = list(args.h_list)
-    rep = None
-    if len(hs) >= 3:
-        rep = solver.convergence_order(sysdef, args.alpha, oracle, hs, args.tau,
-                                       [args.x0], t_min=args.t_min)
-        errors = rep.max_errors
-    else:
-        errors = solver._max_errors(sysdef, args.alpha, oracle, hs, args.tau,
-                                    [args.x0], t_min=args.t_min)
+    rep = solver.convergence_order(sysdef, args.alpha, oracle, args.h_list, args.tau,
+                                   [args.x0], t_min=args.t_min)
     print(f"{'h':>12} {'max error':>16}")
-    for h, err in zip(hs, errors):
+    for h, err in zip(rep.h_values, rep.max_errors):
         print(f"{h:>12.6g} {err:>16.6e}")
-    if rep is None:
-        print("order: not fitted (need at least three halving step sizes)")
-    elif rep.degenerate:
+    if rep.degenerate:
         print("errors are identically zero at solver precision; order undefined")
+    elif rep.slope is None:
+        print("order: not fitted (need at least three halving step sizes)")
     else:
         print(f"fitted order: {rep.slope:.4f} (fit residual {rep.residual:.2e})")
     return 0

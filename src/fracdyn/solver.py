@@ -416,9 +416,11 @@ def integrate_batches(build, cfg):
 class ConvergenceReport:
     """Outcome of an empirical order study.
 
-    `slope` is the least-squares slope of log(error) against log(h) and
-    `residual` the RMS deviation of the fit; both are None for a
-    degenerate study (errors at solver precision, no order to fit).
+    `max_errors[i]` is the max-norm error of the run with step size
+    `h_values[i]`. `slope` is the least-squares slope of log(error) against
+    log(h) and `residual` the RMS deviation of the fit; both are None when
+    no order is fitted or the study is degenerate (errors at solver
+    precision, no order to fit).
     """
 
     h_values: tuple
@@ -428,50 +430,19 @@ class ConvergenceReport:
     degenerate: bool
 
 
-def _max_errors(sys, alpha, oracle, h_list, tau, x0, t_min=0.0):
-    """Max-norm error against `oracle` on grid points t >= t_min, per step size.
-    Bad input fails before the first run: every step size is checked and the
-    oracle evaluated on its grid first."""
-    if not (0.0 < tau < math.inf and 0.0 <= t_min < math.inf):
-        raise ValueError("tau must be positive and t_min non-negative, both finite")
-    if t_min > tau:
-        raise ValueError(f"no grid point lies in t >= t_min = {t_min} up to the horizon {tau}")
-    cfgs = []
-    for h in h_list:
-        if not 0.0 < h < math.inf:
-            raise ValueError("step sizes must be positive and finite")
-        if tau / h > MAX_STEPS + 0.5:  # also when tau / h overflows
-            raise ValueError(f"step size {h} needs over {MAX_STEPS} steps to reach {tau}")
-        n_steps = round(tau / h)
-        if abs(n_steps * h - tau) > 1e-9 * tau:
-            raise ValueError(f"step size {h} does not divide the horizon {tau}")
-        cfgs.append(SolverConfig(alpha=alpha, h=h, n_steps=n_steps, x0=x0))
-    studies = []
-    for cfg in cfgs:
-        times = cfg.times()
-        keep = times >= t_min - 1e-12
-        times = times[keep]
-        exact = np.array([oracle(t) for t in times], dtype=float)
-        if not np.isfinite(exact).all():
-            t = next(t for t, value in zip(times, exact) if not np.isfinite(value).all())
-            raise ValueError(f"oracle is not finite at t = {t:.10g}")
-        studies.append((cfg, keep, exact))
-    errors = []
-    for cfg, keep, exact in studies:
-        states = integrate(sys, cfg).states[keep]
-        # right-align each oracle value with its state, as `state - exact` would
-        exact = np.expand_dims(exact, tuple(range(1, states.ndim - exact.ndim + 1)))
-        errors.append(float(np.max(np.abs(states - exact), initial=0.0)))
-    return errors
-
-
 def convergence_order(sys, alpha, oracle, h_list, tau, x0, t_min=0.0):
-    """Fit the empirical convergence order against an analytic solution.
+    """Max-norm errors against an analytic solution, one per step size, and
+    the empirical convergence order they show.
 
-    Requires at least three step sizes, each half the previous, all
-    dividing the horizon tau. `oracle(t)` must return the exact solution
-    to 1e-10 or better. Errors are the max norm over grid points with
-    t >= t_min.
+    Each step size must divide the horizon tau, and `oracle(t)` return the
+    exact solution to 1e-10 or better. Errors are the max norm over grid
+    points with t >= t_min. All input is checked, and the oracle evaluated,
+    before the first run.
+
+    An order is fitted only to three or more step sizes, each half the
+    previous; for any other list `slope` and `residual` are None and
+    `degenerate` False. A fitted study is degenerate when no error exceeds
+    1e-14 of the largest |oracle value| compared, whatever the scale of x0.
 
     For alpha < 1 the exact solution generally has unbounded derivatives at
     t = 0; the first-step error then decays like h^(2*alpha) while interior
@@ -481,18 +452,48 @@ def convergence_order(sys, alpha, oracle, h_list, tau, x0, t_min=0.0):
     """
     alpha = validate_alpha(alpha)
     hs = [float(h) for h in h_list]
-    if len(hs) < 3:
-        raise ValueError("need at least three step sizes")
-    for a, b in zip(hs, hs[1:]):
-        if not math.isclose(b, a / 2.0, rel_tol=1e-6):
-            raise ValueError("step sizes must halve from one run to the next")
-    errors = _max_errors(sys, alpha, oracle, hs, tau, x0, t_min)
+    if not hs:
+        raise ValueError("need at least one step size")
+    if not (0.0 < tau < math.inf and 0.0 <= t_min < math.inf):
+        raise ValueError("tau must be positive and t_min non-negative, both finite")
+    if t_min > tau:
+        raise ValueError(f"no grid point lies in t >= t_min = {t_min} up to the horizon {tau}")
+    studies = []
+    for h in hs:
+        if not 0.0 < h < math.inf:
+            raise ValueError("step sizes must be positive and finite")
+        if tau / h > MAX_STEPS + 0.5:  # also when tau / h overflows
+            raise ValueError(f"step size {h} needs over {MAX_STEPS} steps to reach {tau}")
+        n_steps = round(tau / h)
+        if abs(n_steps * h - tau) > 1e-9 * tau:
+            raise ValueError(f"step size {h} does not divide the horizon {tau}")
+        cfg = SolverConfig(alpha=alpha, h=h, n_steps=n_steps, x0=x0)
+        times = cfg.times()
+        keep = times >= t_min - 1e-12
+        times = times[keep]
+        exact = np.array([oracle(t) for t in times], dtype=float)
+        if not np.isfinite(exact).all():
+            t = next(t for t, value in zip(times, exact) if not np.isfinite(value).all())
+            raise ValueError(f"oracle is not finite at t = {t:.10g}")
+        studies.append((cfg, keep, exact))
+    errors, scale = [], 0.0
+    for cfg, keep, exact in studies:
+        states = integrate(sys, cfg).states[keep]
+        # right-align each oracle value with its state, as `state - exact` would
+        exact = np.expand_dims(exact, tuple(range(1, states.ndim - exact.ndim + 1)))
+        errors.append(float(np.max(np.abs(states - exact), initial=0.0)))
+        scale = max(scale, float(np.max(np.abs(exact), initial=0.0)))
 
-    if max(errors) <= 1e-14:
-        return ConvergenceReport(tuple(hs), tuple(errors), None, None, True)
+    report = ConvergenceReport(tuple(hs), tuple(errors), None, None, False)
+    if len(hs) < 3 or not all(math.isclose(b, a / 2.0, rel_tol=1e-6)
+                              for a, b in zip(hs, hs[1:])):
+        return report
+    if max(errors) <= 1e-14 * scale:
+        return replace(report, degenerate=True)
     log_h = np.log(hs)
-    log_e = np.log(np.maximum(errors, 1e-300))
+    # every positive float is at least 5e-324, so only exact zeros are raised
+    log_e = np.log(np.maximum(errors, 5e-324))
     coeffs = np.polyfit(log_h, log_e, 1)
     fit = np.polyval(coeffs, log_h)
     residual = float(np.sqrt(np.mean((log_e - fit) ** 2)))
-    return ConvergenceReport(tuple(hs), tuple(errors), float(coeffs[0]), residual, False)
+    return replace(report, slope=float(coeffs[0]), residual=residual)

@@ -115,6 +115,40 @@ def test_no_module_reads_the_environment(path):
     assert reads == []
 
 
+def _fracdyn_reads(tree):
+    """(module, name) for every name the code reads from a fracdyn module:
+    `from .x import name`, or `x.name` after `from . import x` or
+    `import fracdyn.x [as x]`; imports inside functions count too."""
+    modules, reads = {}, []  # modules: local dotted name -> fracdyn module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = ".".join(filter(None, ["fracdyn" if node.level else "", node.module]))
+            for alias in node.names:
+                if source == "fracdyn":
+                    modules[alias.asname or alias.name] = alias.name
+                elif source.startswith("fracdyn."):
+                    reads.append((source.split(".")[1], alias.name))
+        elif isinstance(node, ast.Import):
+            modules.update((alias.asname or alias.name, alias.name.split(".")[1])
+                           for alias in node.names if alias.name.startswith("fracdyn."))
+    reads += [(modules[ast.unparse(node.value)], node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and ast.unparse(node.value) in modules]
+    return reads
+
+
+# the float format every report shares: the only private names that cross modules
+SHARED_PRIVATE = {("numkit", "_fmt"), ("numkit", "_kv_join")}
+
+
+@pytest.mark.parametrize("path", sorted(Path(fracdyn.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_reads_another_modules_private_names(path):
+    reads = _fracdyn_reads(ast.parse(path.read_text(encoding="utf-8")))
+    foreign = [f"{module}.{name}" for module, name in reads
+               if _private(name) and module != path.stem and (module, name) not in SHARED_PRIVATE]
+    assert foreign == []
+
+
 def _private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 

@@ -442,6 +442,23 @@ class TestConvergence:
         assert "not fitted" in out
         assert "fitted order:" not in out
 
+    def test_sizes_that_do_not_halve_print_the_table_unfitted(self, capsys):
+        assert main(["convergence", "--alpha", "0.65", "--h-list", "0.1", "0.05", "0.03",
+                     "--tau", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[1:4]] == ["0.1", "0.05", "0.03"]
+        assert lines[4:] == ["order: not fitted (need at least three halving step sizes)"]
+
+    @pytest.mark.parametrize("k", [0, 100, 1000])
+    def test_order_line_ignores_the_scale_of_x0(self, capsys, k):
+        def order_line(x0):
+            assert main(["convergence", "--alpha", "0.65", "--h-list", "0.04", "0.02", "0.01",
+                         "--x0", repr(x0)]) == 0
+            return capsys.readouterr().out.splitlines()[-1]
+
+        assert order_line(2.0 ** -k) == order_line(1.0) == \
+            "fitted order: 0.9062 (fit residual 4.23e-02)"
+
     def test_degenerate_zero_field_slope(self, capsys):
         # the scalar problem from x0 = 0 has the identically-zero solution
         assert main(["convergence", "--alpha", "0.65", "--x0", "0.0",

@@ -17,7 +17,6 @@ from fracdyn.solver import (
     _fast_length,
     _first_corrector_weights,
     _lag_weights,
-    _max_errors,
     convergence_order,
     integrate,
     integrate_batches,
@@ -562,10 +561,14 @@ class TestConvergenceOrder:
 
     def test_validation(self):
         oracle = lambda t: math.exp(-t)
-        with pytest.raises(ValueError):
-            convergence_order(LINEAR, 1.0, oracle, [0.04, 0.02], 1.0, [1.0])
-        with pytest.raises(ValueError):
-            convergence_order(LINEAR, 1.0, oracle, [0.04, 0.03, 0.02], 1.0, [1.0])
+        # lists that are not three or more halving sizes get their errors, unfitted
+        for hs in ([0.1], [0.04, 0.02], [0.05, 0.04, 0.02], [0.04, 0.02, 0.02],
+                   [0.01, 0.02, 0.04]):
+            rep = convergence_order(LINEAR, 1.0, oracle, hs, 1.0, [1.0])
+            assert rep.h_values == tuple(hs) and min(rep.max_errors) > 0.0, hs
+            assert (rep.slope, rep.residual, rep.degenerate) == (None, None, False), hs
+        with pytest.raises(ValueError, match="at least one step size"):
+            convergence_order(LINEAR, 1.0, oracle, [], 1.0, [1.0])
         with pytest.raises(ValueError, match="over 1000000 steps"):
             convergence_order(LINEAR, 1.0, oracle, [1e-10, 5e-11, 2.5e-11], 1e300, [1.0])
         with pytest.raises(ValueError, match="no grid point"):
@@ -584,20 +587,22 @@ class TestConvergenceOrder:
                 if t >= t_min - 1e-12:
                     worst = max(worst, float(np.max(np.abs(state - oracle(t)))))
             expected.append(worst)
-        assert _max_errors(LINEAR, alpha, oracle, hs, tau, [x0], t_min) == expected
+        rep = convergence_order(LINEAR, alpha, oracle, hs, tau, [x0], t_min)
+        assert rep.max_errors == tuple(expected)
 
     def test_non_finite_oracle_is_rejected(self):
         # NaN past t = 1 used to vanish from max(), leaving the true oracle's errors
         oracle = lambda t: math.exp(-t) if t <= 1.0 else math.nan
         with pytest.raises(ValueError, match="oracle is not finite at t = 1.01"):
-            _max_errors(LINEAR, 1.0, oracle, [0.01], 2.0, [1.0])
+            convergence_order(LINEAR, 1.0, oracle, [0.01], 2.0, [1.0])
         with pytest.raises(ValueError, match="not finite"):
             convergence_order(LINEAR, 1.0, lambda t: [math.inf], [0.04, 0.02, 0.01], 1.0, [1.0])
 
     def test_window_without_grid_points_gives_zero(self):
         # 10 steps of h just under 0.1 end 5e-10 short of t_min = tau
         h = (1.0 - 5e-10) / 10
-        assert _max_errors(LINEAR, 1.0, lambda t: math.nan, [h], 1.0, [1.0], t_min=1.0) == [0.0]
+        rep = convergence_order(LINEAR, 1.0, lambda t: math.nan, [h], 1.0, [1.0], t_min=1.0)
+        assert rep.max_errors == (0.0,)
 
     @pytest.mark.parametrize("tau, t_min", [(math.nan, 0.0), (math.inf, 0.0),
                                             (1.0, math.nan), (1.0, math.inf)])
