@@ -67,17 +67,15 @@ def field(x):
 
 
 def jacobian(x):
-    """Analytic Jacobian of the field: (5,) -> (5, 5), (B, 5) -> (B, 5, 5)."""
-    x1, x2, x3, x4, x5 = np.asarray(x, dtype=float).T
-    o, z = np.ones_like(x1), np.zeros_like(x1)
-    out = np.array([
-        [z, z, o, z, z],
-        [z, z, z, o, z],
-        [x5, z, z, z, x1],
-        [z, x5, z, z, x2],
-        [-x3, -x4, -x1, -x2, z],
+    """Analytic Jacobian of the field at one state: (5,) -> (5, 5)."""
+    x1, x2, x3, x4, x5 = np.asarray(x, dtype=float)
+    return np.array([
+        [0.0, 0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0, 0.0],
+        [x5, 0.0, 0.0, 0.0, x1],
+        [0.0, x5, 0.0, 0.0, x2],
+        [-x3, -x4, -x1, -x2, 0.0],
     ])
-    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def e1(m, n):

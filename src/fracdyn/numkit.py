@@ -106,16 +106,16 @@ def eigenvalues(m):
     return _sorted_complex(np.linalg.eigvals(_as_square(m)))
 
 
-def geometric_multiplicity(m, eigenvalue, rank_tol=1e-7):
+def geometric_multiplicity(m, eigenvalue):
     """Eigenspace dimension of an eigenvalue: n - rank(M - lambda*I).
 
-    The rank is the singular-value count above rank_tol, so the answer is
+    The rank is the count of singular values above 1e-7, so the answer is
     meaningful for eigenvalues known only to roughly that accuracy.
     """
     a = _as_square(m)
     n = a.shape[0]
     shifted = a.astype(complex) - complex(eigenvalue) * np.eye(n)
-    return int(n - np.linalg.matrix_rank(shifted, tol=rank_tol))
+    return int(n - np.linalg.matrix_rank(shifted, tol=1e-7))
 
 
 # Mittag-Leffler evaluation, float64 throughout.

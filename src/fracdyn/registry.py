@@ -25,7 +25,8 @@ def build_system(name, gains=None, target=None):
     The controlled model needs both gains and a target equilibrium point,
     each optionally with a leading batch axis; the other entries take no
     parameters, and gains given to one of them raise ValueError rather than
-    being ignored. Every field accepts a (d,) state or a (B, d) batch.
+    being ignored. Every field accepts a (d,) state or a (B, d) batch, and
+    every Jacobian one (d,) state.
     """
     if gains is not None and name != maxbloch.CONTROLLED_SYSTEM_NAME and name in SYSTEMS:
         raise ValueError(f"{name} takes no gains; feedback gains need "
@@ -38,10 +39,10 @@ def build_system(name, gains=None, target=None):
         return maxbloch.controlled_system(gains, target)
     if name == ZERO_FIELD:
         return SystemDef(name=ZERO_FIELD, dim=5, field=lambda x: np.zeros_like(x, dtype=float),
-                         jacobian=lambda x: np.zeros(np.shape(x) + (5,)))
+                         jacobian=lambda x: np.zeros((5, 5)))
     if name == LINEAR_DECAY:
         return SystemDef(name=LINEAR_DECAY, dim=1, field=lambda x: -np.asarray(x, dtype=float),
-                         jacobian=lambda x: np.full(np.shape(x) + (1,), -1.0))
+                         jacobian=lambda x: np.full((1, 1), -1.0))
     raise ValueError(f"unknown system {name!r}; available: {', '.join(SYSTEMS)}")
 
 

@@ -52,6 +52,7 @@ and far-field rows, so member b is bitwise equal to the lone run from x0[b].
 """
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -123,7 +124,10 @@ class SolverConfig:
     def __post_init__(self):
         object.__setattr__(self, "alpha", validate_alpha(self.alpha))
         object.__setattr__(self, "h", float(self.h))
-        object.__setattr__(self, "n_steps", int(self.n_steps))
+        try:
+            object.__setattr__(self, "n_steps", operator.index(self.n_steps))
+        except TypeError:
+            raise ValueError(f"step count must be an integer, got {self.n_steps!r}") from None
         x0 = as_states(self.x0)
         rows = x0.tolist()
         object.__setattr__(self, "x0", tuple(map(tuple, rows) if x0.ndim == 2 else rows))

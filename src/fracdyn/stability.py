@@ -34,8 +34,6 @@ from .systems import EQUILIBRIUM_TOL, as_gains, as_state, is_equilibrium, valida
 __all__ = [
     "ZERO_TOL",
     "ARG_TOL",
-    "GM_RANK_TOL",
-    "EQUILIBRIUM_TOL",
     "Verdict",
     "RouthHurwitz",
     "EquilibriumReport",
@@ -57,7 +55,6 @@ __all__ = [
 # within ARG_TOL of the critical ray count as critical.
 ZERO_TOL = 1e-9
 ARG_TOL = 1e-9
-GM_RANK_TOL = 1e-7
 
 
 class Verdict(enum.Enum):
@@ -119,7 +116,7 @@ def matignon_classify(eigs, alpha, jac=None):
         return Verdict.INDETERMINATE
     critical = [lam for lam, m in zip(np.asarray(eigs, dtype=complex).ravel(), margins)
                 if abs(m) <= ARG_TOL]
-    if any(numkit.geometric_multiplicity(jac, lam, GM_RANK_TOL) != 1 for lam in critical):
+    if any(numkit.geometric_multiplicity(jac, lam) != 1 for lam in critical):
         return Verdict.UNSTABLE
     return Verdict.STABLE
 
@@ -254,9 +251,12 @@ def cubic_from_gains(k3, k4, k5, m, n):
         a1 = k3 + k4 + k5
         a2 = k3 * k4 + k3 * k5 + k4 * k5 + m * m + n * n
         a3 = k3 * k4 * k5 + k3 * n * n + k4 * m * m
-        cubic = CubicCoeffs(a1, a2, a3)
-    if any(isinstance(v, float) and not math.isfinite(v)
-           for v in (a1, a2, a3, cubic.discriminant)):
+        try:
+            cubic = CubicCoeffs(a1, a2, a3)
+        except OverflowError:  # a float `**` raises where a numpy float gives inf
+            cubic = None
+    if cubic is None or any(isinstance(v, float) and not math.isfinite(v)
+                            for v in (a1, a2, a3, cubic.discriminant)):
         raise numkit.DomainError("gains, m or n too large: the cubic is not finite")
     return cubic
 

@@ -8,7 +8,7 @@ unstable equilibrium.
 
 Shape contract: a field takes one state of shape (n,) or a batch of B
 states of shape (B, n) and returns an array of the same shape, row b
-being f(x[b]); a Jacobian maps (n,) to (n, n) and (B, n) to (B, n, n).
+being f(x[b]); a Jacobian takes one state (n,) and returns (n, n).
 Fields are evaluated row by row with elementwise operations, so a row of
 a batch is bitwise equal to the single evaluation. The numpy field of
 `controlled` serves both shapes; `fracdyn.maxbloch.controlled_system`
@@ -86,9 +86,9 @@ def as_gains(k, dim):
 class SystemDef:
     """Named autonomous vector field on R^n with an analytic Jacobian.
 
-    `field` maps a state vector to f(x) and `jacobian` to the n-by-n matrix
-    of partials; both also take a (B, n) batch of states (see the module
-    docstring). Both are expected to be deterministic and side-effect
+    `field` maps a state vector, or a (B, n) batch of them (see the module
+    docstring), to f(x), and `jacobian` maps one state to the n-by-n matrix
+    of partials. Both are expected to be deterministic and side-effect
     free, which makes instances safe to share across concurrent runs.
 
     `float_field`, when given, is the same field on Python floats: it maps
@@ -110,20 +110,11 @@ class SystemDef:
             raise ValueError("system dimension must be at least 1")
 
 
-def is_equilibrium(sys, x, tol=EQUILIBRIUM_TOL):
-    """True when the field vanishes at x, max norm within tol."""
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+def is_equilibrium(sys, x):
+    """True when the field at x is within EQUILIBRIUM_TOL of zero (max norm)."""
     v = as_state(x, sys.dim)
     fx = np.asarray(sys.field(v), dtype=float)
-    return float(np.max(np.abs(fx))) <= tol
-
-
-def _rows(value, convert):
-    """Apply `convert` to a single value, or to each row of a 2-D batch."""
-    if np.ndim(value) == 2:
-        return np.array([convert(row) for row in np.asarray(value, dtype=float)])
-    return convert(value)
+    return float(np.max(np.abs(fx))) <= EQUILIBRIUM_TOL
 
 
 def controlled(sys, k, x_e):
@@ -137,7 +128,10 @@ def controlled(sys, k, x_e):
     of a (B, n) state is then fed back with gains k[b] towards x_e[b]. Each
     row is validated on its own, and every target must be an equilibrium.
     """
-    gains = _rows(k, lambda row: as_gains(row, sys.dim))
+    if np.ndim(k) == 2:
+        gains = np.array([as_gains(row, sys.dim) for row in np.asarray(k, dtype=float)])
+    else:
+        gains = as_gains(k, sys.dim)
     target = as_states(x_e, sys.dim)
     if gains.ndim == target.ndim == 2 and len(gains) != len(target):
         raise ValueError(

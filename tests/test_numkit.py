@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import mpmath
@@ -150,6 +151,13 @@ class TestGeometricMultiplicity:
     def test_rotation_block(self):
         rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
         assert numkit.geometric_multiplicity(rot, 1j) == 1
+
+    def test_one_rank_threshold(self):
+        # singular values at or below 1e-7 count as zero
+        assert list(inspect.signature(numkit.geometric_multiplicity).parameters) == [
+            "m", "eigenvalue"]
+        assert numkit.geometric_multiplicity([[0.0, 1e-7], [0.0, 0.0]], 0.0) == 2
+        assert numkit.geometric_multiplicity([[0.0, 2e-7], [0.0, 0.0]], 0.0) == 1
 
     def test_double_rotation_block(self):
         m = np.zeros((4, 4))

@@ -133,6 +133,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="horizon"):  # h * n_steps overflows
             SolverConfig(alpha=0.5, h=1e308, n_steps=10, x0=[1.0])
 
+    def test_step_count_must_be_an_integer(self):
+        for bad in (2.9, 3.0, "7", None):
+            with pytest.raises(ValueError, match="step count must be an integer"):
+                SolverConfig(alpha=0.5, h=0.1, n_steps=bad, x0=[1.0])
+        cfg = SolverConfig(alpha=0.5, h=0.1, n_steps=np.int64(7), x0=[1.0])
+        assert type(cfg.n_steps) is int and cfg.n_steps == 7
+
     def test_horizon(self):
         cfg = SolverConfig(alpha=0.5, h=0.01, n_steps=500, x0=[1.0])
         assert cfg.horizon == pytest.approx(5.0)

@@ -146,6 +146,13 @@ class TestCubic:
         with pytest.raises(numkit.DomainError, match="must not both vanish"):
             cubic_from_gains(0.5, 0.5, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("m", [1e103, np.float64(1e103)], ids=["float", "float64"])
+    def test_from_gains_discriminant_beyond_the_float_range(self, m):
+        # a1, a2 and a3 are finite and a2 ** 2 is not: a Python float raises
+        # OverflowError there, a numpy float gives inf; both are refused alike
+        with pytest.raises(numkit.DomainError, match="too large: the cubic is not finite"):
+            cubic_from_gains(0.5, 0.5, 0.0, m, 0.0)
+
     def test_from_gains_with_squares_below_the_float_range(self):
         # m^2 underflows to 0, and m still does not vanish
         c = cubic_from_gains(0.5, 0.5, 0.1, 1e-200, 0.0)

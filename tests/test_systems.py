@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,13 +57,11 @@ def test_system_def_requires_positive_dim():
 
 def test_is_equilibrium_on_model_points():
     sys = maxbloch.system()
-    assert is_equilibrium(sys, [3.0, 4.0, 0.0, 0.0, 0.0], tol=1e-10)
-    assert is_equilibrium(sys, [0.0, 0.0, 0.0, 0.0, 7.0], tol=1e-10)
-    assert not is_equilibrium(sys, [0.0, 0.0, 1.0, 0.0, 0.0], tol=1e-10)
+    assert is_equilibrium(sys, [3.0, 4.0, 0.0, 0.0, 0.0])
+    assert is_equilibrium(sys, [0.0, 0.0, 0.0, 0.0, 7.0])
+    assert not is_equilibrium(sys, [0.0, 0.0, 1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        is_equilibrium(sys, [1.0, 2.0], tol=1e-10)
-    with pytest.raises(ValueError):
-        is_equilibrium(sys, [0.0] * 5, tol=0.0)
+        is_equilibrium(sys, [1.0, 2.0])
 
 
 def test_zero_gain_leaves_field_unchanged(rng):
@@ -76,7 +76,7 @@ def test_control_vanishes_at_target():
     target = maxbloch.e1(np.sqrt(3.0) / 4.0, 0.25)
     wrapped = controlled(maxbloch.system(), [1.2, 1.2, 0.5, 0.5, 0.0], target)
     np.testing.assert_array_equal(wrapped.field(target), np.zeros(5))
-    assert is_equilibrium(wrapped, target, tol=1e-300)
+    assert is_equilibrium(wrapped, target)
 
 
 def test_controlled_jacobian_is_exact_shift(rng):
@@ -98,7 +98,8 @@ def test_controlled_rejects_non_equilibrium():
 def test_one_equilibrium_tolerance():
     # a target is held to the tolerance every equilibrium test uses
     assert stability.EQUILIBRIUM_TOL is EQUILIBRIUM_TOL == 1e-10
-    assert is_equilibrium.__defaults__ == (EQUILIBRIUM_TOL,)
+    assert "EQUILIBRIUM_TOL" not in stability.__all__
+    assert list(inspect.signature(is_equilibrium).parameters) == ["sys", "x"]
     sys = maxbloch.system()
     with pytest.raises(ValueError, match="tolerance 1e-10"):
         controlled(sys, np.ones(5), [1.0, 0.0, 1e-9, 0.0, 0.0])  # field 1e-9
@@ -116,6 +117,7 @@ def test_jacobians_match_finite_differences(rng):
         for _ in range(50):
             x = rng.uniform(-2.0, 2.0, sys.dim)
             jac = np.asarray(sys.jacobian(x), dtype=float)
+            assert jac.shape == (sys.dim, sys.dim), sys.name
             fd = finite_difference_jacobian(sys.field, x)
             assert np.max(np.abs(fd - jac)) <= 1e-5 * (1.0 + np.max(np.abs(jac)))
 
@@ -135,9 +137,6 @@ def test_fields_on_batches_equal_row_calls_bitwise(rng, batch):
         assert values.shape == xs.shape, sys.name
         # the controlled model's rows take its float path, batches its numpy path
         assert bits(values) == bits([sys.field(x) for x in xs]), sys.name
-        jac = sys.jacobian(xs)
-        assert jac.shape == (batch, sys.dim, sys.dim), sys.name
-        assert bits(jac) == bits([sys.jacobian(x) for x in xs]), sys.name
 
 
 @pytest.mark.parametrize("batch", [1, 5])
@@ -157,7 +156,6 @@ def test_batched_controlled_equals_row_systems_bitwise(rng, batch):
         ]
         for batched, single in rows:
             np.testing.assert_array_equal(batched.field(xs)[b], single.field(x))
-            np.testing.assert_array_equal(batched.jacobian(xs)[b], single.jacobian(x))
 
 
 def test_batched_controlled_validates_every_row():
