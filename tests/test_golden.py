@@ -83,6 +83,12 @@ def _stdout_runs():
         # positive discriminant: Routh-Hurwitz covers every order below 1
         "gains-check-e1-positive": ["--gains", "1", "1", "3", "3", "0", "--e1", "1", "0",
                                     "--alpha", "0.9"],
+        # a3 underflows to 0: NotDecided, and a root at 0
+        "gains-check-e1-underflow": ["--gains", "1.2", "1.2", "0.5", "0.5", "0",
+                                     "--e1", "1e-200", "0", "--alpha", "0.65"],
+        # D(P) = 0 exactly: NotDecided, and a double root
+        "gains-check-e1-zero-discriminant": ["--gains", "1", "1", "2", "2", "0",
+                                             "--e1", "1", "0", "--alpha", "0.65"],
     }
     for name, argv in gains_cases.items():
         runs[f"{name}.text"], runs[f"{name}.kv"] = _gains_check(*argv)
