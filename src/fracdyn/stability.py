@@ -14,22 +14,23 @@ on a monic cubic via its discriminant (`e1_gain_condition`), at
 (0, 0, 0, 0, m) a split into a linear factor and two quadratics with the
 catalogued gain windows C1..C5 (`e2_gain_condition`). Both cross-check
 against the argument condition on explicit eigenvalues, which alone gives
-the verdict; a cubic coefficient that underflows to 0 leaves the
-Routh-Hurwitz range NotDecided. Every report renders itself: `to_text`
-and `to_kv`.
+the verdict. The e1 analysis runs in float64 from input to report; only
+the e2 analysis keeps exact rationals. Every report renders itself:
+`to_text` and `to_kv`.
 """
 
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import numkit
 from .numkit import _fmt, _kv_join
-from .systems import EQUILIBRIUM_TOL, as_gains, as_state, is_equilibrium, validate_alpha
+from .systems import (EQUILIBRIUM_TOL, as_floats, as_gains, as_state, is_equilibrium,
+                      validate_alpha)
 
 __all__ = [
     "ZERO_TOL",
@@ -198,27 +199,30 @@ def classify_equilibrium(sys, x_e, alpha):
 
 
 def cubic_discriminant(a1, a2, a3):
-    """Discriminant of the monic cubic x^3 + a1 x^2 + a2 x + a3.
-
-    Plain arithmetic throughout, so exact input types (fractions) survive.
-    """
-    return (18 * a1 * a2 * a3 + a1 ** 2 * a2 ** 2
-            - 4 * a3 * a1 ** 3 - 4 * a2 ** 3 - 27 * a3 ** 2)
+    """Discriminant of the monic cubic x^3 + a1 x^2 + a2 x + a3, in float64."""
+    return CubicCoeffs(a1, a2, a3).discriminant
 
 
 @dataclass(frozen=True)
 class CubicCoeffs:
-    """Coefficients of a monic cubic with its discriminant attached."""
+    """Monic cubic x^3 + a1 x^2 + a2 x + a3 in float64 (ValueError beyond the
+    float range); its discriminant is inf or nan, never raising, beyond it."""
 
-    a1: object
-    a2: object
-    a3: object
-    discriminant: object = field(init=False)
+    a1: float
+    a2: float
+    a3: float
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "discriminant", cubic_discriminant(self.a1, self.a2, self.a3)
-        )
+        coeffs = as_floats((self.a1, self.a2, self.a3), "cubic coefficient out of float range")
+        for name, value in zip(("a1", "a2", "a3"), coeffs):
+            object.__setattr__(self, name, value)
+
+    @property
+    def discriminant(self):
+        a1, a2, a3 = self.a1, self.a2, self.a3
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (18 * a1 * a2 * a3 + a1 ** 2 * a2 ** 2
+                    - 4 * a3 * a1 ** 3 - 4 * a2 ** 3 - 27 * a3 ** 2)
 
     def polynomial(self):
         """Ascending coefficient sequence (a3, a2, a1, 1)."""
@@ -238,25 +242,21 @@ def cubic_from_gains(k3, k4, k5, m, n):
     equilibrium (m, n, 0, 0, 0) with (m, n) != (0, 0).
 
     Coefficients are a1 = k3 + k4 + k5, a2 = k3*k4 + k3*k5 + k4*k5 + m^2 + n^2
-    and a3 = k3*k4*k5 + k3*n^2 + k4*m^2. Exact input types survive; float
-    coefficients or a discriminant that overflow raise DomainError.
+    and a3 = k3*k4*k5 + k3*n^2 + k4*m^2, in float64 whatever the input
+    types; a cubic or discriminant beyond the float range raises DomainError.
     """
     if not all(map(_fits_float, (k3, k4, k5, m, n))):
         raise numkit.DomainError("gains, m and n must be finite")
+    k3, k4, k5, m, n = np.array((k3, k4, k5, m, n), dtype=float)
     if k3 <= 0 or k4 <= 0 or k5 < 0:
         raise numkit.DomainError("gains must satisfy k3 > 0, k4 > 0, k5 >= 0")
     if m == 0 and n == 0:
         raise numkit.DomainError("m and n must not both vanish")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        a1 = k3 + k4 + k5
-        a2 = k3 * k4 + k3 * k5 + k4 * k5 + m * m + n * n
-        a3 = k3 * k4 * k5 + k3 * n * n + k4 * m * m
-        try:
-            cubic = CubicCoeffs(a1, a2, a3)
-        except OverflowError:  # a float `**` raises where a numpy float gives inf
-            cubic = None
-    if cubic is None or any(isinstance(v, float) and not math.isfinite(v)
-                            for v in (a1, a2, a3, cubic.discriminant)):
+        cubic = CubicCoeffs(k3 + k4 + k5,
+                            k3 * k4 + k3 * k5 + k4 * k5 + m * m + n * n,
+                            k3 * k4 * k5 + k3 * n * n + k4 * m * m)
+    if not np.isfinite((cubic.a1, cubic.a2, cubic.a3, cubic.discriminant)).all():
         raise numkit.DomainError("gains, m or n too large: the cubic is not finite")
     return cubic
 
@@ -282,20 +282,17 @@ class RouthHurwitz(enum.Enum):
 
 
 def routh_hurwitz_cubic(coeffs):
-    """Root-free stability ranges for a monic cubic with positive coefficients.
+    """Root-free stability ranges for a monic cubic; never raises.
 
     Positive discriminant together with a1*a2 > a3 certifies stability for
     every order in (0, 1); negative discriminant certifies orders below 2/3.
-    Anything else (including the zero-discriminant boundary) is NotDecided
-    and should fall back to the argument test on explicit roots; the result
-    takes no order, and its `alpha_range` names the orders it certifies.
-    Violated sign preconditions raise instead of classifying silently.
+    Anything else (a coefficient not positive, a discriminant zero or beyond
+    the float range) is NotDecided, for the argument test on explicit roots
+    to decide; `alpha_range` names the orders the result certifies.
     """
-    if not (coeffs.a1 > 0 and coeffs.a2 > 0 and coeffs.a3 > 0):
-        raise numkit.DomainError(
-            "fractional Routh-Hurwitz cubic test needs a1, a2, a3 all positive"
-        )
     d = coeffs.discriminant
+    if not (coeffs.a1 > 0 and coeffs.a2 > 0 and coeffs.a3 > 0 and math.isfinite(d)):
+        return RouthHurwitz.NOT_DECIDED
     if d > 0 and coeffs.a1 * coeffs.a2 > coeffs.a3:
         return RouthHurwitz.STABLE_ALL_ALPHA
     if d < 0:
@@ -344,15 +341,18 @@ class E1GainReport(_GainReport):
     """Closed-form analysis of diagonal feedback at a point (m, n, 0, 0, 0).
 
     The characteristic polynomial is (lambda + k1)(lambda + k2) times the
-    cubic of `cubic_from_gains`; `routh_hurwitz` is a diagnostic, and the
-    verdict is the argument test on -k1, -k2 and the cubic's roots.
+    cubic of `cubic_from_gains`; `routh_hurwitz`, derived from it, is a
+    diagnostic, and the verdict is the argument test on -k1, -k2 and its roots.
     """
 
     m: float
     n: float
     cubic: CubicCoeffs
-    routh_hurwitz: RouthHurwitz
     eigenvalues: tuple
+
+    @property
+    def routh_hurwitz(self):
+        return routh_hurwitz_cubic(self.cubic)
 
     def _text_sections(self):
         c, rh = self.cubic, self.routh_hurwitz
@@ -377,16 +377,15 @@ def e1_gain_condition(k, m, n):
     """Evaluate the closed-form gain analysis at (m, n, 0, 0, 0).
 
     Gains must pass `systems.as_gains` (finite, non-negative), and the
-    cubic needs k3 > 0, k4 > 0 and m, n finite, not both zero. The
-    Routh-Hurwitz range is NotDecided where a2 or a3 underflows to 0.
+    cubic needs k3 > 0, k4 > 0 and m, n finite, not both zero. All of it
+    runs in float64, so the Routh-Hurwitz range is NotDecided where a2 or
+    a3 underflows to 0.
     """
     k1, k2, k3, k4, k5 = as_gains(k, 5)
     cubic = cubic_from_gains(k3, k4, k5, m, n)
     roots = numkit.poly_roots(cubic.polynomial())
     eigs = (complex(-k1), complex(-k2)) + tuple(complex(r) for r in roots)
-    positive = min(cubic.a1, cubic.a2, cubic.a3) > 0  # a2 or a3 may underflow to 0
-    rh = routh_hurwitz_cubic(cubic) if positive else RouthHurwitz.NOT_DECIDED
-    return E1GainReport(m, n, cubic, rh, eigs)
+    return E1GainReport(m, n, cubic, eigs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,8 @@ unstable equilibrium.
 
 Shape contract: a field takes one state of shape (n,) or a batch of B
 states of shape (B, n) and returns an array of the same shape, row b
-being f(x[b]); a Jacobian takes one state (n,) and returns (n, n).
+being f(x[b]); a Jacobian takes one state (n,) and returns (n, n), so a
+system whose gains carry a batch axis refuses to give one.
 Fields are evaluated row by row with elementwise operations, so a row of
 a batch is bitwise equal to the single evaluation. The numpy field of
 `controlled` serves both shapes; `fracdyn.maxbloch.controlled_system`
@@ -28,6 +29,7 @@ __all__ = [
     "EQUILIBRIUM_TOL",
     "SystemDef",
     "validate_alpha",
+    "as_floats",
     "as_state",
     "as_states",
     "as_gains",
@@ -40,9 +42,18 @@ __all__ = [
 EQUILIBRIUM_TOL = 1e-10
 
 
+def as_floats(x, message):
+    """x as a float64 array, non-finite floats included. An int or Fraction
+    beyond the float range raises ValueError(message), not OverflowError."""
+    try:
+        return np.asarray(x, dtype=float)
+    except OverflowError:
+        raise ValueError(message) from None
+
+
 def validate_alpha(alpha):
     """Fractional order in (0, 1]; alpha = 1 is the classical boundary case."""
-    a = float(alpha)
+    a = float(as_floats(alpha, "fractional order must lie in (0, 1]"))
     if not 0.0 < a <= 1.0:
         raise ValueError(f"fractional order must lie in (0, 1], got {alpha!r}")
     return a
@@ -50,7 +61,7 @@ def validate_alpha(alpha):
 
 def as_state(x, dim=None):
     """Coerce to a finite 1-D float vector, optionally checking its length."""
-    v = np.atleast_1d(np.asarray(x, dtype=float))
+    v = np.atleast_1d(as_floats(x, "state contains non-finite components"))
     if v.ndim != 1:
         raise ValueError("state must be a flat vector")
     if dim is not None and v.size != dim:
@@ -63,16 +74,13 @@ def as_state(x, dim=None):
 def as_states(x, dim=None):
     """One state as from `as_state`, or a (B, n) batch of B >= 1 of them."""
     if np.ndim(x) == 2 and len(x):
-        return np.array([as_state(row, dim) for row in np.asarray(x, dtype=float)])
+        return np.array([as_state(row, dim) for row in x])
     return as_state(x, dim)
 
 
 def as_gains(k, dim):
     """Feedback gain vector of length dim; a scalar expands to the full diagonal."""
-    try:
-        arr = np.asarray(k, dtype=float)
-    except OverflowError:  # an int or Fraction beyond the float range
-        raise ValueError("feedback gains must be finite and non-negative") from None
+    arr = as_floats(k, "feedback gains must be finite and non-negative")
     if arr.ndim == 0:
         arr = np.full(dim, float(arr))
     if arr.ndim != 1 or arr.size != dim:
@@ -127,9 +135,11 @@ def controlled(sys, k, x_e):
     Gains and targets may carry a leading batch axis, shape (B, n): row b
     of a (B, n) state is then fed back with gains k[b] towards x_e[b]. Each
     row is validated on its own, and every target must be an equilibrium.
+    The Jacobian keeps the one-state contract, so batched gains leave the
+    system without one: calling it raises ValueError.
     """
     if np.ndim(k) == 2:
-        gains = np.array([as_gains(row, sys.dim) for row in np.asarray(k, dtype=float)])
+        gains = np.array([as_gains(row, sys.dim) for row in k])
     else:
         gains = as_gains(k, sys.dim)
     target = as_states(x_e, sys.dim)
@@ -145,14 +155,16 @@ def controlled(sys, k, x_e):
             )
     base_field = sys.field
     base_jacobian = sys.jacobian
-    # diag(k), or one diagonal block per row of batched gains
-    shift = gains[..., :, None] * np.eye(sys.dim)
+    shift = np.diag(gains) if gains.ndim == 1 else None
 
     def field(x):
         x = np.asarray(x, dtype=float)
         return np.asarray(base_field(x), dtype=float) - gains * (x - target)
 
     def jacobian(x):
+        if shift is None:
+            raise ValueError("a Jacobian maps one state to one (n, n) matrix; "
+                             "a system with batched gains has none")
         return np.asarray(base_jacobian(x), dtype=float) - shift
 
     return SystemDef(

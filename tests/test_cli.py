@@ -388,6 +388,15 @@ class TestGainsCheck:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert captured.out == ""
 
+    def test_overflowing_discriminant_is_refused(self, capsys):
+        # a1, a2 and a3 are finite and D(P) is not; the companion roots
+        # -0.5 +- 1e103i and 0 would print a wrong Unstable, so the point is refused
+        assert main(["gains-check", "--gains", "1.2", "1.2", "0.5", "0.5", "0",
+                     "--e1", "1e103", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: gains, m or n too large: the cubic is not finite\n"
+        assert captured.out == ""
+
     def test_family_selection_required(self, capsys):
         assert main(["gains-check", "--gains", "1", "1", "1", "1", "1"]) == 2
         assert main(["gains-check", "--gains", "1", "1", "1", "1", "1",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_multiset_close
+from conftest import assert_multiset_close, bits
 from fracdyn import maxbloch, numkit
 from fracdyn.stability import (
     CubicCoeffs,
@@ -122,6 +122,7 @@ class TestCubic:
             assert c.discriminant == -3.0 / 64.0
 
     def test_from_gains_exact_fractions(self):
+        # computed in float64, which holds these dyadic values exactly
         c = cubic_from_gains(Fraction(1, 2), Fraction(1, 2), 0, Fraction(1, 2), 0)
         assert c.a3 == Fraction(1, 8)
         assert c.discriminant == Fraction(-3, 64)
@@ -148,8 +149,8 @@ class TestCubic:
 
     @pytest.mark.parametrize("m", [1e103, np.float64(1e103)], ids=["float", "float64"])
     def test_from_gains_discriminant_beyond_the_float_range(self, m):
-        # a1, a2 and a3 are finite and a2 ** 2 is not: a Python float raises
-        # OverflowError there, a numpy float gives inf; both are refused alike
+        # a1, a2 and a3 are finite and a2 ** 2 is not: both input types
+        # compute in float64, where it comes out inf, and are refused alike
         with pytest.raises(numkit.DomainError, match="too large: the cubic is not finite"):
             cubic_from_gains(0.5, 0.5, 0.0, m, 0.0)
 
@@ -198,10 +199,17 @@ class TestRouthHurwitz:
         assert RouthHurwitz.NOT_DECIDED.alpha_range is None
 
     def test_sign_preconditions_enforced(self):
-        with pytest.raises(numkit.DomainError):
-            routh_hurwitz_cubic(CubicCoeffs(1.0, -0.5, 0.125))
-        with pytest.raises(numkit.DomainError):
-            routh_hurwitz_cubic(CubicCoeffs(-1.0, 0.5, 0.125))
+        # a coefficient that is not positive leaves the test undecided; with
+        # a1 = -1 the discriminant alone would certify orders below 2/3
+        assert CubicCoeffs(-1.0, 0.5, 0.125).discriminant < 0
+        for coeffs in [(1.0, -0.5, 0.125), (-1.0, 0.5, 0.125), (1.0, 0.5, 0.0)]:
+            assert routh_hurwitz_cubic(CubicCoeffs(*coeffs)) is RouthHurwitz.NOT_DECIDED
+
+    def test_discriminant_beyond_the_float_range_not_decided(self):
+        # a2 ** 2 overflows: the discriminant is NaN, not an OverflowError
+        c = CubicCoeffs(1.0, 1e200, 1.0)
+        assert math.isnan(c.discriminant)
+        assert routh_hurwitz_cubic(c) is RouthHurwitz.NOT_DECIDED
 
     def test_agrees_with_argument_test(self, rng):
         checked = 0
@@ -351,6 +359,16 @@ def _scaled(mantissa):
 SCALED = _scaled(st.floats(-1.0, 1.0))
 SCALED_GAIN = _scaled(st.floats(0.0, 1.0))
 POSITIVE_SCALED_GAIN = _scaled(st.floats(0.5, 1.0))
+# any float, inf and nan included, biased towards the non-negative ones
+# a gain must be; and any number: such a float, an int or a Fraction, at
+# binary exponents well beyond the float range either way
+ANY_FLOAT = st.one_of(st.floats(min_value=0.0), st.floats())
+ANY_NUMBER = st.one_of(
+    ANY_FLOAT,
+    st.builds(lambda m, e: m << e, st.integers(-2**53, 2**53), st.integers(0, 1100)),
+    st.builds(lambda m, e: Fraction(m) * Fraction(2) ** e,
+              st.integers(-2**53, 2**53), st.integers(-1200, 1100)),
+)
 CASE_WINDOW = {"both_positive": "C2", "pos_neg": "C3", "neg_pos": "C4", "both_negative": "C5"}
 
 
@@ -400,8 +418,52 @@ class TestGainReportProperties:
         rep.to_text()
         if rep.cubic.a2 == 0 or rep.cubic.a3 == 0:
             assert rep.routh_hurwitz is RouthHurwitz.NOT_DECIDED
-        else:
-            assert rep.routh_hurwitz is routh_hurwitz_cubic(rep.cubic)
+
+    @PROPERTY_SETTINGS
+    @given(st.tuples(*[ANY_NUMBER] * 5), ANY_NUMBER, ANY_NUMBER,
+           st.tuples(*[ANY_NUMBER] * 3))
+    @example((1, 1, 0.5, 0.5, 0), 10**200, 0, (1.0, 1e200, 1.0))
+    @example((1, 1, 0.5, 0.5, 0), Fraction(10**200), 0, (10**400, 1, 1))
+    @example((1, 1, 0.5, 0.5, 0), 1e103, 0.0, (1.0, 1.0, Fraction(1, 10**400)))
+    def test_e1_entry_points_raise_only_value_errors(self, k, m, n, coeffs):
+        # ints, Fractions and floats of every size, inf and nan among them:
+        # only ValueError (DomainError is one) escapes, never OverflowError,
+        # Routh-Hurwitz answers every cubic, and every report renders
+        cubics = []
+        for build in (lambda: cubic_from_gains(*k[2:], m, n),
+                      lambda: e1_gain_condition(k, m, n).cubic,
+                      lambda: CubicCoeffs(*coeffs)):
+            try:
+                cubics.append(build())
+            except ValueError:
+                pass
+        for cubic in cubics:
+            assert routh_hurwitz_cubic(cubic) in RouthHurwitz
+        try:
+            rep = e1_gain_condition(k, m, n)
+        except ValueError:
+            return
+        rep.to_text(0.5)
+        rep.to_kv()
+
+    @PROPERTY_SETTINGS
+    @given(st.tuples(*[ANY_FLOAT] * 5), ANY_FLOAT, ANY_FLOAT)
+    @example((1.2, 1.2, 0.5, 0.5, 0.0), 1e103, 0.0)  # the discriminant overflows
+    @example((1.2, 1.2, 0.5, 0.5, 0.0), 1e-200, 0.0)  # a3 underflows to 0
+    def test_e1_python_and_numpy_floats_agree_bitwise(self, k, m, n):
+        def outcome(cast):
+            args = [cast(v) for v in k], cast(m), cast(n)
+            try:
+                cubic = cubic_from_gains(*args[0][2:], *args[1:])
+                rep = e1_gain_condition(*args)
+            except ValueError as exc:
+                return str(exc)
+            eigs = np.array(rep.eigenvalues)
+            return (bits([cubic.a1, cubic.a2, cubic.a3, cubic.discriminant]),
+                    bits([rep.cubic.a1, rep.cubic.a2, rep.cubic.a3, rep.cubic.discriminant]),
+                    bits(eigs.real), bits(eigs.imag), rep.to_kv(0.5))
+
+        assert outcome(float) == outcome(np.float64)
 
     @PROPERTY_SETTINGS
     @given(st.lists(st.tuples(st.floats(1e-3, 10.0), st.floats(0.0, math.pi)),

@@ -1,4 +1,5 @@
 import inspect
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,6 +40,22 @@ def test_as_state_checks():
         as_state([1.0, 2.0], dim=3)
     with pytest.raises(ValueError):
         as_state([np.nan, 0.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: as_state([10**400]),
+    lambda: as_state([0.0, Fraction(-10**400)]),
+    lambda: validate_alpha(10**400),
+    lambda: validate_alpha(Fraction(10**400, 3)),
+    lambda: as_gains([1, 1, 1, 1, 10**400], 5),
+    lambda: controlled(maxbloch.system(), [[1] * 5, [10**400] * 5], [E1, E1]),
+    lambda: controlled(maxbloch.system(), np.ones(5), [E1, [10**400, 0, 0, 0, 0]]),
+], ids=["state-int", "state-fraction", "alpha-int", "alpha-fraction", "gains",
+        "batched-gains", "batched-targets"])
+def test_exact_inputs_beyond_the_float_range_are_bad_input(call):
+    # ValueError, not the OverflowError of converting them to float
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_gain_coercion():
@@ -88,6 +105,14 @@ def test_controlled_jacobian_is_exact_shift(rng):
         np.testing.assert_array_equal(
             wrapped.jacobian(x), sys.jacobian(x) - np.diag(gains)
         )
+
+
+def test_batched_gains_have_no_jacobian():
+    # a Jacobian maps one state to one matrix; the field stays batched
+    sys = controlled(maxbloch.system(), np.ones((3, 5)), maxbloch.e2(-0.125))
+    with pytest.raises(ValueError, match="one state to one"):
+        sys.jacobian(np.zeros(5))
+    assert sys.field(np.zeros((3, 5))).shape == (3, 5)
 
 
 def test_controlled_rejects_non_equilibrium():
