@@ -20,6 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .numkit import as_floats
 from .systems import SystemDef, as_gains, as_state, controlled
 
 __all__ = [
@@ -82,12 +83,12 @@ def e1(m, n):
     """Equilibrium (m, n, 0, 0, 0); m and n must not both vanish."""
     if m == 0 and n == 0:
         raise ValueError("the (m, n, 0, 0, 0) family requires m^2 + n^2 != 0")
-    return np.array([float(m), float(n), 0.0, 0.0, 0.0])
+    return as_floats([m, n, 0.0, 0.0, 0.0], "m or n exceeds the float range")
 
 
 def e2(m):
     """Equilibrium (0, 0, 0, 0, m); m = 0 gives the origin."""
-    return np.array([0.0, 0.0, 0.0, 0.0, float(m)])
+    return as_floats([0.0, 0.0, 0.0, 0.0, m], "m exceeds the float range")
 
 
 def equilibrium_point(tag, params):
@@ -164,7 +165,7 @@ def lipschitz_bound(x0, delta):
     is compatible with the Euclidean vector norm; the constant is
     conservative.
     """
+    delta = float(as_floats(delta, "delta exceeds the float range"))
     if delta <= 0:
         raise ValueError("delta must be positive")
-    norm = float(np.linalg.norm(as_state(x0, 5)))
-    return math.sqrt(2.0) * (1.0 + 4.0 * norm + 2.0 * float(delta))
+    return math.sqrt(2.0) * (1.0 + 4.0 * math.hypot(*as_state(x0, 5)) + 2.0 * delta)

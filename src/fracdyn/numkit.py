@@ -3,7 +3,9 @@
 Polynomials are coefficient sequences in ascending degree order; matrices
 are square numpy arrays of dimension at most 8. Everything here is a pure
 function of its inputs and safe to call concurrently. `_fmt` is the float
-format of every printed report and artifact.
+format of every printed report and artifact. `as_floats` is the package's
+one gate from numbers outside it to floats: an int or Fraction beyond the
+float range raises DomainError, never OverflowError.
 """
 
 import functools
@@ -15,6 +17,7 @@ __all__ = [
     "DomainError",
     "ConvergenceError",
     "MAX_DEGREE",
+    "as_floats",
     "companion_matrix",
     "poly_roots",
     "eigenvalues",
@@ -34,6 +37,15 @@ class ConvergenceError(RuntimeError):
     """Series truncation target not met within the iteration budget."""
 
 
+def as_floats(x, message, dtype=float):
+    """x as a float64 (or complex128) array, non-finite values kept; an int
+    or Fraction beyond the float range raises DomainError(message)."""
+    try:
+        return np.asarray(x, dtype=dtype)
+    except OverflowError:
+        raise DomainError(message) from None
+
+
 def _fmt(x):
     return f"{float(x):.17g}"
 
@@ -49,9 +61,11 @@ def _sorted_complex(values):
 
 
 def _trim_trailing_zeros(coeffs):
-    c = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    c = np.atleast_1d(as_floats(coeffs, "polynomial coefficients must be finite"))
     if c.ndim != 1:
         raise DomainError("polynomial coefficients must be a flat sequence")
+    if not np.isfinite(c).all():
+        raise DomainError("polynomial coefficients must be finite")
     nonzero = np.flatnonzero(c != 0.0)
     if nonzero.size == 0:
         raise DomainError("the zero polynomial has no defined roots")
@@ -90,7 +104,7 @@ def poly_roots(coeffs):
 
 
 def _as_square(m):
-    a = np.asarray(m, dtype=float)
+    a = as_floats(m, "matrix contains non-finite entries")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("expected a square matrix")
     n = a.shape[0]
@@ -113,8 +127,11 @@ def geometric_multiplicity(m, eigenvalue):
     meaningful for eigenvalues known only to roughly that accuracy.
     """
     a = _as_square(m)
+    lam = as_floats(eigenvalue, "eigenvalue must be finite", dtype=complex)
+    if not np.isfinite(lam):
+        raise DomainError("eigenvalue must be finite")
     n = a.shape[0]
-    shifted = a.astype(complex) - complex(eigenvalue) * np.eye(n)
+    shifted = a.astype(complex) - lam * np.eye(n)
     return int(n - np.linalg.matrix_rank(shifted, tol=1e-7))
 
 
@@ -234,10 +251,10 @@ def mittag_leffler(alpha, z):
     happens for small alpha combined with z > 1, and for alpha < 0.01 with
     z just above -1 (alpha = 0.005 at z = -0.99, say).
     """
-    alpha = float(alpha)
+    alpha = float(as_floats(alpha, "alpha must lie in (0, 1]"))
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha!r}")
-    z = float(z)
+    z = float(as_floats(z, "z must be finite and at most 20.0"))
     if not -math.inf < z <= _ML_MAX_Z:
         raise DomainError(f"z must be finite and at most {_ML_MAX_Z}, got {z!r}")
     if z == 0.0:

@@ -3,8 +3,8 @@
 import numpy as np
 
 from . import maxbloch
-from .numkit import mittag_leffler
-from .systems import SystemDef
+from .numkit import as_floats, mittag_leffler
+from .systems import SystemDef, validate_alpha
 
 __all__ = ["SYSTEMS", "build_system", "oracle_for"]
 
@@ -54,7 +54,8 @@ def oracle_for(name, alpha, x0):
     """
     if name != LINEAR_DECAY:
         return None
-    start = float(np.atleast_1d(np.asarray(x0, dtype=float))[0])
+    alpha = validate_alpha(alpha)
+    start = float(np.atleast_1d(as_floats(x0, "state contains non-finite components"))[0])
 
     def oracle(t):
         return start * mittag_leffler(alpha, -(float(t) ** alpha))

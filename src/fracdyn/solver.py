@@ -58,6 +58,7 @@ from typing import Optional
 
 import numpy as np
 
+from .numkit import as_floats
 from .systems import as_states, validate_alpha
 
 __all__ = [
@@ -123,7 +124,8 @@ class SolverConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", validate_alpha(self.alpha))
-        object.__setattr__(self, "h", float(self.h))
+        h = float(as_floats(self.h, "step size must be positive and finite"))
+        object.__setattr__(self, "h", h)
         try:
             object.__setattr__(self, "n_steps", operator.index(self.n_steps))
         except TypeError:
@@ -455,11 +457,13 @@ def convergence_order(sys, alpha, oracle, h_list, tau, x0, t_min=0.0):
     origin.
     """
     alpha = validate_alpha(alpha)
-    hs = [float(h) for h in h_list]
+    hs = as_floats(list(h_list), "step sizes must be positive and finite").tolist()
     if not hs:
         raise ValueError("need at least one step size")
+    window = "tau must be positive and t_min non-negative, both finite"
+    tau, t_min = as_floats((tau, t_min), window).tolist()
     if not (0.0 < tau < math.inf and 0.0 <= t_min < math.inf):
-        raise ValueError("tau must be positive and t_min non-negative, both finite")
+        raise ValueError(window)
     if t_min > tau:
         raise ValueError(f"no grid point lies in t >= t_min = {t_min} up to the horizon {tau}")
     studies = []

@@ -28,9 +28,8 @@ from typing import Optional
 import numpy as np
 
 from . import numkit
-from .numkit import _fmt, _kv_join
-from .systems import (EQUILIBRIUM_TOL, as_floats, as_gains, as_state, is_equilibrium,
-                      validate_alpha)
+from .numkit import _fmt, _kv_join, as_floats
+from .systems import EQUILIBRIUM_TOL, as_gains, as_state, is_equilibrium, validate_alpha
 
 __all__ = [
     "ZERO_TOL",
@@ -43,7 +42,6 @@ __all__ = [
     "classify_equilibrium",
     "stability_alpha_threshold",
     "CubicCoeffs",
-    "cubic_discriminant",
     "cubic_from_gains",
     "routh_hurwitz_cubic",
     "E1GainReport",
@@ -83,7 +81,7 @@ def _eig_pairs(i, lam):
 def _abs_args(eigs):
     """|arg(lambda)| per eigenvalue, None where |lambda| <= ZERO_TOL. An empty
     list raises ValueError, a non-finite eigenvalue DomainError."""
-    values = np.asarray(eigs, dtype=complex).ravel()
+    values = as_floats(eigs, "eigenvalues must be finite", dtype=complex).ravel()
     if values.size == 0:
         raise ValueError("eigenvalue list is empty")
     if not np.isfinite(values).all():
@@ -198,11 +196,6 @@ def classify_equilibrium(sys, x_e, alpha):
     )
 
 
-def cubic_discriminant(a1, a2, a3):
-    """Discriminant of the monic cubic x^3 + a1 x^2 + a2 x + a3, in float64."""
-    return CubicCoeffs(a1, a2, a3).discriminant
-
-
 @dataclass(frozen=True)
 class CubicCoeffs:
     """Monic cubic x^3 + a1 x^2 + a2 x + a3 in float64 (ValueError beyond the
@@ -229,14 +222,6 @@ class CubicCoeffs:
         return (self.a3, self.a2, self.a1, 1.0)
 
 
-def _fits_float(q):
-    """Whether the real number `q` converts to a finite float."""
-    try:
-        return math.isfinite(q)
-    except OverflowError:  # an int or Fraction beyond the float range
-        return False
-
-
 def cubic_from_gains(k3, k4, k5, m, n):
     """Cubic factor of the controlled characteristic polynomial at an
     equilibrium (m, n, 0, 0, 0) with (m, n) != (0, 0).
@@ -245,9 +230,9 @@ def cubic_from_gains(k3, k4, k5, m, n):
     and a3 = k3*k4*k5 + k3*n^2 + k4*m^2, in float64 whatever the input
     types; a cubic or discriminant beyond the float range raises DomainError.
     """
-    if not all(map(_fits_float, (k3, k4, k5, m, n))):
+    k3, k4, k5, m, n = values = as_floats((k3, k4, k5, m, n), "gains, m and n must be finite")
+    if not np.isfinite(values).all():
         raise numkit.DomainError("gains, m and n must be finite")
-    k3, k4, k5, m, n = np.array((k3, k4, k5, m, n), dtype=float)
     if k3 <= 0 or k4 <= 0 or k5 < 0:
         raise numkit.DomainError("gains must satisfy k3 > 0, k4 > 0, k5 >= 0")
     if m == 0 and n == 0:
@@ -322,7 +307,8 @@ class _GainReport:
         lines = [*head, "eigenvalues:", *(f"  {_eig_text(lam)}" for lam in self.eigenvalues),
                  *tail, f"argument-test threshold: {bound}"]
         if alpha is not None:
-            lines.append(f"verdict at alpha = {_fmt(alpha)}: {self.verdict(alpha)}")
+            lines.append(f"verdict at alpha = {_fmt(validate_alpha(alpha))}: "
+                         f"{self.verdict(alpha)}")
         return "\n".join(lines)
 
     def to_kv(self, alpha=None):
@@ -332,7 +318,7 @@ class _GainReport:
             pairs += _eig_pairs(i, lam)
         pairs += [*tail, ("alpha_threshold", _fmt(self.alpha_threshold))]
         if alpha is not None:
-            pairs += [("alpha", _fmt(alpha)), ("verdict", str(self.verdict(alpha)))]
+            pairs += [("alpha", _fmt(validate_alpha(alpha))), ("verdict", str(self.verdict(alpha)))]
         return _kv_join(pairs)
 
 
@@ -458,28 +444,26 @@ def e2_gain_condition(k, m):
         raise numkit.DomainError("expected five feedback gains")
     if any(not 0 < g < math.inf for g in gains) or not -math.inf < m < math.inf:
         raise numkit.DomainError("gains must be finite and strictly positive, m finite")
+    f1, f2, f3, f4, f5, _ = as_floats(
+        (*gains, m), "gains or m too large: they exceed the float range").tolist()
     k1, k2, k3, k4, k5 = gains
 
+    too_large = "gains or m too large: delta1, delta2, u or v is not finite"
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         try:
             sq13, sq24 = (k1 - k3) ** 2, (k2 - k4) ** 2
-        except OverflowError:  # a float `**` raises where `*` would give inf
-            sq13 = sq24 = math.inf
-        delta1 = sq13 + 4 * m
-        delta2 = sq24 + 4 * m
-        u = -sq13 / 4
-        v = -sq24 / 4
-    if not all(map(_fits_float, (delta1, delta2, u, v))):
-        raise numkit.DomainError("gains or m too large: delta1, delta2, u or v is not finite")
-    if not all(map(_fits_float, (*gains, m))):  # only exact inputs can fail here
-        raise numkit.DomainError("gains or m too large: they exceed the float range")
+            delta1, delta2 = sq13 + 4 * m, sq24 + 4 * m
+            u, v = -sq13 / 4, -sq24 / 4
+        except OverflowError:  # a float `**`, or an int `/`, beyond the float range
+            raise numkit.DomainError(too_large) from None
+    d1, d2, _, _ = quantities = as_floats((delta1, delta2, u, v), too_large).tolist()
+    if not all(map(math.isfinite, quantities)):
+        raise numkit.DomainError(too_large)
 
-    s1 = cmath.sqrt(complex(float(delta1), 0.0))
-    s2 = cmath.sqrt(complex(float(delta2), 0.0))
-    p13 = float(k1) + float(k3)
-    p24 = float(k2) + float(k4)
+    s1, s2 = cmath.sqrt(complex(d1, 0.0)), cmath.sqrt(complex(d2, 0.0))
+    p13, p24 = f1 + f3, f2 + f4
     eigs = (
-        complex(-float(k5), 0.0),
+        complex(-f5, 0.0),
         (-p13 + s1) / 2.0,
         (-p13 - s1) / 2.0,
         (-p24 + s2) / 2.0,

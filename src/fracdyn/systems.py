@@ -17,7 +17,8 @@ keeps it as its field and test oracle and adds a `float_field` with the
 same bits, on which the integrator steps lone runs. The integrator builds
 on this: a (B, n) initial state advances B runs of one system at once
 (see `fracdyn.solver`), and a system whose parameters carry a batch axis
-(see `controlled`) gives each run its own parameters.
+(see `controlled`) gives each run its own parameters. States, orders and
+gains become floats through `fracdyn.numkit.as_floats`, the one gate.
 """
 
 from dataclasses import dataclass
@@ -25,11 +26,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .numkit import as_floats
+
 __all__ = [
     "EQUILIBRIUM_TOL",
     "SystemDef",
     "validate_alpha",
-    "as_floats",
     "as_state",
     "as_states",
     "as_gains",
@@ -40,15 +42,6 @@ __all__ = [
 # A point whose field is within EQUILIBRIUM_TOL of zero (max norm) counts
 # as an equilibrium, as a feedback target and as a point to classify.
 EQUILIBRIUM_TOL = 1e-10
-
-
-def as_floats(x, message):
-    """x as a float64 array, non-finite floats included. An int or Fraction
-    beyond the float range raises ValueError(message), not OverflowError."""
-    try:
-        return np.asarray(x, dtype=float)
-    except OverflowError:
-        raise ValueError(message) from None
 
 
 def validate_alpha(alpha):

@@ -1,20 +1,26 @@
 """Integrity of the public API: each module's __all__, the names the
-package imports and the layers its modules import each other in. There is
-no linter in this project; these checks stand in for one."""
+package imports, the layers its modules import each other in and the one
+gate through which numbers from outside become floats. There is no linter
+in this project; these checks stand in for one."""
 
 import ast
 import collections
 import importlib
 import inspect
+import math
 import pkgutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fracdyn
 from conftest import CHILD_ENV
+from fracdyn import maxbloch, numkit, registry, solver, stability, systems
 
 # the command line front end exports `main` and `run` (the `fracdyn` script), no __all__
 MODULES = [f"fracdyn.{info.name}" for info in pkgutil.iter_modules(fracdyn.__path__)
@@ -113,6 +119,113 @@ def test_no_module_reads_the_environment(path):
              or (isinstance(node, ast.ImportFrom) and node.module == "os"
                  and hidden & {alias.name for alias in node.names})]
     assert reads == []
+
+
+def _overflow_guards(tree):
+    """The innermost function around each `except` that names OverflowError
+    (or its base ArithmeticError); None for one outside any function."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    guards = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+                isinstance(name, ast.Name) and name.id in {"OverflowError", "ArithmeticError"}
+                for name in ast.walk(node.type)):
+            while node in parents and not isinstance(node, ast.FunctionDef):
+                node = parents[node]
+            guards.append(getattr(node, "name", None))
+    return guards
+
+
+def test_one_gate_turns_numbers_from_outside_into_floats():
+    # `numkit.as_floats` is the only conversion that may meet an int or
+    # Fraction beyond the float range; the other guards catch arithmetic
+    # past it (the Mittag-Leffler series and the float `**` of e2)
+    gates, guards = [], []
+    for path in sorted(Path(fracdyn.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        gates += [path.stem for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "as_floats"]
+        guards += [(path.stem, name) for name in _overflow_guards(tree)]
+    assert gates == ["numkit"]
+    assert sorted(guards) == [("numkit", "_ml_series"), ("numkit", "as_floats"),
+                              ("stability", "e2_gain_condition")]
+
+
+def _linear_decay_study(alpha, h, tau, x0, t_min):
+    # an oracle that stops at t = 1 refuses a long horizon before any run
+    exact = registry.oracle_for(registry.LINEAR_DECAY, 0.5, [1.0])
+    oracle = lambda t: exact(t) if t <= 1.0 else math.nan
+    return solver.convergence_order(registry.build_system(registry.LINEAR_DECAY), alpha,
+                                    oracle, [h], tau, [x0], t_min)
+
+
+def _rendered(alpha):
+    rep = stability.e1_gain_condition((1, 1, 0.5, 0.5, 0), 0.5, 0)
+    return rep.to_text(alpha), rep.to_kv(alpha)
+
+
+# every public entry point that takes numbers, with the numbers of one valid call
+NUMERIC_ENTRY_POINTS = {
+    "as_floats": (lambda x: numkit.as_floats(x, "bad"), (1.0,)),
+    "mittag_leffler": (numkit.mittag_leffler, (0.5, -1.0)),
+    "eigenvalues": (lambda a: numkit.eigenvalues([[a]]), (-1.0,)),
+    "poly_roots": (lambda *c: numkit.poly_roots(c), (1.0, 1.0)),
+    "geometric_multiplicity": (
+        lambda a, lam: numkit.geometric_multiplicity([[a, 0.0], [0.0, 1.0]], lam), (1.0, 1.0)),
+    "validate_alpha": (systems.validate_alpha, (0.5,)),
+    "as_state": (lambda *x: systems.as_state(x), (1.0, -2.0)),
+    "as_gains": (lambda *k: systems.as_gains(k, 5), (1.0, 1.0, 0.5, 0.5, 0.0)),
+    "SolverConfig": (lambda alpha, h, n, x: solver.SolverConfig(alpha, h, n, [x]),
+                     (0.5, 0.1, 1, 1.0)),
+    "convergence_order": (_linear_decay_study, (0.5, 0.5, 1.0, 1.0, 0.0)),
+    "e1": (maxbloch.e1, (1.0, 0)),
+    "e2": (maxbloch.e2, (0.5,)),
+    "lipschitz_bound": (lambda *a: maxbloch.lipschitz_bound(a[:5], a[5]), (0,) * 5 + (1.0,)),
+    "matignon_margins": (lambda lam, alpha: stability.matignon_margins([lam], alpha),
+                         (complex(-1.0, 1.0), 0.5)),
+    "CubicCoeffs": (stability.CubicCoeffs, (1.0, 0.5, 0.125)),
+    "cubic_from_gains": (stability.cubic_from_gains, (0.5, 0.5, 0.0, 0.5, 0.0)),
+    "e1_gain_condition": (lambda *a: stability.e1_gain_condition(a[:5], a[5], a[6]),
+                          (1, 1, 0.5, 0.5, 0, 0.5, 0)),
+    "gain_report": (_rendered, (0.65,)),
+    "e2_gain_condition": (lambda *a: stability.e2_gain_condition(a[:5], a[5]), (1,) * 5 + (0,)),
+    "oracle_for": (lambda alpha, x: registry.oracle_for(registry.LINEAR_DECAY, alpha, [x])(0.5),
+                   (0.5, 1.0)),
+}
+
+POWER_OF_TWO = st.builds(lambda sign, e: sign * 2**e, st.sampled_from([1, -1]),
+                         st.integers(0, 1100))
+OUTSIDE_NUMBER = st.one_of(POWER_OF_TWO, POWER_OF_TWO.map(Fraction),
+                           st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(NUMERIC_ENTRY_POINTS)), st.integers(0, 6), OUTSIDE_NUMBER)
+@example("mittag_leffler", 1, 10**400)
+@example("mittag_leffler", 0, 10**400)
+@example("eigenvalues", 0, 10**400)
+@example("poly_roots", 0, 10**400)
+@example("geometric_multiplicity", 1, 10**400)
+@example("e1", 0, 10**400)
+@example("e2", 0, 10**400)
+@example("lipschitz_bound", 5, 10**400)
+@example("e2_gain_condition", 0, 10**400)
+@example("matignon_margins", 0, 10**400)
+@example("gain_report", 0, 10**400)
+@example("SolverConfig", 1, 10**400)
+@example("convergence_order", 1, 10**400)
+@example("convergence_order", 2, 10**400)
+@example("oracle_for", 1, 10**400)
+def test_numbers_from_outside_raise_only_value_errors(name, position, value):
+    # a valid call with one number replaced by an int or Fraction of any
+    # size, inf or nan returns or raises ValueError, never OverflowError
+    call, args = NUMERIC_ENTRY_POINTS[name]
+    args = list(args)
+    args[position % len(args)] = value
+    try:
+        call(*args)
+    except ValueError:
+        pass
 
 
 def _fracdyn_reads(tree):

@@ -23,6 +23,17 @@ TARGETS = (st.tuples(st.floats(-2.0, 2.0), st.floats(0.01, 2.0)).map(lambda mn: 
            | st.floats(-2.0, 2.0).map(maxbloch.e2))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: maxbloch.e1(10**400, 0), "m or n exceeds the float range"),
+    (lambda: maxbloch.e2(10**400), "m exceeds the float range"),
+    (lambda: maxbloch.lipschitz_bound([0, 0, 0, 0, 0], 10**400), "delta exceeds"),
+], ids=["e1", "e2", "lipschitz-delta"])
+def test_exact_inputs_beyond_the_float_range_are_bad_input(call, message):
+    # DomainError, a ValueError, not the OverflowError of converting them to float
+    with pytest.raises(numkit.DomainError, match=message):
+        call()
+
+
 def rotation(theta):
     c, s = math.cos(theta), math.sin(theta)
     r = np.eye(5)

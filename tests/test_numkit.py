@@ -1,5 +1,6 @@
 import inspect
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -58,6 +59,27 @@ def ml_asymptotic_oracle(alpha, x):
 ML_ALPHAS = (0.05, 0.1, 0.3, 0.5, 0.65, 0.8, 0.95, 0.99, 0.999, 0.9999)
 
 
+def test_as_floats_converts_exact_numbers():
+    np.testing.assert_array_equal(numkit.as_floats([1, Fraction(1, 4)], "bad"), [1.0, 0.25])
+    assert numkit.as_floats(Fraction(-1, 2), "bad", dtype=complex) == -0.5 + 0j
+    assert np.isnan(numkit.as_floats(math.nan, "bad"))  # non-finite floats pass
+    with pytest.raises(numkit.DomainError, match="^bad$"):
+        numkit.as_floats([0.0, Fraction(-10**400)], "bad")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: numkit.mittag_leffler(0.5, 10**400), "z must be finite"),
+    (lambda: numkit.mittag_leffler(10**400, -1.0), "alpha must lie in"),
+    (lambda: numkit.eigenvalues([[10**400]]), "non-finite entries"),
+    (lambda: numkit.poly_roots([10**400, 1]), "coefficients must be finite"),
+    (lambda: numkit.geometric_multiplicity(np.eye(2), 10**400), "eigenvalue must be finite"),
+], ids=["ml-z", "ml-alpha", "eigenvalues", "poly-roots", "multiplicity"])
+def test_exact_inputs_beyond_the_float_range_are_bad_input(call, message):
+    # DomainError, a ValueError, not the OverflowError of converting them to float
+    with pytest.raises(numkit.DomainError, match=message):
+        call()
+
+
 class TestPolyRoots:
     def test_imaginary_pair(self):
         roots = numkit.poly_roots([1.0, 0.0, 1.0])
@@ -103,6 +125,10 @@ class TestPolyRoots:
             numkit.poly_roots([1.0] + [0.0] * 8 + [1.0])  # degree 9
         with pytest.raises(numkit.DomainError, match="flat sequence"):
             numkit.poly_roots([[1.0, 1.0], [1.0, 1.0]])
+        # not numpy's LinAlgError, nor the root 0 of a leading inf
+        for coeffs in ([math.nan, 1.0], [1.0, math.inf]):
+            with pytest.raises(numkit.DomainError, match="must be finite"):
+                numkit.poly_roots(coeffs)
 
     def test_trailing_zero_trimming(self):
         # (x + 1) padded with vanishing high-order coefficients
@@ -164,6 +190,12 @@ class TestGeometricMultiplicity:
         m[:2, :2] = [[0, 1], [-1, 0]]
         m[2:, 2:] = [[0, 1], [-1, 0]]
         assert numkit.geometric_multiplicity(m, 1j) == 2
+
+    @pytest.mark.parametrize("eigenvalue", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_eigenvalue_rejected(self, eigenvalue):
+        # not the LinAlgError of an SVD that does not converge
+        with pytest.raises(numkit.DomainError, match="eigenvalue must be finite"):
+            numkit.geometric_multiplicity(np.eye(2), eigenvalue)
 
 
 class TestMittagLeffler:

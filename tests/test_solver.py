@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracdyn import maxbloch, registry, solver
-from fracdyn.numkit import mittag_leffler
+from fracdyn.numkit import DomainError, mittag_leffler
 from fracdyn.solver import (
     _BLOCK,
     MAX_STEPS,
@@ -115,6 +115,19 @@ class TestWeights:
     def test_predictor_sum_telescopes(self, alpha, n):
         total = float(np.sum(_lag_weights(n + 1, alpha)[0]))
         assert abs(total - (n + 1) ** alpha) <= 1e-10
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SolverConfig(alpha=0.5, h=10**400, n_steps=1, x0=[1.0]), "step size must be"),
+    (lambda: convergence_order(LINEAR, 0.5, lambda t: 1.0, [10**400], 1.0, [1.0]),
+     "step sizes must be"),
+    (lambda: convergence_order(LINEAR, 0.5, lambda t: 1.0, [0.5], 10**400, [1.0]),
+     "tau must be positive"),
+], ids=["config-h", "study-h", "study-tau"])
+def test_exact_inputs_beyond_the_float_range_are_bad_input(call, message):
+    # DomainError, a ValueError, not the OverflowError of converting them to float
+    with pytest.raises(DomainError, match=message):
+        call()
 
 
 class TestConfig:

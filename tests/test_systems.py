@@ -50,8 +50,14 @@ def test_as_state_checks():
     lambda: as_gains([1, 1, 1, 1, 10**400], 5),
     lambda: controlled(maxbloch.system(), [[1] * 5, [10**400] * 5], [E1, E1]),
     lambda: controlled(maxbloch.system(), np.ones(5), [E1, [10**400, 0, 0, 0, 0]]),
+    lambda: registry.oracle_for(registry.LINEAR_DECAY, 0.5, [10**400]),
+    lambda: registry.oracle_for(registry.LINEAR_DECAY, 2**1100, [1.0]),
+    lambda: stability.matignon_margins([10**400], 0.5),
+    lambda: stability.e1_gain_condition((1, 1, 0.5, 0.5, 0), 0.5, 0).to_text(10**400),
+    lambda: stability.e1_gain_condition((1, 1, 0.5, 0.5, 0), 0.5, 0).to_kv(10**400),
 ], ids=["state-int", "state-fraction", "alpha-int", "alpha-fraction", "gains",
-        "batched-gains", "batched-targets"])
+        "batched-gains", "batched-targets", "oracle-x0", "oracle-alpha", "eigenvalues",
+        "report-text-alpha", "report-kv-alpha"])
 def test_exact_inputs_beyond_the_float_range_are_bad_input(call):
     # ValueError, not the OverflowError of converting them to float
     with pytest.raises(ValueError):
