@@ -80,15 +80,17 @@ def jacobian(x):
 
 
 def e1(m, n):
-    """Equilibrium (m, n, 0, 0, 0); m and n must not both vanish."""
+    """Equilibrium (m, n, 0, 0, 0); m and n must be finite, not both zero."""
     if m == 0 and n == 0:
         raise ValueError("the (m, n, 0, 0, 0) family requires m^2 + n^2 != 0")
-    return as_floats([m, n, 0.0, 0.0, 0.0], "m or n exceeds the float range")
+    return as_floats([m, n, 0.0, 0.0, 0.0], "m or n exceeds the float range or is not finite",
+                     finite=True)
 
 
 def e2(m):
-    """Equilibrium (0, 0, 0, 0, m); m = 0 gives the origin."""
-    return as_floats([0.0, 0.0, 0.0, 0.0, m], "m exceeds the float range")
+    """Equilibrium (0, 0, 0, 0, m) for finite m; m = 0 gives the origin."""
+    return as_floats([0.0, 0.0, 0.0, 0.0, m], "m exceeds the float range or is not finite",
+                     finite=True)
 
 
 def equilibrium_point(tag, params):
@@ -163,9 +165,11 @@ def lipschitz_bound(x0, delta):
     Valid on the box of half-width delta around x0 (Euclidean norm for
     |x0|). The sqrt(2) is the Frobenius norm shared by A, A1 and A2, which
     is compatible with the Euclidean vector norm; the constant is
-    conservative.
+    conservative. A bound beyond the float range raises DomainError.
     """
-    delta = float(as_floats(delta, "delta exceeds the float range"))
+    too_large = "delta exceeds the float range or is not finite, or |x0| is too large"
+    delta = float(as_floats(delta, too_large))
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return math.sqrt(2.0) * (1.0 + 4.0 * math.hypot(*as_state(x0, 5)) + 2.0 * delta)
+    bound = math.sqrt(2.0) * (1.0 + 4.0 * math.hypot(*as_state(x0, 5)) + 2.0 * delta)
+    return float(as_floats(bound, too_large, finite=True))

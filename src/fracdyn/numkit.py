@@ -37,13 +37,17 @@ class ConvergenceError(RuntimeError):
     """Series truncation target not met within the iteration budget."""
 
 
-def as_floats(x, message, dtype=float):
-    """x as a float64 (or complex128) array, non-finite values kept; an int
-    or Fraction beyond the float range raises DomainError(message)."""
+def as_floats(x, message, dtype=float, finite=False):
+    """x as a float64 (or complex128) array; an int or Fraction beyond the
+    float range raises DomainError(message), and with `finite` so does a
+    value that is not finite."""
     try:
-        return np.asarray(x, dtype=dtype)
+        a = np.asarray(x, dtype=dtype)
     except OverflowError:
         raise DomainError(message) from None
+    if finite and not np.isfinite(a).all():
+        raise DomainError(message)
+    return a
 
 
 def _fmt(x):
@@ -61,11 +65,9 @@ def _sorted_complex(values):
 
 
 def _trim_trailing_zeros(coeffs):
-    c = np.atleast_1d(as_floats(coeffs, "polynomial coefficients must be finite"))
+    c = np.atleast_1d(as_floats(coeffs, "polynomial coefficients must be finite", finite=True))
     if c.ndim != 1:
         raise DomainError("polynomial coefficients must be a flat sequence")
-    if not np.isfinite(c).all():
-        raise DomainError("polynomial coefficients must be finite")
     nonzero = np.flatnonzero(c != 0.0)
     if nonzero.size == 0:
         raise DomainError("the zero polynomial has no defined roots")
@@ -95,23 +97,32 @@ def companion_matrix(coeffs):
 def poly_roots(coeffs):
     """All complex roots, with multiplicity, of a real polynomial.
 
-    Roots are computed as companion-matrix eigenvalues, which is uniform in
-    the degree and robust at the small sizes used here. Complex roots of a
-    real polynomial come back in conjugate pairs. The result is sorted by
-    real part, then imaginary part.
+    Companion-matrix eigenvalues, accurate only relative to the largest
+    coefficient, each polished by up to three Newton steps on the polynomial.
+    A step is rejected if not finite or if it would move the root by half its
+    distance to the nearest other eigenvalue or more, so a multiple root
+    keeps its eigenvalue. Complex roots come in exact conjugate pairs, real
+    ones with imaginary part +0, sorted by real part, then imaginary part.
     """
-    return _sorted_complex(np.linalg.eigvals(companion_matrix(coeffs)))
+    c = _trim_trailing_zeros(coeffs)
+    roots = start = np.linalg.eigvals(companion_matrix(c)).astype(complex)
+    # column 0 of each sorted row is the root's distance to itself
+    half = np.sort(abs(start[:, None] - start), axis=1)[:, 1:].min(axis=1, initial=np.inf) / 2
+    p, dp = c[::-1], np.polyder(c[::-1])
+    with np.errstate(all="ignore"):
+        for _ in range(3):
+            new = roots - np.polyval(p, roots) / np.polyval(dp, roots)
+            roots = np.where(np.isfinite(new) & (abs(new - start) < half), new, roots)
+    return _sorted_complex(roots)
 
 
 def _as_square(m):
-    a = as_floats(m, "matrix contains non-finite entries")
+    a = as_floats(m, "matrix contains non-finite entries", finite=True)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("expected a square matrix")
     n = a.shape[0]
     if not 1 <= n <= MAX_DEGREE:
         raise DomainError(f"matrix dimension {n} outside 1..{MAX_DEGREE}")
-    if not np.isfinite(a).all():
-        raise DomainError("matrix contains non-finite entries")
     return a
 
 
@@ -127,9 +138,7 @@ def geometric_multiplicity(m, eigenvalue):
     meaningful for eigenvalues known only to roughly that accuracy.
     """
     a = _as_square(m)
-    lam = as_floats(eigenvalue, "eigenvalue must be finite", dtype=complex)
-    if not np.isfinite(lam):
-        raise DomainError("eigenvalue must be finite")
+    lam = as_floats(eigenvalue, "eigenvalue must be finite", dtype=complex, finite=True)
     n = a.shape[0]
     shifted = a.astype(complex) - lam * np.eye(n)
     return int(n - np.linalg.matrix_rank(shifted, tol=1e-7))

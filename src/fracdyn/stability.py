@@ -81,11 +81,9 @@ def _eig_pairs(i, lam):
 def _abs_args(eigs):
     """|arg(lambda)| per eigenvalue, None where |lambda| <= ZERO_TOL. An empty
     list raises ValueError, a non-finite eigenvalue DomainError."""
-    values = as_floats(eigs, "eigenvalues must be finite", dtype=complex).ravel()
+    values = as_floats(eigs, "eigenvalues must be finite", dtype=complex, finite=True).ravel()
     if values.size == 0:
         raise ValueError("eigenvalue list is empty")
-    if not np.isfinite(values).all():
-        raise numkit.DomainError("eigenvalues must be finite")
     return tuple(None if abs(lam) <= ZERO_TOL else abs(cmath.phase(lam)) for lam in values)
 
 
@@ -199,7 +197,8 @@ def classify_equilibrium(sys, x_e, alpha):
 @dataclass(frozen=True)
 class CubicCoeffs:
     """Monic cubic x^3 + a1 x^2 + a2 x + a3 in float64 (ValueError beyond the
-    float range); its discriminant is inf or nan, never raising, beyond it."""
+    float range). Its discriminant is inf or nan, never raising, beyond it,
+    and reports print it as `undefined` there."""
 
     a1: float
     a2: float
@@ -228,11 +227,10 @@ def cubic_from_gains(k3, k4, k5, m, n):
 
     Coefficients are a1 = k3 + k4 + k5, a2 = k3*k4 + k3*k5 + k4*k5 + m^2 + n^2
     and a3 = k3*k4*k5 + k3*n^2 + k4*m^2, in float64 whatever the input
-    types; a cubic or discriminant beyond the float range raises DomainError.
+    types; a coefficient beyond the float range raises DomainError. The
+    discriminant may still overflow, which leaves Routh-Hurwitz NotDecided.
     """
-    k3, k4, k5, m, n = values = as_floats((k3, k4, k5, m, n), "gains, m and n must be finite")
-    if not np.isfinite(values).all():
-        raise numkit.DomainError("gains, m and n must be finite")
+    k3, k4, k5, m, n = as_floats((k3, k4, k5, m, n), "gains, m and n must be finite", finite=True)
     if k3 <= 0 or k4 <= 0 or k5 < 0:
         raise numkit.DomainError("gains must satisfy k3 > 0, k4 > 0, k5 >= 0")
     if m == 0 and n == 0:
@@ -241,7 +239,7 @@ def cubic_from_gains(k3, k4, k5, m, n):
         cubic = CubicCoeffs(k3 + k4 + k5,
                             k3 * k4 + k3 * k5 + k4 * k5 + m * m + n * n,
                             k3 * k4 * k5 + k3 * n * n + k4 * m * m)
-    if not np.isfinite((cubic.a1, cubic.a2, cubic.a3, cubic.discriminant)).all():
+    if not np.isfinite((cubic.a1, cubic.a2, cubic.a3)).all():
         raise numkit.DomainError("gains, m or n too large: the cubic is not finite")
     return cubic
 
@@ -340,6 +338,10 @@ class E1GainReport(_GainReport):
     def routh_hurwitz(self):
         return routh_hurwitz_cubic(self.cubic)
 
+    def _discriminant_text(self):
+        d = self.cubic.discriminant
+        return _fmt(d) if math.isfinite(d) else "undefined"
+
     def _text_sections(self):
         c, rh = self.cubic, self.routh_hurwitz
         covered = rh.alpha_range
@@ -347,7 +349,7 @@ class E1GainReport(_GainReport):
         return [
             f"equilibrium family e1, m = {_fmt(self.m)}, n = {_fmt(self.n)}",
             f"a1 = {_fmt(c.a1)}   a2 = {_fmt(c.a2)}   a3 = {_fmt(c.a3)}",
-            f"D(P) = {_fmt(c.discriminant)}",
+            f"D(P) = {self._discriminant_text()}",
             f"routh-hurwitz: {rh}{guarantee}",
         ], []
 
@@ -355,7 +357,7 @@ class E1GainReport(_GainReport):
         c, rh = self.cubic, self.routh_hurwitz
         return [("family", "e1"), ("m", _fmt(self.m)), ("n", _fmt(self.n)),
                 ("a1", _fmt(c.a1)), ("a2", _fmt(c.a2)), ("a3", _fmt(c.a3)),
-                ("discriminant", _fmt(c.discriminant)), ("routh_hurwitz", str(rh)),
+                ("discriminant", self._discriminant_text()), ("routh_hurwitz", str(rh)),
                 ("alpha_range", rh.alpha_range or "undecided")], []
 
 
@@ -456,9 +458,7 @@ def e2_gain_condition(k, m):
             u, v = -sq13 / 4, -sq24 / 4
         except OverflowError:  # a float `**`, or an int `/`, beyond the float range
             raise numkit.DomainError(too_large) from None
-    d1, d2, _, _ = quantities = as_floats((delta1, delta2, u, v), too_large).tolist()
-    if not all(map(math.isfinite, quantities)):
-        raise numkit.DomainError(too_large)
+    d1, d2, _, _ = as_floats((delta1, delta2, u, v), too_large, finite=True).tolist()
 
     s1, s2 = cmath.sqrt(complex(d1, 0.0)), cmath.sqrt(complex(d2, 0.0))
     p13, p24 = f1 + f3, f2 + f4

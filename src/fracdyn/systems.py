@@ -9,7 +9,9 @@ unstable equilibrium.
 Shape contract: a field takes one state of shape (n,) or a batch of B
 states of shape (B, n) and returns an array of the same shape, row b
 being f(x[b]); a Jacobian takes one state (n,) and returns (n, n), so a
-system whose gains carry a batch axis refuses to give one.
+system whose gains carry a batch axis refuses to give one. Both take
+float states: as the integrator's per-step callbacks they pass no gate,
+so `maxbloch.field([10**400, 0, 0, 0, 0])` raises OverflowError.
 Fields are evaluated row by row with elementwise operations, so a row of
 a batch is bitwise equal to the single evaluation. The numpy field of
 `controlled` serves both shapes; `fracdyn.maxbloch.controlled_system`

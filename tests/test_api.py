@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -193,6 +194,9 @@ NUMERIC_ENTRY_POINTS = {
                    (0.5, 1.0)),
 }
 
+# entry points whose every returned value is finite
+FINITE_RESULTS = {"e1", "e2", "lipschitz_bound"}
+
 POWER_OF_TWO = st.builds(lambda sign, e: sign * 2**e, st.sampled_from([1, -1]),
                          st.integers(0, 1100))
 OUTSIDE_NUMBER = st.one_of(POWER_OF_TWO, POWER_OF_TWO.map(Fraction),
@@ -209,6 +213,10 @@ OUTSIDE_NUMBER = st.one_of(POWER_OF_TWO, POWER_OF_TWO.map(Fraction),
 @example("e1", 0, 10**400)
 @example("e2", 0, 10**400)
 @example("lipschitz_bound", 5, 10**400)
+@example("e1", 0, math.nan)
+@example("e2", 0, math.inf)
+@example("lipschitz_bound", 5, math.nan)
+@example("lipschitz_bound", 0, 2**1023)
 @example("e2_gain_condition", 0, 10**400)
 @example("matignon_margins", 0, 10**400)
 @example("gain_report", 0, 10**400)
@@ -218,14 +226,17 @@ OUTSIDE_NUMBER = st.one_of(POWER_OF_TWO, POWER_OF_TWO.map(Fraction),
 @example("oracle_for", 1, 10**400)
 def test_numbers_from_outside_raise_only_value_errors(name, position, value):
     # a valid call with one number replaced by an int or Fraction of any
-    # size, inf or nan returns or raises ValueError, never OverflowError
+    # size, inf or nan returns or raises ValueError, never OverflowError;
+    # the maxbloch points and bound it returns are finite
     call, args = NUMERIC_ENTRY_POINTS[name]
     args = list(args)
     args[position % len(args)] = value
     try:
-        call(*args)
+        result = call(*args)
     except ValueError:
-        pass
+        return
+    if name in FINITE_RESULTS:
+        assert np.isfinite(result).all(), result
 
 
 def _fracdyn_reads(tree):

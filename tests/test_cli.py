@@ -312,6 +312,12 @@ class TestStability:
                      "--point", "1", "1", "1", "1", "1"]) == 2
         capsys.readouterr()
 
+    def test_non_finite_family_point_is_bad_input(self, capsys):
+        assert main(["stability", "maxwell-bloch-5d", "--alpha", "0.65",
+                     "--e1", "nan", "0"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: m or n exceeds the float range or is not finite\n")
+
     def test_point_selection_errors(self, capsys):
         assert main(["stability", "maxwell-bloch-5d", "--alpha", "0.65"]) == 2
         assert main(["stability", "maxwell-bloch-5d", "--alpha", "0.65",
@@ -376,8 +382,9 @@ class TestGainsCheck:
         ["--gains", "1.2", "1.2", "nan", "0.5", "0", "--e1", "0.5", "0"],
         ["--gains", "nan", "1.2", "0.5", "0.5", "0", "--e1", "0.5", "0"],
         ["--gains", "-1", "1", "0.5", "0.5", "0", "--e1", "0.5", "0"],
-        # m^2 and the discriminant overflow
+        # m^2 overflows, and a2 and a3 with it
         ["--gains", "1", "1", "1", "1", "1", "--e1", "1e200", "1e200"],
+        ["--gains", "1.2", "1.2", "0.5", "0.5", "0", "--e1", "1.4e154", "0"],
         # (k1 - k3)^2 overflows
         ["--gains", "1e200", "1", "1", "1", "1", "--e2", "1"],
     ])
@@ -388,14 +395,17 @@ class TestGainsCheck:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert captured.out == ""
 
-    def test_overflowing_discriminant_is_refused(self, capsys):
-        # a1, a2 and a3 are finite and D(P) is not; the companion roots
-        # -0.5 +- 1e103i and 0 would print a wrong Unstable, so the point is refused
+    @pytest.mark.parametrize("m", ["1e31", "1e51", "2e51", "1e103", "1.3e154"])
+    def test_huge_m_is_stable(self, capsys, m):
+        # from 2e51 D(P) overflows, prints as undefined and is not refused;
+        # the polished roots keep the O(1) root the companion eigenvalues lose
         assert main(["gains-check", "--gains", "1.2", "1.2", "0.5", "0.5", "0",
-                     "--e1", "1e103", "0"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "error: gains, m or n too large: the cubic is not finite\n"
-        assert captured.out == ""
+                     "--e1", m, "0", "--alpha", "0.65", "--format", "kv"]) == 0
+        entries = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        assert entries["verdict"] == "AsymptoticallyStable"
+        assert entries["routh_hurwitz"] == (
+            "StableAlphaBelowTwoThirds" if float(m) < 2e51 else "NotDecided")
+        assert (entries["discriminant"] == "undefined") == (float(m) >= 2e51)
 
     def test_family_selection_required(self, capsys):
         assert main(["gains-check", "--gains", "1", "1", "1", "1", "1"]) == 2

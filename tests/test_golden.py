@@ -89,6 +89,9 @@ def _stdout_runs():
         # D(P) = 0 exactly: NotDecided, and a double root
         "gains-check-e1-zero-discriminant": ["--gains", "1", "1", "2", "2", "0",
                                              "--e1", "1", "0", "--alpha", "0.65"],
+        # D(P) overflows: NotDecided, and the polished pair -0.25 +- 1e103i
+        "gains-check-e1-huge": ["--gains", "1.2", "1.2", "0.5", "0.5", "0",
+                                "--e1", "1e103", "0", "--alpha", "0.65"],
     }
     for name, argv in gains_cases.items():
         runs[f"{name}.text"], runs[f"{name}.kv"] = _gains_check(*argv)
@@ -200,12 +203,16 @@ def test_bytes_repeat_and_numbers_agree_across_kernels(tmp_path):
 
 
 def _regenerate():
+    """Rewrite the stdout goldens and print the name of each file whose bytes changed."""
     outdir = GOLDEN / "stdout"
     outdir.mkdir(exist_ok=True)
     for name, argv in sorted(STDOUT_RUNS.items()):
         done = subprocess.run([sys.executable, "-m", "fracdyn.cli", *argv],
                               capture_output=True, check=True)
-        (outdir / name).write_bytes(done.stdout)
+        path = outdir / name
+        if not path.exists() or path.read_bytes() != done.stdout:
+            path.write_bytes(done.stdout)
+            print(name)
 
 
 if __name__ == "__main__":

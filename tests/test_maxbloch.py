@@ -34,6 +34,17 @@ def test_exact_inputs_beyond_the_float_range_are_bad_input(call, message):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: maxbloch.e1(math.nan, 0),
+    lambda: maxbloch.e2(math.inf),
+    lambda: maxbloch.lipschitz_bound([0, 0, 0, 0, 0], math.nan),
+    lambda: maxbloch.lipschitz_bound([2.0**1023, 0, 0, 0, 0], 1.0),  # 4 |x0| overflows
+], ids=["e1", "e2", "lipschitz-delta", "lipschitz-x0"])
+def test_non_finite_points_and_bounds_are_bad_input(call):
+    with pytest.raises(numkit.DomainError, match="exceeds the float range or is not finite"):
+        call()
+
+
 def rotation(theta):
     c, s = math.cos(theta), math.sin(theta)
     r = np.eye(5)

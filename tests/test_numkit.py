@@ -91,6 +91,19 @@ class TestPolyRoots:
         imag = math.sqrt(3.0) / 4.0
         assert_multiset_close(roots, [-0.5, -0.25 + imag * 1j, -0.25 - imag * 1j], 1e-9)
 
+    def test_double_root_keeps_its_eigenvalue(self):
+        # x (x + 1/2)^2: a Newton step toward the double root would move it by
+        # its distance to the other copy or more, so polishing leaves it alone
+        roots = numkit.poly_roots((0.0, 0.25, 1.0, 1.0))
+        assert roots.tolist() == [-0.49999999999999994, -0.49999999999999994, 0.0]
+
+    def test_polishing_recovers_the_small_root(self):
+        # (x + 1/2)(x^2 + x/2 + 1e62): the companion eigenvalues alone lose
+        # the root -1/2 against a2 = 1e62 and put the pair's real part near 0
+        roots = numkit.poly_roots((0.5e62, 1e62 + 0.25, 1.0, 1.0))
+        assert (roots.real < 0).all()
+        assert np.abs(roots + 0.5).min() <= 1e-15
+
     def test_quintic_with_triple_zero(self):
         # -(x^5 + (m^2 + n^2) x^3) at m = 3, n = 4
         roots = numkit.poly_roots([0.0, 0.0, 0.0, -25.0, 0.0, -1.0])

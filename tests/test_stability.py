@@ -148,9 +148,11 @@ class TestCubic:
     @pytest.mark.parametrize("m", [1e103, np.float64(1e103)], ids=["float", "float64"])
     def test_from_gains_discriminant_beyond_the_float_range(self, m):
         # a1, a2 and a3 are finite and a2 ** 2 is not: both input types
-        # compute in float64, where it comes out inf, and are refused alike
-        with pytest.raises(numkit.DomainError, match="too large: the cubic is not finite"):
-            cubic_from_gains(0.5, 0.5, 0.0, m, 0.0)
+        # compute in float64, where it comes out inf, and are accepted alike
+        c = cubic_from_gains(0.5, 0.5, 0.0, m, 0.0)
+        assert (c.a1, c.a2, c.a3) == (1.0, 0.25 + 1e103 * 1e103, 0.5 * 1e103 * 1e103)
+        assert not math.isfinite(c.discriminant)
+        assert routh_hurwitz_cubic(c) is RouthHurwitz.NOT_DECIDED
 
     def test_from_gains_with_squares_below_the_float_range(self):
         # m^2 underflows to 0, and m still does not vanish
@@ -369,6 +371,12 @@ ANY_NUMBER = st.one_of(
     st.builds(lambda m, e: Fraction(m) * Fraction(2) ** e,
               st.integers(-2**53, 2**53), st.integers(-1200, 1100)),
 )
+# an e1 point at huge |m|, where companion-matrix roots alone lose the
+# O(1) root: |m| = 10^U(10, 154.1) of either sign, n zero or up to |m|
+HUGE_E1_POINT = st.builds(lambda e, sign: sign * 10.0 ** e,
+                          st.floats(10.0, 154.1), st.sampled_from([-1.0, 1.0])).flatmap(
+    lambda m: st.tuples(st.just(m), st.one_of(st.just(0.0),
+                                              st.floats(-1.0, 1.0).map(lambda f: f * abs(m)))))
 CASE_WINDOW = {"both_positive": "C2", "pos_neg": "C3", "neg_pos": "C4", "both_negative": "C5"}
 
 
@@ -407,7 +415,7 @@ class TestGainReportProperties:
                      SCALED_GAIN), SCALED, SCALED)
     @example((0.0, 0.0, 1e-200, 1e-200, 0.0), 1e-200, 0.0)  # a2 == a3 == 0
     def test_e1_report_never_refused(self, k, m, n):
-        # only a cubic or discriminant that overflows is refused, and a
+        # only a cubic coefficient that overflows is refused, and a
         # coefficient that underflows to 0 leaves the range NotDecided
         assume(m != 0 or n != 0)
         try:
@@ -418,6 +426,33 @@ class TestGainReportProperties:
         rep.to_text()
         if rep.cubic.a2 == 0 or rep.cubic.a3 == 0:
             assert rep.routh_hurwitz is RouthHurwitz.NOT_DECIDED
+
+    @PROPERTY_SETTINGS
+    @given(st.tuples(*[st.floats(0.1, 3.0)] * 5), HUGE_E1_POINT)
+    @example((1.2, 1.2, 0.5, 0.5, 0.0), (1e31, 0.0))  # the paper's gains
+    # a Newton step that only had to lower |p| left the pair's real part near 0
+    @example((1.2592956965624986, 1.3929893378341673, 2.8664363682631135, 2.5611826610683126,
+              2.6313838601657533), (-2.1691805586282015e+28, -3.2450993637487835e+27))
+    @example((2.1485504575398555, 2.9607545349034394, 2.0798968722236095, 1.2032797707425094,
+              0.7691793735151783), (-2.4715800182801026e+35, 0.0))
+    def test_e1_spectrum_at_huge_m(self, k, point):
+        # a1 a2 > a3 > 0 exactly (Hurwitz), so every root of the cubic lies
+        # in the left half-plane, whatever the size of m
+        try:
+            rep = e1_gain_condition(k, *point)
+        except numkit.DomainError as exc:
+            assert "the cubic is not finite" in str(exc)
+            return
+        c = rep.cubic
+        assert c.a1 > 0 and c.a2 > 0 and c.a3 > 0
+        assert Fraction(c.a1) * Fraction(c.a2) > Fraction(c.a3)
+        roots = rep.eigenvalues[2:]
+        assert all(r.real < 0 for r in roots)
+        pairs = [r for r in roots if r.imag != 0]
+        assert sorted(pairs, key=lambda r: (r.real, r.imag)) == sorted(
+            (r.conjugate() for r in pairs), key=lambda r: (r.real, r.imag))
+        assert all(f"{r.imag:+g}" == "+0" for r in roots if r.imag == 0)
+        assert rep.verdict(0.65) is Verdict.ASYMPTOTICALLY_STABLE
 
     @PROPERTY_SETTINGS
     @given(st.tuples(*[ANY_NUMBER] * 5), ANY_NUMBER, ANY_NUMBER,
