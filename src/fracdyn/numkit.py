@@ -98,20 +98,22 @@ def poly_roots(coeffs):
     """All complex roots, with multiplicity, of a real polynomial.
 
     Companion-matrix eigenvalues, accurate only relative to the largest
-    coefficient, each polished by up to three Newton steps on the polynomial.
-    A step is rejected if not finite or if it would move the root by half its
-    distance to the nearest other eigenvalue or more, so a multiple root
-    keeps its eigenvalue. Complex roots come in exact conjugate pairs, real
+    coefficient, each polished by up to three Newton steps (on the reversed
+    polynomial outside the unit circle, so a step overflows only with a
+    coefficient). A step is rejected if not finite or if it would move the root
+    by half its distance to the nearest other eigenvalue or more, so a multiple
+    root keeps its eigenvalue. Complex roots come in exact conjugate pairs, real
     ones with imaginary part +0, sorted by real part, then imaginary part.
     """
     c = _trim_trailing_zeros(coeffs)
     roots = start = np.linalg.eigvals(companion_matrix(c)).astype(complex)
-    # column 0 of each sorted row is the root's distance to itself
-    half = np.sort(abs(start[:, None] - start), axis=1)[:, 1:].min(axis=1, initial=np.inf) / 2
-    p, dp = c[::-1], np.polyder(c[::-1])
+    half = np.sort(abs(start[:, None] - start))[:, 1:].min(1, initial=np.inf) / 2  # not to self
+    p, dp, r = c[::-1], np.polyder(c[::-1]), c * np.arange(c.size)
     with np.errstate(all="ignore"):
         for _ in range(3):
-            new = roots - np.polyval(p, roots) / np.polyval(dp, roots)
+            w = 1 / roots  # p(x) = x^n q(w) and p'(x) = x^(n-1) r(w), q with c reversed
+            new = roots - np.where(abs(roots) > 1, roots * np.polyval(c, w) / np.polyval(r, w),
+                                   np.polyval(p, roots) / np.polyval(dp, roots))
             roots = np.where(np.isfinite(new) & (abs(new - start) < half), new, roots)
     return _sorted_complex(roots)
 

@@ -56,13 +56,11 @@ def validate_alpha(alpha):
 
 def as_state(x, dim=None):
     """Coerce to a finite 1-D float vector, optionally checking its length."""
-    v = np.atleast_1d(as_floats(x, "state contains non-finite components"))
+    v = np.atleast_1d(as_floats(x, "state contains non-finite components", finite=True))
     if v.ndim != 1:
         raise ValueError("state must be a flat vector")
     if dim is not None and v.size != dim:
         raise ValueError(f"expected a state of dimension {dim}, got {v.size}")
-    if not np.isfinite(v).all():
-        raise ValueError("state contains non-finite components")
     return v
 
 
@@ -75,12 +73,12 @@ def as_states(x, dim=None):
 
 def as_gains(k, dim):
     """Feedback gain vector of length dim; a scalar expands to the full diagonal."""
-    arr = as_floats(k, "feedback gains must be finite and non-negative")
+    arr = as_floats(k, "feedback gains must be finite and non-negative", finite=True)
     if arr.ndim == 0:
         arr = np.full(dim, float(arr))
     if arr.ndim != 1 or arr.size != dim:
         raise ValueError(f"expected {dim} gains, got shape {arr.shape}")
-    if not np.isfinite(arr).all() or (arr < 0.0).any():
+    if (arr < 0.0).any():
         raise ValueError("feedback gains must be finite and non-negative")
     return arr
 

@@ -395,10 +395,11 @@ class TestGainsCheck:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert captured.out == ""
 
-    @pytest.mark.parametrize("m", ["1e31", "1e51", "2e51", "1e103", "1.3e154"])
+    @pytest.mark.parametrize("m", ["1e31", "1e51", "2e51", "1e103", "7.8e153", "1.3e154"])
     def test_huge_m_is_stable(self, capsys, m):
         # from 2e51 D(P) overflows, prints as undefined and is not refused;
-        # the polished roots keep the O(1) root the companion eigenvalues lose
+        # the polished roots keep the O(1) root the companion eigenvalues lose,
+        # also from 7.7e153 on, where p'(lambda) = 3 lambda^2 + ... overflows
         assert main(["gains-check", "--gains", "1.2", "1.2", "0.5", "0.5", "0",
                      "--e1", m, "0", "--alpha", "0.65", "--format", "kv"]) == 0
         entries = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
@@ -406,6 +407,9 @@ class TestGainsCheck:
         assert entries["routh_hurwitz"] == (
             "StableAlphaBelowTwoThirds" if float(m) < 2e51 else "NotDecided")
         assert (entries["discriminant"] == "undefined") == (float(m) >= 2e51)
+        pair = [float(entries[f"eig_{i}_re"]) for i in range(1, 6)
+                if float(entries[f"eig_{i}_im"]) != 0]
+        assert len(pair) == 2 and all(abs(re + 0.25) <= 1e-15 for re in pair)
 
     def test_family_selection_required(self, capsys):
         assert main(["gains-check", "--gains", "1", "1", "1", "1", "1"]) == 2

@@ -104,6 +104,14 @@ class TestPolyRoots:
         assert (roots.real < 0).all()
         assert np.abs(roots + 0.5).min() <= 1e-15
 
+    def test_polishing_past_the_overflow_of_the_derivative(self):
+        # (x + 1/2)(x^2 + x/2 + m^2) at m = 1.3e154: p'(x) ~ 3 m^2 overflows at
+        # the pair, so its steps are taken on the reversed polynomial
+        m2 = 1.3e154 ** 2
+        roots = numkit.poly_roots((0.5 * m2, m2 + 0.25, 1.0, 1.0))
+        assert abs(roots[0] + 0.5) <= 1e-15
+        assert np.abs(roots[1:].real + 0.25).max() <= 1e-15
+
     def test_quintic_with_triple_zero(self):
         # -(x^5 + (m^2 + n^2) x^3) at m = 3, n = 4
         roots = numkit.poly_roots([0.0, 0.0, 0.0, -25.0, 0.0, -1.0])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import e1_sign_scan
 from conftest import assert_multiset_close, bits
 from fracdyn import maxbloch, numkit
 from fracdyn.stability import (
@@ -453,6 +454,12 @@ class TestGainReportProperties:
             (r.conjugate() for r in pairs), key=lambda r: (r.real, r.imag))
         assert all(f"{r.imag:+g}" == "+0" for r in roots if r.imag == 0)
         assert rep.verdict(0.65) is Verdict.ASYMPTOTICALLY_STABLE
+
+    def test_e1_sign_scan_against_mpmath(self):
+        # the first 20 points of `python tests/e1_sign_scan.py` (3000 by default)
+        counts = e1_sign_scan.scan(points=20)
+        assert counts["accepted"] + counts["refused"] == 20
+        assert counts["wrong_sign"] == 0 and counts["max_real_part_error"] <= 1e-15
 
     @PROPERTY_SETTINGS
     @given(st.tuples(*[ANY_NUMBER] * 5), ANY_NUMBER, ANY_NUMBER,
