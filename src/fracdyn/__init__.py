@@ -16,8 +16,7 @@ import importlib
 _EXPORTS = {
     "expconfig": ("ConfigError", "ExperimentConfig", "load_config", "parse_config",
                   "serialize_config"),
-    "numkit": ("ConvergenceError", "DomainError", "eigenvalues", "mittag_leffler",
-               "poly_roots"),
+    "numkit": ("DomainError", "eigenvalues", "mittag_leffler", "poly_roots"),
     "solver": ("ConvergenceReport", "NumericalError", "SolverConfig", "Trajectory",
                "convergence_order", "integrate", "integrate_batches"),
     "stability": ("CubicCoeffs", "E1GainReport", "E2GainReport", "EquilibriumReport",

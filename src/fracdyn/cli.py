@@ -25,9 +25,11 @@ A command loads the fracdyn modules it runs on first use, when it starts:
 writer compiles a module. `run`, the `fracdyn` script, exits without the
 collector's teardown.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 numerical failure
+Exit codes go by exception type alone: 0 success, 2 usage error or input
+that a command cannot serve (any ValueError or OSError), 3 a NumericalError
 during integration (the failing step index goes to stderr), 141 (128 +
-SIGPIPE) when the reader of standard output goes away, as in `| head`.
+SIGPIPE) when the reader of standard output goes away, as in `| head`. Any
+other exception is a bug and propagates.
 """
 
 import argparse
@@ -396,18 +398,15 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (ValueError, OSError, RuntimeError) as exc:
-        # ConfigError and DomainError are ValueErrors; the two RuntimeErrors
-        # a command reports are looked up only once an error arrives
-        from .numkit import ConvergenceError
-        from .solver import NumericalError
-        if isinstance(exc, NumericalError):
-            print(f"numerical failure at step {exc.step_index}: {exc}", file=sys.stderr)
-            return 3
-        if isinstance(exc, RuntimeError) and not isinstance(exc, ConvergenceError):
-            raise
+    except (ValueError, OSError) as exc:  # ConfigError and DomainError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        from .solver import NumericalError  # looked up only once an error arrives
+        if not isinstance(exc, NumericalError):
+            raise
+        print(f"numerical failure at step {exc.step_index}: {exc}", file=sys.stderr)
+        return 3
 
 
 def run():

@@ -5,7 +5,9 @@ are square numpy arrays of dimension at most 8. Everything here is a pure
 function of its inputs and safe to call concurrently. `_fmt` is the float
 format of every printed report and artifact. `as_floats` is the package's
 one gate from numbers outside it to floats: an int or Fraction beyond the
-float range raises DomainError, never OverflowError.
+float range raises DomainError, never OverflowError. DomainError (a
+ValueError) is the one refusal of every kernel here: whatever input a
+kernel cannot serve raises it.
 """
 
 import functools
@@ -15,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "DomainError",
-    "ConvergenceError",
     "MAX_DEGREE",
     "as_floats",
     "companion_matrix",
@@ -31,10 +32,6 @@ MAX_DEGREE = 8
 
 class DomainError(ValueError):
     """Argument outside the supported domain of a kernel."""
-
-
-class ConvergenceError(RuntimeError):
-    """Series truncation target not met within the iteration budget."""
 
 
 def as_floats(x, message, dtype=float, finite=False):
@@ -160,13 +157,13 @@ def geometric_multiplicity(m, eigenvalue):
 # v = 1, of width (1-a)pi in log v, a width of about one in w, and the
 # double-exponential map ends both tails. The step shrinks with a because
 # the factor exp(-(x v)^(1/a)) turns from 1 to 0 over a width of about a in
-# log v; below a = 0.01 the node count would pass 35000, so there only
-# |z| < 1 is served, by the series. The window is fixed per a and reaches
-# v = 1/x for every finite float x, so the nodes never depend on z: the
-# result is positive and exactly non-increasing in |z|. Domain for z < 0:
-# every finite z at a >= 0.01; error below 1e-12 absolute (about 1e-15
-# measured), with no growth as a -> 1 since delta follows the peak; a = 1
-# is exp(z).
+# log v; below a = 0.01 the node count would pass 35000, so there z < 0 is
+# left to the series, which cannot meet its bound at any |z| >= 1. The
+# window is fixed per a and reaches v = 1/x for every finite float x, so
+# the nodes never depend on z: the result is positive and exactly
+# non-increasing in |z|. Domain for z < 0: every finite z at a >= 0.01;
+# error below 1e-12 absolute (about 1e-15 measured), with no growth as
+# a -> 1 since delta follows the peak; a = 1 is exp(z).
 #
 # The power series serves z > 0, where every term is positive, and |z| < 1,
 # where the terms shrink from the first and cannot cancel beyond it. The
@@ -213,18 +210,18 @@ def _ml_negative(alpha, x):
 
 
 def _ml_series(alpha, z):
-    """E_alpha(z) by the power series, for 0 < z <= 20 or |z| < 1.
+    """E_alpha(z) by the power series, for 0 < z <= 20 or, below alpha = 0.01, z < 0.
 
     log|term_j| is concave in j and starts at 0, so the first term below the
     tail cutoff bounds the whole remainder. The scan runs in log space before
     any term is formed, so a series that misses its budget raises
-    ConvergenceError rather than overflowing on the way.
+    DomainError rather than overflowing on the way.
     """
     log_z = math.log(abs(z))
     n_terms = next((j + 1 for j in range(_ML_MAX_TERMS)
                     if j * log_z - math.lgamma(alpha * j + 1.0) <= _ML_TAIL_LOG), None)
     if n_terms is None:
-        raise ConvergenceError(
+        raise DomainError(
             f"E_{alpha}({z}) series does not meet its truncation bound within {_ML_MAX_TERMS} terms"
         )
     terms = []
@@ -242,9 +239,13 @@ def _ml_series(alpha, z):
 def mittag_leffler(alpha, z):
     """One-parameter Mittag-Leffler function E_alpha(z) for real z <= 20.
 
-    Domain: every finite z <= 0 for alpha >= 0.01, -1 < z <= 0 for smaller
-    alpha, and 0 < z <= 20; anything else, NaN included, raises DomainError.
-    alpha = 1 returns math.exp(z).
+    Domain: every finite z <= 0 for alpha >= 0.01; the power series serves
+    0 < z <= 20 and, for smaller alpha, z < 0, wherever it meets its
+    truncation bound within 1400 terms (_ML_MAX_TERMS). That excludes small
+    alpha combined with z > 1 (alpha = 0.1 at z = 3, say), and for alpha < 0.01
+    every z <= -1 and some z just above it (alpha = 0.005 at z = -0.99, say).
+    Anything else, NaN included, raises DomainError. alpha = 1 returns
+    math.exp(z).
 
     For z < 0 and alpha >= 0.01 the absolute error is below 1e-12: measured
     below 1e-15 against an 80-digit series on z in [-20, 0] for alpha from
@@ -257,10 +258,7 @@ def mittag_leffler(alpha, z):
     For 0 < z <= 20 the series, summed in float64, agrees with an 80-digit
     sum to 1e-15 relative while its terms stay below 1e308 and to 1e-13
     beyond (8e-14 measured at alpha = 0.55, z = 19.5), where the terms are
-    rounded in log space. ConvergenceError reports a series that does not
-    meet its truncation bound within 1400 terms (_ML_MAX_TERMS), which
-    happens for small alpha combined with z > 1, and for alpha < 0.01 with
-    z just above -1 (alpha = 0.005 at z = -0.99, say).
+    rounded in log space.
     """
     alpha = float(as_floats(alpha, "alpha must lie in (0, 1]"))
     if not 0.0 < alpha <= 1.0:
@@ -274,6 +272,4 @@ def mittag_leffler(alpha, z):
         return math.exp(z)
     if alpha >= _ML_MIN_QUAD_ALPHA and z < 0.0:
         return _ml_negative(alpha, -z)
-    if z <= -1.0:
-        raise DomainError(f"z < 0 needs |z| < 1 for alpha < {_ML_MIN_QUAD_ALPHA}, got {z!r}")
     return _ml_series(alpha, z)

@@ -55,7 +55,8 @@ def oracle_for(name, alpha, x0):
     if name != LINEAR_DECAY:
         return None
     alpha = validate_alpha(alpha)
-    start = float(np.atleast_1d(as_floats(x0, "state contains non-finite components"))[0])
+    x0 = as_floats(x0, "state contains non-finite components", finite=True)
+    start = float(np.atleast_1d(x0)[0])
 
     def oracle(t):
         return start * mittag_leffler(alpha, -(float(t) ** alpha))

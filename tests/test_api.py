@@ -152,6 +152,28 @@ def test_one_gate_turns_numbers_from_outside_into_floats():
                               ("stability", "e2_gain_condition")]
 
 
+def test_three_exception_classes():
+    # cli.main maps exceptions by type alone: a ValueError exits 2 and a
+    # NumericalError 3, so it covers every class here; a new one changes this
+    # test on purpose
+    defined, nested = {}, []
+    for path in sorted(Path(fracdyn.__file__).parent.glob("*.py")):
+        name = "fracdyn" if path.stem == "__init__" else f"fracdyn.{path.stem}"
+        module = importlib.import_module(name)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = {node for node in tree.body if isinstance(node, ast.ClassDef)}
+        nested += [node.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) and node not in top]
+        for node in top:
+            cls = getattr(module, node.name)
+            if issubclass(cls, BaseException):
+                defined[cls.__name__] = (path.stem, cls.__bases__)
+    assert nested == []  # a class inside a function would escape this check
+    assert defined == {"ConfigError": ("expconfig", (ValueError,)),
+                       "DomainError": ("numkit", (ValueError,)),
+                       "NumericalError": ("solver", (RuntimeError,))}
+
+
 def _linear_decay_study(alpha, h, tau, x0, t_min):
     # an oracle that stops at t = 1 refuses a long horizon before any run
     exact = registry.oracle_for(registry.LINEAR_DECAY, 0.5, [1.0])

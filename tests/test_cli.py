@@ -528,6 +528,16 @@ class TestConvergence:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize("option, z", [
+        (["0.1", "0.05", "0.025", "--tau", "0.1"], "-0.9885530946569389"),
+        (["1", "--tau", "1"], "-1.0"),  # z reaches -1 at t = 1
+    ])
+    def test_small_order_oracle_refusal_is_bad_input(self, capsys, option, z):
+        # below alpha = 0.01 the oracle's series misses its bound at and just above z = -1
+        assert main(["convergence", "--alpha", "0.005", "--h-list", *option]) == 2
+        message = f"E_0.005({z}) series does not meet its truncation bound within 1400 terms"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_long_horizon_oracle(self, capsys):
         # the oracle's argument reaches -(200 ** 0.65) = -31.3
         assert main(["convergence", "--alpha", "0.65", "--h-list", "1", "0.5", "0.25",

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_multiset_close, bits
@@ -247,9 +247,29 @@ class TestMittagLeffler:
             assert abs(numkit.mittag_leffler(alpha, z)) <= 1.0 + 1e-12
 
     def test_budget_exhaustion_flagged(self):
-        # only z > 0 (and |z| < 1 below alpha = 0.01) uses the series and its budget
-        with pytest.raises(numkit.ConvergenceError):
+        # only z > 0 (and z < 0 below alpha = 0.01) uses the series and its budget
+        with pytest.raises(numkit.DomainError):
             numkit.mittag_leffler(0.1, 3.0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(st.floats(0.0, 0.01, exclude_min=True),
+                     st.floats(0.0, 1.0, exclude_min=True),
+                     st.sampled_from([5e-324, 0.01, math.nextafter(0.01, 0.0), 1.0,
+                                      math.nextafter(1.0, 0.0)])),
+           st.one_of(st.floats(-1e6, 20.0),
+                     st.sampled_from([-1e6, -1.0, math.nextafter(-1.0, 0.0),
+                                      math.nextafter(-1.0, -2.0), -5e-324, -0.0, 0.0, 5e-324,
+                                      1.0, 20.0])))
+    @example(0.005, -0.98855)
+    @example(0.1, 3.0)
+    @example(0.005, -1.0)
+    def test_one_refusal_type(self, alpha, z):
+        # a finite value or DomainError, whichever evaluator serves (alpha, z)
+        try:
+            value = numkit.mittag_leffler(alpha, z)
+        except numkit.DomainError:
+            return
+        assert isinstance(value, float) and math.isfinite(value), value
 
     def test_small_order_and_large_argument_match_references(self):
         # the series cannot be summed at (0.1, -3) within its budget, nor safely past |z| = 20
@@ -265,7 +285,7 @@ class TestMittagLeffler:
             numkit.mittag_leffler(1.2, -1.0)
         with pytest.raises(numkit.DomainError):
             numkit.mittag_leffler(0.0, -1.0)
-        # below alpha = 0.01 only the series, and so only |z| < 1, is available
+        # below alpha = 0.01 only the series is available, and it misses its bound at z = -1
         with pytest.raises(numkit.DomainError):
             numkit.mittag_leffler(0.005, -1.0)
         assert abs(numkit.mittag_leffler(0.005, -0.5) - ml_series80(0.005, -0.5)) <= 1e-15

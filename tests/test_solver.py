@@ -327,6 +327,42 @@ def assert_matches_direct_sum(sys, cfg):
         assert not bad.any(), f"{sys.name} from {cfg.x0}, N={cfg.n_steps}: {np.argwhere(bad)[:3]}"
 
 
+def far_field_steps(n_steps):
+    """The first steps of the top far-field tiles and the steps before them,
+    q * _BLOCK and q * _BLOCK - 1 for q = 1, 2, 4, ..., and eight steps
+    spread over the run, first and last included."""
+    tops = [2**i * _BLOCK for i in range(n_steps.bit_length()) if 2**i * _BLOCK < n_steps]
+    tiles = [n for top in tops for n in (top - 1, top)]
+    return sorted({*tiles, *np.linspace(0, n_steps - 1, 8).astype(int).tolist()})
+
+
+def sampled_direct_sums(sys, cfg, steps):
+    """Largest deviation, relative to max(1, |x|), of the predictor and
+    corrector values of step n for n in `steps` from the history sums of the
+    module docstring, their terms added exactly (math.fsum). The field values
+    are `sys.float_field` of the stored states and predictor states, which
+    have the bits the run used."""
+    alpha, N = cfg.alpha, cfg.n_steps
+    traj = integrate(sys, cfg, keep_predictor=True)
+    x0, preds, states = traj.states[0].tolist(), traj.predictor_states, traj.states
+    F = np.array([sys.float_field(x) for x in states[: max(steps) + 1].tolist()])
+    cp = cfg.h ** alpha / math.gamma(alpha + 1.0)
+    cc = cfg.h ** alpha / math.gamma(alpha + 2.0)
+    b, ak = _lag_weights(N, alpha)
+    worst = 0.0
+    for n in steps:
+        lagged = F[n::-1]  # F[n - k] at lag k = 0..n
+        fp = sys.float_field(preds[n].tolist())
+        a0 = float(_first_corrector_weights(n, alpha))
+        for i in range(sys.dim):
+            xp = x0[i] + cp * math.fsum((b[: n + 1] * lagged[:, i]).tolist())
+            # a[j, n+1] = ak[n - j] for 1 <= j <= n, then the F[0] and F(x_p) terms
+            xc = x0[i] + cc * math.fsum([*(ak[:n] * lagged[:-1, i]).tolist(), a0 * F[0, i], fp[i]])
+            for got, direct in ((preds[n, i], xp), (states[n + 1, i], xc)):
+                worst = max(worst, abs(got - direct) / max(1.0, abs(direct)))
+    return worst
+
+
 def next_smooth_lengths(limit):
     """The smallest 2^a * 3^b * 5^c >= n, at index n for n < limit, found by
     dividing every integer below twice `limit` by 2, 3 and 5 while it can."""
@@ -356,6 +392,15 @@ class TestKernelAgainstDirectSum:
             for n_steps in ORACLE_STEPS:
                 cfg = SolverConfig(alpha=alpha, h=0.01, n_steps=n_steps, x0=x0)
                 assert_matches_direct_sum(sys, cfg)
+
+    def test_sampled_steps_of_a_long_run(self):
+        # every far-field tile size up to N / 2, where a full direct sum is
+        # out of reach: the paper gains, epsilon = 0.01 from e1
+        sys, x0 = CONTROLLED_RUNS[0]
+        cfg = SolverConfig(alpha=0.65, h=0.01, n_steps=2**16, x0=x0)
+        steps = far_field_steps(cfg.n_steps)
+        assert steps[:4] == [0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1] and len(steps) == 24
+        assert sampled_direct_sums(sys, cfg, steps) <= 1e-12
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(st.integers(1, 3000), st.floats(0.05, 1.0))

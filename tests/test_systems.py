@@ -1,4 +1,5 @@
 import inspect
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -62,6 +63,13 @@ def test_exact_inputs_beyond_the_float_range_are_bad_input(call):
     # ValueError, not the OverflowError of converting them to float
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+def test_oracle_refuses_a_non_finite_x0(x0):
+    # not an oracle that yields NaN at every t
+    with pytest.raises(ValueError, match="state contains non-finite components"):
+        registry.oracle_for(registry.LINEAR_DECAY, 0.5, [x0])
 
 
 def test_gain_coercion():
