@@ -6,6 +6,10 @@ into templates whose step and t columns are already text, one % call per
 chunk of rows, as the plots' polylines are filled into templates whose
 x-coordinates are already text. Both depend only on the time grid and d,
 so the trajectories on one grid can share them through a TemplateCache.
+The CSV keeps every point at any length. A plot of a grid of more than
+2372 points takes no template: it draws the first, last, lowest and
+highest point of each of its pixel columns (see svgplot), at most 2369
+points whatever N.
 A CsvWriter formats the same rows in a forked process while the run that
 computes them goes on. It and a sweep's writers are forked by `fork` and
 reaped by `reap` where `writer_count` picks them; while they live,
@@ -239,7 +243,8 @@ class TemplateCache:
         self.times = self.dim = self.csv = self.polyline = None
 
     def of(self, times, dim):
-        """(CSV templates, polyline template) of grid `times` and dimension `dim`."""
+        """(CSV templates, polyline template) of grid `times` and dimension `dim`;
+        the polyline template is None on a grid too long to take one."""
         if self.times is not times or self.dim != dim:
             self.times, self.dim = times, dim
             self.csv = list(row_templates(times, dim))
@@ -305,7 +310,8 @@ def write_artifacts(cfg, traj, target, cache=None):
 def write_plots_and_report(cfg, traj, target, polyline=None):
     """Write fig1.svg..figd.svg and report.kv, the files of write_artifacts
     but the CSV, to the existing cfg.output_dir; `polyline` is
-    `polyline_template(len(traj.times))`, made here if not given."""
+    `polyline_template(len(traj.times))`, made here if not given (and None
+    on a grid too long to take one)."""
     outdir = Path(cfg.output_dir)
     if polyline is None:
         polyline = polyline_template(len(traj.times))

@@ -212,7 +212,8 @@ class _Scheme:
     in blocks of r = _BLOCK:
 
     - the near window, the values of step n's own block up to n, is one
-      product per batch member with `near`, both scaled kernels reversed;
+      product per batch member with `windows[n % r]`, the tail of both
+      scaled kernels reversed;
     - every earlier value reaches step n through far-field sums. When
       `push` completes F block [s*r, q*r), with L the lowest set bit of q
       and s = q - L, it adds that block's sums to steps [q*r, (q + L)*r)
@@ -235,7 +236,9 @@ class _Scheme:
         self.cp = cfg.h ** cfg.alpha / math.gamma(cfg.alpha + 1.0)
         self.cc = cfg.h ** cfg.alpha / math.gamma(cfg.alpha + 2.0)
         b, a = _lag_weights(_BLOCK, cfg.alpha)
-        self.near = np.stack([self.cp * b, self.cc * a])[:, ::-1].copy()
+        near = np.stack([self.cp * b, self.cc * a])[:, ::-1].copy()
+        # windows[k] weighs the k + 1 values of a block up to its k-th
+        self.windows = [near[:, _BLOCK - 1 - k :] for k in range(_BLOCK)]
         x0 = self.x0 = as_states(cfg.x0, sys.dim)
         self.rows = np.empty((x0.size, N + 1))
         self.F = np.swapaxes(self.rows.reshape(x0.shape + (N + 1,)), -1, -2)
@@ -296,10 +299,10 @@ class _Scheme:
 
         A replay passes `check` = `self.check` to test every stage.
         """
-        F, states, near, cc = self.F, self.states, self.near, self.cc
+        F, states, windows, cc = self.F, self.states, self.windows, self.cc
         for n in range(s, e):
             k = n % _BLOCK
-            window = near[:, _BLOCK - 1 - k :] @ F[..., n - k : n + 1, :]
+            window = windows[k] @ F[..., n - k : n + 1, :]
             xp = window[..., 0, :] + F[..., n + 1, :]
             fp = check(field(xp), "predictor field value", n + 1)
             xc = window[..., 1, :] + states[n + 1] + cc * fp
@@ -314,15 +317,14 @@ class _Scheme:
         Each component takes the IEEE operations of `steps` in its order:
         xp = near_p + pending_p and xc = (near_c + pending_c) + cc * fp.
         """
-        F, near, cc = self.F, self.near, self.cc
+        F, windows, cc = self.F, self.windows, self.cc
         pending = zip(F[s + 1 : e + 1].tolist(), self.states[s + 1 : e + 1].tolist())
         xps, xcs = [], []
         for n, (pp, pc) in zip(range(s, e), pending):
             k = n % _BLOCK
-            wp, wc = (near[:, _BLOCK - 1 - k :] @ F[n - k : n + 1]).tolist()
+            wp, wc = (windows[k] @ F[n - k : n + 1]).tolist()
             xp = [w + p for w, p in zip(wp, pp)]
-            fp = float_field(xp)
-            xc = [(w + c) + cc * f for w, c, f in zip(wc, pc, fp)]
+            xc = [(w + c) + cc * f for w, c, f in zip(wc, pc, float_field(xp))]
             F[n + 1] = float_field(xc)  # the next step's window reads it
             xps.append(xp)
             xcs.append(xc)

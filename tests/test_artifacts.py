@@ -1,11 +1,13 @@
 """Artifact text from cached templates: trajectory.csv and the polylines of
 the SVG plots are byte for byte what per-cell formatting gives, whichever
-trajectories share a template, and writing keeps no O(N) memory. Also the
-rule that picks forked writers and the pipe a CsvWriter is sent through."""
+trajectories share a template, and writing keeps no O(N) memory. A long
+plot keeps each pixel column's first, last, lowest and highest point. Also
+the rule that picks forked writers and the pipe a CsvWriter is sent through."""
 
 import gc
 import math
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -22,7 +24,7 @@ from fracdyn.svgplot import line_chart, polyline_template
 from conftest import bits
 
 CSV_ROWS = artifacts._ROWS
-SVG_POINTS = svgplot._TEMPLATE_POINTS
+SVG_POINTS = svgplot._MAX_POINTS
 EDGE = [0.0, -0.0, 5e-324, -5e-324, float("inf"), float("-inf"), float("nan"),
         1e20, -1e20, 2.0 ** 53, 1 / 3, -1 / 3]
 
@@ -35,18 +37,49 @@ def csv_oracle(times, states):
                           enumerate(zip(times.tolist(), states.tolist())))
 
 
-def polyline_oracle(values):
-    """The polyline points of line_chart(values), formatted point by point
-    through the px and py arithmetic of line_chart."""
+def plotted(values):
+    """(values, lo, hi) as line_chart plots them: the values at the chart's
+    scale and the padded range of its y-axis."""
     values = np.asarray(values, dtype=float)
     lo, hi = float(values.min()), float(values.max())
     pad = 0.5 * max(1.0, abs(hi)) if hi - lo == 0.0 else 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
+    if math.isinf(hi - lo):
+        hi = sys.float_info.max * 0.25
+        return values * 0.25, -hi, hi
+    return values, lo, hi
+
+
+def polyline_oracle(values, kept=None):
+    """The polyline points of line_chart(values) at indices `kept`, every
+    index if None, formatted point by point through the px and py
+    arithmetic of line_chart."""
+    values, lo, hi = plotted(values)
     last = max(values.size - 1, 1)
     margin, plot_w, plot_h, height = 64.0, 720 - 128.0, 480 - 128.0, 480
+    ys = values.tolist()
     return " ".join("%.2f,%.2f" % (margin + plot_w * (i / last),
-                                   height - margin - plot_h * ((v - lo) / (hi - lo)))
-                    for i, v in enumerate(values.tolist()))
+                                   height - margin - plot_h * ((ys[i] - lo) / (hi - lo)))
+                    for i in (range(len(ys)) if kept is None else kept))
+
+
+def envelope_oracle(values):
+    """The indices line_chart(values) draws, pixel column by pixel column:
+    every index of a series of at most SVG_POINTS or one holding NaN or
+    inf, else each column's first, last, lowest and highest, ties going to
+    the lowest index."""
+    values = plotted(values)[0].tolist()
+    if len(values) <= SVG_POINTS or not all(map(math.isfinite, values)):
+        return list(range(len(values)))
+    columns = {}
+    for i in range(len(values)):
+        columns.setdefault(592 * i // (len(values) - 1), []).append(i)
+    assert len(columns) == 593
+    kept = set()
+    for column in columns.values():
+        ys = [values[i] for i in column]
+        kept |= {column[0], column[-1], column[ys.index(min(ys))], column[ys.index(max(ys))]}
+    return sorted(kept)
 
 
 def polyline_of(svg):
@@ -118,7 +151,7 @@ def test_back_to_back_writes_miss_a_stale_template(tmp_path, rows):
         assert_artifacts_exact(texts[name], times, states)
 
 
-@pytest.mark.parametrize("size", [1, 2, SVG_POINTS - 1, SVG_POINTS, SVG_POINTS + 1])
+@pytest.mark.parametrize("size", [1, 2, SVG_POINTS - 1, SVG_POINTS])
 def test_polyline_matches_per_point_format(size):
     rng = np.random.default_rng(size)
     first = np.cumsum(rng.standard_normal(size))
@@ -129,6 +162,72 @@ def test_polyline_matches_per_point_format(size):
         want = polyline_oracle(values)
         assert polyline_of(line_chart(values, "y")) == want
         assert polyline_of(line_chart(values, "y", template=template)) == want
+
+
+def series(kind, size, rng):
+    """A `size`-value test series of one kind."""
+    if kind == "walk":
+        return np.cumsum(rng.standard_normal(size))
+    if kind == "constant":
+        return np.full(size, -2.5)
+    if kind == "edges":  # finite edge values, with ties, at random places
+        finite = [e for e in EDGE if math.isfinite(e)]
+        return rng.choice(finite, size) * rng.integers(0, 2, size)
+    if kind == "overflow":  # a padded range that overflows: charted at 1/4 scale
+        values = rng.uniform(-1.0, 1.0, size) * 1e308
+        values[rng.integers(0, size, 3)] = [1.7976931348623157e308, -1.7e308, 5e-324]
+        return values
+    raise ValueError(kind)
+
+
+def test_threshold_is_four_points_per_pixel_column():
+    # point i of a series with last index `last` is in column floor(592 i / last)
+    assert SVG_POINTS == 4 * (720 - 2 * 64 + 1) == 2372
+
+
+@pytest.mark.parametrize("kind", ["walk", "constant", "edges", "overflow"])
+@pytest.mark.parametrize("size", [SVG_POINTS - 1, SVG_POINTS, SVG_POINTS + 1, 20001])
+def test_long_polyline_is_the_pixel_column_envelope(monkeypatch, size, kind):
+    values = series(kind, size, np.random.default_rng(size))
+    kept = envelope_oracle(values)
+    chart = line_chart(values, "y")
+    assert polyline_of(chart) == polyline_oracle(values, kept)
+    if size <= SVG_POINTS:
+        assert kept == list(range(size))
+        assert chart == line_chart(values, "y", template=polyline_template(size))
+    else:
+        assert len(kept) <= 4 * 592 + 1
+        assert polyline_template(size) is None
+    # the axes and ticks come from the whole series: drawn point by point,
+    # the chart differs in its polyline only
+    monkeypatch.setattr(svgplot, "_MAX_POINTS", size)
+    full = line_chart(values, "y")
+    assert polyline_of(full) == polyline_oracle(values)
+    assert full.replace(polyline_of(full), "") == chart.replace(polyline_of(chart), "")
+
+
+@pytest.mark.parametrize("size", [SVG_POINTS + 1, 20001])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_long_series_with_nan_or_inf_keeps_every_point(size, bad):
+    values = np.cumsum(np.random.default_rng(size).standard_normal(size))
+    values[size // 3] = bad
+    assert polyline_of(line_chart(values, "y")) == polyline_oracle(values)
+
+
+def test_no_polyline_template_above_the_threshold(tmp_path, monkeypatch):
+    cache = TemplateCache()
+    assert cache.of(np.arange(SVG_POINTS) * 0.01, 5)[1] is not None
+    assert cache.of(np.arange(SVG_POINTS + 1) * 0.01, 5)[1] is None
+    built, template = [], svgplot._template
+    monkeypatch.setattr(svgplot, "_template",
+                        lambda indices, last: built.append(indices) or template(indices, last))
+    rows = SVG_POINTS + 1
+    cfg = ExperimentConfig(system="linear-decay", alpha=0.5, h=0.1, steps=rows - 1,
+                           x0=(1.0,) * 2, output_dir=str(tmp_path))
+    traj = Trajectory(np.arange(rows) * 0.1, np.random.default_rng(7).standard_normal((rows, 2)))
+    artifacts.write_plots_and_report(cfg, traj, None)
+    # one template per chart, of its envelope's points only
+    assert [len(indices) <= 4 * 592 + 1 for indices in built] == [True, True]
 
 
 # finite values at both ends of the float range, and any other finite value

@@ -679,8 +679,11 @@ class TestSweep:
     def test_trajectories_match_lone_simulate(self, tmp_path, capsys):
         gains = [(1.2, 1.2, 0.5, 0.5, 0.0), (0.8, 1.9, 1.1, 0.6, 1.3),
                  (2.0, 0.5, 0.7, 1.7, 0.9), (1.0, 1.0, 1.0, 1.0, 1.0)]
+        # four configs on a grid plotted point by point and two on one
+        # plotted from its envelope
+        runs = [(g, 400) for g in gains] + [(g, 3000) for g in gains[1:3]]
         paths = [self._write(tmp_path, f"c{i}.cfg", tmp_path / "sweep" / f"c{i}",
-                             gains=g, steps=400) for i, g in enumerate(gains)]
+                             gains=g, steps=steps) for i, (g, steps) in enumerate(runs)]
         assert main(["sweep", *map(str, paths)]) == 0
         for i, path in enumerate(paths):
             assert main(["simulate", "--config", str(path),
@@ -688,6 +691,8 @@ class TestSweep:
             swept = tree_bytes(tmp_path / "sweep" / f"c{i}")
             assert len(swept) == 7
             assert swept == tree_bytes(tmp_path / "lone" / f"c{i}")
+            points = swept["fig1.svg"].decode().split('<polyline points="')[1].count(",")
+            assert (points == 401) if runs[i][1] == 400 else (points <= 4 * 592 + 1)
         capsys.readouterr()
 
     def test_groups_split_by_system_and_steps(self, tmp_path, capsys, monkeypatch):
