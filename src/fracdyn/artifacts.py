@@ -3,19 +3,18 @@
 trajectory.csv is a `step,t,x1..xd` header and one row per grid point,
 every float at %.17g, so it reads back bit for bit. Its rows are filled
 into templates whose step and t columns are already text, one % call per
-chunk of rows, as the plots' polylines are filled into templates whose
-x-coordinates are already text. Both depend only on the time grid and d,
-so the trajectories on one grid can share them through a TemplateCache.
-The CSV keeps every point at any length. A plot of a grid of more than
-2372 points takes no template: it draws the first, last, lowest and
-highest point of each of its pixel columns (see svgplot), at most 2369
-points whatever N.
+chunk of 256 rows. A chunk's template depends only on its first step, its
+times and d, so the last 64 formatted are kept: trajectories written one
+after another on one grid of up to 16384 rows format each chunk once, and
+a longer grid keeps none. The plots keep their x-side the same way (see
+svgplot). The CSV keeps every point at any length.
 A CsvWriter formats the same rows in a forked process while the run that
 computes them goes on. It and a sweep's writers are forked by `fork` and
 reaped by `reap` where `writer_count` picks them; while they live,
 collections skip the objects they share with the forking process.
 """
 
+import functools
 import gc
 import itertools
 import os
@@ -26,15 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from .numkit import _fmt, _kv_join
-from .svgplot import line_chart, polyline_template
+from .svgplot import line_chart
 
 __all__ = [
     "CsvWriter",
-    "TemplateCache",
     "distance",
     "fork",
     "reap",
-    "row_templates",
     "write_artifacts",
     "write_csv",
     "write_plots_and_report",
@@ -44,16 +41,34 @@ __all__ = [
 # Rows per template: bounds each template and the tuple of values formatted
 # into it. Longer chunks were no faster.
 _ROWS = 256
+# Chunk templates kept, about 1 MB for 5-D rows: every chunk of a grid that
+# a sweep batch of two or more 5-D runs can have (solver.BATCH_BYTES //
+# (2 * 8 * 5) = 16384 rows).
+_MEMO_CHUNKS = 64
 
 
-def row_templates(times, dim):
-    """Yield the text of the rows at `times`, _ROWS rows at a time, with
-    their step and t columns formatted and a %.17g for each of `dim` values."""
+@functools.lru_cache(maxsize=_MEMO_CHUNKS)
+def _row_template(start, times, dim):
+    """The text of rows `start`.. at `times`, the float64 bytes of their
+    times, with their step and t columns formatted and a %.17g for each of
+    `dim` values."""
     row = "%d,%.17g" + ",%%.17g" * dim + "\n"
+    chunk = np.frombuffer(times).tolist()
+    return (row * len(chunk)) % tuple(
+        itertools.chain.from_iterable(zip(itertools.count(start), chunk)))
+
+
+def _row_templates(times, dim):
+    """Yield the templates of the rows at `times`, _ROWS rows at a time.
+
+    A grid of more than _MEMO_CHUNKS chunks skips the memo: each chunk
+    would be evicted before the next trajectory on it came back to it."""
+    if len(times) <= _ROWS * _MEMO_CHUNKS:
+        template = _row_template
+    else:
+        template = _row_template.__wrapped__
     for start in range(0, len(times), _ROWS):
-        chunk = times[start:start + _ROWS].tolist()
-        yield (row * len(chunk)) % tuple(
-            itertools.chain.from_iterable(zip(itertools.count(start), chunk)))
+        yield template(start, times[start:start + _ROWS].tobytes(), dim)
 
 
 def _row_blocks(states):
@@ -73,24 +88,22 @@ def _read_blocks(stream, n_rows, dim):
         yield np.frombuffer(data).reshape(shape)
 
 
-def _csv_text(times, dim, blocks, templates=None):
+def _csv_text(times, dim, blocks):
     """Yield the text of trajectory.csv: its header, then the rows of each of
     `blocks`, the (rows, `dim`) state arrays of `_row_blocks`.
 
     `blocks` may be a generator, so the rows can be formatted as they are
-    computed. `templates` is `row_templates(times, dim)`, made block by
-    block here if not given, so no text or list of the whole table is built.
+    computed; no text or list of the whole table is built.
     """
     yield "step,t," + ",".join(f"x{i + 1}" for i in range(dim)) + "\n"
-    for block, template in zip(blocks, templates or row_templates(times, dim)):
+    for block, template in zip(blocks, _row_templates(times, dim)):
         yield template % tuple(block.ravel().tolist())
 
 
-def write_csv(path, traj, templates=None):
-    """Write trajectory `traj` to `path` as CSV; `templates` as in `_csv_text`."""
+def write_csv(path, traj):
+    """Write trajectory `traj` to `path` as CSV."""
     with open(path, "w", encoding="utf-8") as out:
-        out.writelines(_csv_text(traj.times, traj.states.shape[1], _row_blocks(traj.states),
-                                 templates))
+        out.writelines(_csv_text(traj.times, traj.states.shape[1], _row_blocks(traj.states)))
 
 
 # Writing one member's artifacts inline takes about 2 ms plus 1 us per
@@ -235,23 +248,6 @@ class CsvWriter:
         return reap([self.pid])
 
 
-class TemplateCache:
-    """The CSV and polyline templates of the last time grid and dimension
-    written, kept for the next trajectories that share both."""
-
-    def __init__(self):
-        self.times = self.dim = self.csv = self.polyline = None
-
-    def of(self, times, dim):
-        """(CSV templates, polyline template) of grid `times` and dimension `dim`;
-        the polyline template is None on a grid too long to take one."""
-        if self.times is not times or self.dim != dim:
-            self.times, self.dim = times, dim
-            self.csv = list(row_templates(times, dim))
-            self.polyline = polyline_template(len(times))
-        return self.csv, self.polyline
-
-
 def distance(x, target):
     """Euclidean distance from state `x` to `target`.
 
@@ -290,32 +286,23 @@ def _write_report_kv(path, cfg, traj, target):
     path.write_text(_kv_join(pairs) + "\n", encoding="utf-8")
 
 
-def write_artifacts(cfg, traj, target, cache=None):
+def write_artifacts(cfg, traj, target):
     """Write trajectory.csv, fig1.svg..figd.svg and report.kv of one run of
     config `cfg`, with target point `target` or None, to cfg.output_dir.
 
-    With a TemplateCache, trajectories written one after another on one
-    grid share their templates; without, this run keeps none of its own.
     Touches no standard stream: sweep writers run it in forked processes.
     """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    templates = polyline = None
-    if cache is not None:
-        templates, polyline = cache.of(traj.times, traj.states.shape[1])
-    write_csv(outdir / "trajectory.csv", traj, templates)
-    write_plots_and_report(cfg, traj, target, polyline)
+    write_csv(outdir / "trajectory.csv", traj)
+    write_plots_and_report(cfg, traj, target)
 
 
-def write_plots_and_report(cfg, traj, target, polyline=None):
+def write_plots_and_report(cfg, traj, target):
     """Write fig1.svg..figd.svg and report.kv, the files of write_artifacts
-    but the CSV, to the existing cfg.output_dir; `polyline` is
-    `polyline_template(len(traj.times))`, made here if not given (and None
-    on a grid too long to take one)."""
+    but the CSV, to the existing cfg.output_dir."""
     outdir = Path(cfg.output_dir)
-    if polyline is None:
-        polyline = polyline_template(len(traj.times))
     for i in range(traj.states.shape[1]):
-        chart = line_chart(traj.states[:, i], y_label=f"x^{i + 1}(n)", template=polyline)
+        chart = line_chart(traj.states[:, i], y_label=f"x^{i + 1}(n)")
         (outdir / f"fig{i + 1}.svg").write_text(chart, encoding="utf-8")
     _write_report_kv(outdir / "report.kv", cfg, traj, target)

@@ -212,10 +212,9 @@ def _sweep_group(members):
 
 def _write_share(runs):
     """Write the artifacts of the (member, trajectory) pairs `runs`."""
-    from .artifacts import TemplateCache, write_artifacts
-    cache = TemplateCache() if len(runs) > 1 else None
+    from .artifacts import write_artifacts
     for member, traj in runs:
-        write_artifacts(member.cfg, traj, member.target, cache)
+        write_artifacts(member.cfg, traj, member.target)
 
 
 def _fork_writers(batch):
@@ -274,7 +273,6 @@ def _cmd_sweep(args):
     try:
         for batch in itertools.chain(*map(_sweep_group, groups.values()), [[]]):
             inline = not pids or not artifacts.reap(pids)
-            cache = artifacts.TemplateCache() if inline and len(previous) > 1 else None
             for member, outcome in previous:
                 if isinstance(outcome, solver.NumericalError):
                     print(f"numerical failure in {member.cfg.system} run at step "
@@ -282,7 +280,7 @@ def _cmd_sweep(args):
                     codes[member.index] = 3
                     continue
                 if inline:
-                    artifacts.write_artifacts(member.cfg, outcome, member.target, cache)
+                    artifacts.write_artifacts(member.cfg, outcome, member.target)
                 _print_summary(member.cfg, outcome, member.target)
             previous, pids = batch, _fork_writers(batch)
     finally:

@@ -2,27 +2,31 @@
 
 The output is a pure function of the data: no timestamps, random ids or
 locale-dependent formatting, so identical inputs give identical bytes.
-A polyline template shared between charts keeps it so: its text depends
-only on the series length.
+The x-side of a chart depends only on the series' length, so the last
+length charted keeps it for the next chart of that length: the polyline
+template whose x-coordinates are already text, or the pixel columns of a
+long series.
 
-Point i of a series whose last index is `last` lies in pixel column
-floor(592 * i / last) of the 592-px plot area, one of 593 columns. A
-finite series of more than 2372 points, four per column, is drawn from
-its M4 envelope: the first, last, lowest and highest point of each column
-(Jugel, Jerzak, Hackenbroich & Markl, "M4: A Visualization-Oriented Time
-Series Data Aggregation", PVLDB 7(10), 2014). A line through those points
-rasterizes as the line through every point, so at the SVG's native size
-the chart is exact, in at most 2369 points whatever the series' length,
-but where %.2f rounds a point's x onto the next column's edge.
-Shorter series, and series holding NaN or inf, keep every point.
+The plot area is 592 px wide, and a point lies in the pixel column of its
+x as printed: column c, one of 593, holds the points whose x prints from
+64 + c up to below 65 + c. A finite series of more than 2372 points, four
+per column, is drawn from its M4 envelope: the first, last, lowest and
+highest point of each column (Jugel, Jerzak, Hackenbroich & Markl, "M4: A
+Visualization-Oriented Time Series Data Aggregation", PVLDB 7(10), 2014).
+A line through those points rasterizes as the line through every point,
+so at the SVG's native size the chart is exact, in at most four points
+per column whatever the series' length. Shorter series, and series
+holding NaN or inf, keep every point.
 """
 
+import bisect
+import functools
 import math
 import sys
 
 import numpy as np
 
-__all__ = ["line_chart", "polyline_template"]
+__all__ = ["line_chart"]
 
 # Canvas size and margin in pixels, ticks per axis and the label of the
 # index axis.
@@ -50,27 +54,35 @@ def _template(indices, last):
     return " ".join(["%.2f,%%.2f"] * xs.size) % tuple(xs.tolist())
 
 
-def polyline_template(size):
-    """Polyline points of a `size`-value series with their x-coordinates
-    formatted and a %.2f in place of each y; None above _MAX_POINTS, where
-    a finite series is drawn from its envelope.
+@functools.lru_cache(maxsize=1)
+def _x_side(size):
+    """The x-side of a chart of `size` values, kept for the next chart of
+    that length: the polyline template of every point, or above _MAX_POINTS
+    the first index of each pixel column, where a finite series is drawn
+    from its envelope (read-only, since every such chart shares it)."""
+    last = max(size - 1, 1)
+    if size <= _MAX_POINTS:
+        return _template(np.arange(size), last)
+    # Column c starts at the first index whose x, as %.2f prints it, reaches
+    # _MARGIN + c. Rounding moves x by at most 0.005 px, so that index lies
+    # between the first ones whose exact x reaches _MARGIN + c - 0.01 and + c.
+    columns = np.arange(_PLOT_W + 1)
+    lo = np.maximum(-((1 - 100 * columns) * last // (100 * _PLOT_W)), 0)
+    hi = -(-columns * last // _PLOT_W)
+    starts = np.array([bisect.bisect_left(
+        range(size), _MARGIN + column, lo[column], hi[column],
+        key=lambda i: float("%.2f" % (_MARGIN + _PLOT_W * (i / last))))
+        for column in columns.tolist()])
+    starts.flags.writeable = False
+    return starts
 
-    The x-coordinates depend only on `size`, so every chart of that many
-    values can share one template.
-    """
-    if size > _MAX_POINTS:
-        return None
-    return _template(np.arange(size), max(size - 1, 1))
 
-
-def _envelope(values):
+def _envelope(values, starts):
     """Indices, ascending and distinct, of the first, last, lowest and highest
-    of the finite `values` in each pixel column, the lowest index winning
-    ties; every column must hold a value."""
-    size = values.size
-    # column c starts at the least i with _PLOT_W * i >= c * (size - 1)
-    starts = -(np.arange(_PLOT_W + 1) * -(size - 1) // _PLOT_W)
-    counts = np.diff(starts, append=size)
+    of the finite `values` in each pixel column, the columns starting at
+    indices `starts`, the lowest index winning ties; every column must hold
+    a value."""
+    counts = np.diff(starts, append=values.size)
     picks = [starts, starts + counts - 1]
     for reduce in (np.minimum, np.maximum):
         extremes = np.repeat(reduce.reduceat(values, starts), counts)
@@ -80,10 +92,9 @@ def _envelope(values):
     return kept[np.flatnonzero(np.diff(kept, prepend=-1))]
 
 
-def line_chart(values, y_label, template=None):
+def line_chart(values, y_label):
     """SVG text for a 720 by 480 line chart of values against their index n.
 
-    `template` is `polyline_template(len(values))`, built here if not given.
     The axes and ticks span every value; a finite series of more than
     _MAX_POINTS draws only the points of its envelope.
     """
@@ -163,9 +174,11 @@ def line_chart(values, y_label, template=None):
     )
 
     if enveloped:
-        kept = _envelope(values)
+        kept = _envelope(values, _x_side(values.size))
         template, values = _template(kept, last), values[kept]
-    elif template is None:
+    elif values.size <= _MAX_POINTS:
+        template = _x_side(values.size)
+    else:  # a long series holding NaN or inf: every point, and no O(N) memo
         template = _template(np.arange(values.size), last)
     # the same arithmetic as py, one array operation for all points
     ys = height - margin - plot_h * ((values - lo) / (hi - lo))

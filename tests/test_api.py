@@ -1,7 +1,8 @@
 """Integrity of the public API: each module's __all__, the names the
-package imports, the layers its modules import each other in and the one
-gate through which numbers from outside become floats. There is no linter
-in this project; these checks stand in for one."""
+package imports, the layers its modules import each other in, the one
+gate through which numbers from outside become floats and the formats
+that keep their own templates. There is no linter in this project; these
+checks stand in for one."""
 
 import ast
 import collections
@@ -150,6 +151,30 @@ def test_one_gate_turns_numbers_from_outside_into_floats():
     assert gates == ["numkit"]
     assert sorted(guards) == [("numkit", "_ml_series"), ("numkit", "as_floats"),
                               ("stability", "e2_gain_condition")]
+
+
+def test_templates_stay_inside_their_formats():
+    # artifacts and svgplot memoise their own CSV and polyline templates: no
+    # public function of theirs takes a template, cache or polyline, and the
+    # command line names no template
+    from fracdyn import artifacts, svgplot
+    taken = []
+    for module in (artifacts, svgplot):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            functions = ([obj] if inspect.isfunction(obj) else
+                         [f for f in vars(obj).values() if inspect.isfunction(f)]
+                         if inspect.isclass(obj) else [])
+            taken += [(name, param) for f in functions
+                      for param in inspect.signature(f).parameters
+                      if any(word in param.lower() for word in ("template", "cache", "polyline"))]
+    assert taken == []
+    tree = ast.parse((Path(fracdyn.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    names = ([node.id for node in ast.walk(tree) if isinstance(node, ast.Name)]
+             + [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+             + [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names])
+    assert [name for name in names if "template" in name.lower()] == []
 
 
 def test_three_exception_classes():

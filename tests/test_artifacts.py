@@ -1,25 +1,28 @@
-"""Artifact text from cached templates: trajectory.csv and the polylines of
-the SVG plots are byte for byte what per-cell formatting gives, whichever
-trajectories share a template, and writing keeps no O(N) memory. A long
-plot keeps each pixel column's first, last, lowest and highest point. Also
-the rule that picks forked writers and the pipe a CsvWriter is sent through."""
+"""Artifact text from memoised templates: trajectory.csv and the polylines
+of the SVG plots are byte for byte what per-cell formatting gives, whichever
+trajectories share a template, runs on one grid format each template once,
+and writing keeps no O(N) memory. A long plot keeps each printed pixel
+column's first, last, lowest and highest point. Also the rule that picks
+forked writers and the pipe a CsvWriter is sent through."""
 
 import gc
+import json
 import math
 import os
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracdyn import artifacts, svgplot
-from fracdyn.artifacts import TemplateCache, distance, row_templates, write_artifacts, write_csv
+from fracdyn import artifacts, cli, svgplot
+from fracdyn.artifacts import distance, write_artifacts, write_csv
 from fracdyn.expconfig import ExperimentConfig
 from fracdyn.solver import Trajectory
-from fracdyn.svgplot import line_chart, polyline_template
+from fracdyn.svgplot import line_chart
 
 from conftest import bits
 
@@ -50,31 +53,41 @@ def plotted(values):
     return values, lo, hi
 
 
+def printed_x(i, size):
+    """The x-coordinate of point i of a `size`-value chart as %.2f prints it,
+    through the px arithmetic of line_chart."""
+    return "%.2f" % (64.0 + (720 - 128.0) * (i / max(size - 1, 1)))
+
+
+def printed_column(x):
+    """The pixel column of printed x-coordinate `x`, 0 to 592."""
+    return math.floor(float(x)) - 64
+
+
 def polyline_oracle(values, kept=None):
     """The polyline points of line_chart(values) at indices `kept`, every
     index if None, formatted point by point through the px and py
     arithmetic of line_chart."""
     values, lo, hi = plotted(values)
-    last = max(values.size - 1, 1)
-    margin, plot_w, plot_h, height = 64.0, 720 - 128.0, 480 - 128.0, 480
+    plot_h, height = 480 - 128.0, 480
     ys = values.tolist()
-    return " ".join("%.2f,%.2f" % (margin + plot_w * (i / last),
-                                   height - margin - plot_h * ((ys[i] - lo) / (hi - lo)))
+    return " ".join("%s,%.2f" % (printed_x(i, len(ys)),
+                                 height - 64.0 - plot_h * ((ys[i] - lo) / (hi - lo)))
                     for i in (range(len(ys)) if kept is None else kept))
 
 
 def envelope_oracle(values):
     """The indices line_chart(values) draws, pixel column by pixel column:
     every index of a series of at most SVG_POINTS or one holding NaN or
-    inf, else each column's first, last, lowest and highest, ties going to
-    the lowest index."""
+    inf, else each printed column's first, last, lowest and highest, ties
+    going to the lowest index."""
     values = plotted(values)[0].tolist()
     if len(values) <= SVG_POINTS or not all(map(math.isfinite, values)):
         return list(range(len(values)))
     columns = {}
     for i in range(len(values)):
-        columns.setdefault(592 * i // (len(values) - 1), []).append(i)
-    assert len(columns) == 593
+        columns.setdefault(printed_column(printed_x(i, len(values))), []).append(i)
+    assert sorted(columns) == list(range(593))
     kept = set()
     for column in columns.values():
         ys = [values[i] for i in column]
@@ -107,21 +120,22 @@ def test_csv_matches_per_cell_format(tmp_path_factory, table):
     times, states = table
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     want = csv_oracle(times, states)
-    write_csv(path, Trajectory(times, states))
-    assert path.read_text(encoding="utf-8") == want
-    write_csv(path, Trajectory(times, states), list(row_templates(times, states.shape[1])))
-    assert path.read_text(encoding="utf-8") == want
+    for _ in range(2):  # the second write takes its templates from the memo
+        write_csv(path, Trajectory(times, states))
+        assert path.read_text(encoding="utf-8") == want
+
+
+def member_config(directory, rows, dim):
+    return ExperimentConfig(system="linear-decay", alpha=0.5, h=0.1, steps=rows - 1,
+                            x0=(1.0,) * dim, output_dir=str(directory))
 
 
 def write_members(tmp_path, members):
-    """Write `members`, (name, times, states) triples, one after another
-    through one TemplateCache, as a sweep process does; return each
-    member's artifact texts."""
-    cache = TemplateCache()
+    """Write `members`, (name, times, states) triples, one after another, as
+    a sweep process does; return each member's artifact texts."""
     for name, times, states in members:
-        cfg = ExperimentConfig(system="linear-decay", alpha=0.5, h=0.1, steps=len(times) - 1,
-                               x0=(1.0,) * states.shape[1], output_dir=str(tmp_path / name))
-        write_artifacts(cfg, Trajectory(times, states), None, cache)
+        cfg = member_config(tmp_path / name, len(times), states.shape[1])
+        write_artifacts(cfg, Trajectory(times, states), None)
     return {name: {path.name: path.read_text(encoding="utf-8")
                    for path in (tmp_path / name).iterdir()} for name, _, _ in members}
 
@@ -157,11 +171,10 @@ def test_polyline_matches_per_point_format(size):
     first = np.cumsum(rng.standard_normal(size))
     second = rng.uniform(-1e20, 1e20, size)
     flat = np.full(size, 2.5)
-    template = polyline_template(size)
-    for values in (first, second, flat):
-        want = polyline_oracle(values)
-        assert polyline_of(line_chart(values, "y")) == want
-        assert polyline_of(line_chart(values, "y", template=template)) == want
+    svgplot._x_side.cache_clear()
+    for values in (first, second, flat):  # all but the first from the memo
+        assert polyline_of(line_chart(values, "y")) == polyline_oracle(values)
+    assert svgplot._x_side.cache_info().misses == 1
 
 
 def series(kind, size, rng):
@@ -194,14 +207,16 @@ def test_long_polyline_is_the_pixel_column_envelope(monkeypatch, size, kind):
     assert polyline_of(chart) == polyline_oracle(values, kept)
     if size <= SVG_POINTS:
         assert kept == list(range(size))
-        assert chart == line_chart(values, "y", template=polyline_template(size))
     else:
         assert len(kept) <= 4 * 592 + 1
-        assert polyline_template(size) is None
     # the axes and ticks come from the whole series: drawn point by point,
     # the chart differs in its polyline only
+    # the x memo keeps what the threshold made of `size` points: clear it
+    # on both sides of the patch
     monkeypatch.setattr(svgplot, "_MAX_POINTS", size)
+    svgplot._x_side.cache_clear()
     full = line_chart(values, "y")
+    svgplot._x_side.cache_clear()
     assert polyline_of(full) == polyline_oracle(values)
     assert full.replace(polyline_of(full), "") == chart.replace(polyline_of(chart), "")
 
@@ -214,20 +229,51 @@ def test_long_series_with_nan_or_inf_keeps_every_point(size, bad):
     assert polyline_of(line_chart(values, "y")) == polyline_oracle(values)
 
 
+@pytest.mark.parametrize("size", [SVG_POINTS + 1, 3000, 20001])
+def test_envelope_keeps_each_printed_columns_extremes(size):
+    # the columns are those of the printed x: %.2f may print a point within
+    # 0.005 px of its exact column's right edge on the next column
+    values = np.cumsum(np.random.default_rng(size).standard_normal(size))
+    drawn = set(polyline_of(line_chart(values, "y")).split())
+    full = polyline_oracle(values).split()
+    columns = {}
+    for i, point in enumerate(full):
+        columns.setdefault(printed_column(point.split(",")[0]), []).append(i)
+    assert sorted(columns) == list(range(593))
+    for column in columns.values():
+        ys = values[column]
+        for i in (0, -1, np.argmin(ys), np.argmax(ys)):
+            assert full[column[i]] in drawn
+
+
 def test_no_polyline_template_above_the_threshold(tmp_path, monkeypatch):
-    cache = TemplateCache()
-    assert cache.of(np.arange(SVG_POINTS) * 0.01, 5)[1] is not None
-    assert cache.of(np.arange(SVG_POINTS + 1) * 0.01, 5)[1] is None
     built, template = [], svgplot._template
     monkeypatch.setattr(svgplot, "_template",
                         lambda indices, last: built.append(indices) or template(indices, last))
     rows = SVG_POINTS + 1
-    cfg = ExperimentConfig(system="linear-decay", alpha=0.5, h=0.1, steps=rows - 1,
-                           x0=(1.0,) * 2, output_dir=str(tmp_path))
     traj = Trajectory(np.arange(rows) * 0.1, np.random.default_rng(7).standard_normal((rows, 2)))
-    artifacts.write_plots_and_report(cfg, traj, None)
+    artifacts.write_plots_and_report(member_config(tmp_path, rows, 2), traj, None)
     # one template per chart, of its envelope's points only
     assert [len(indices) <= 4 * 592 + 1 for indices in built] == [True, True]
+
+
+@pytest.mark.parametrize("bad", [None, float("nan")])
+def test_long_charts_leave_no_template_in_the_memo(bad):
+    # a long chart, enveloped or point by point, keeps its pixel columns at
+    # most: the template of 20011 points would hold about 240 KB. No other
+    # test charts that length, so no memo can hold it already.
+    values = np.cumsum(np.random.default_rng(8).standard_normal(20011))
+    if bad is not None:
+        values[7] = bad
+    line_chart(values[:10], "y")  # the memo holds a short series' template
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        line_chart(values, "y")
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 16 * 1024
 
 
 # finite values at both ends of the float range, and any other finite value
@@ -275,6 +321,53 @@ def test_writers_peak_below_the_row_by_row_writers(tmp_path):
         tracemalloc.stop()
     assert csv_peak <= 3.2e6
     assert svg_peak <= 7.2e6
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["inline", "forked"])
+def test_runs_on_one_grid_format_each_template_once(tmp_path, forked):
+    # a sweep writes a batch inline, or a forked writer writes a share of
+    # it: k runs on one grid format each row chunk and the x-side once
+    k, rows, dim = 3, 2 * CSV_ROWS + 3, 5
+    times = np.arange(rows) * 0.01
+    rng = np.random.default_rng(9)
+    runs = [(cli._Member(i, member_config(tmp_path / f"m{i}", rows, dim), None, None),
+             Trajectory(times, rng.standard_normal((rows, dim)))) for i in range(k)]
+    counts = tmp_path / "counts.json"
+
+    def write():
+        cli._write_share(runs)
+        counts.write_text(json.dumps([artifacts._row_template.cache_info().misses,
+                                      svgplot._x_side.cache_info().misses]))
+
+    artifacts._row_template.cache_clear()
+    svgplot._x_side.cache_clear()
+    if forked:
+        assert artifacts.reap([artifacts.fork(write)])
+    else:
+        write()
+    assert json.loads(counts.read_text()) == [-(-rows // CSV_ROWS), 1]
+    for member, traj in runs:
+        texts = {path.name: path.read_text(encoding="utf-8")
+                 for path in Path(member.cfg.output_dir).iterdir()}
+        assert_artifacts_exact(texts, times, traj.states)
+
+
+def test_csv_write_peak_does_not_grow_with_n(tmp_path):
+    # the row templates are formatted chunk by chunk and a grid longer than
+    # the memo keeps none, so the write's peak is that of a few chunks
+    peaks = []
+    for n in (20_000, 200_000):
+        traj = Trajectory(np.arange(n + 1) * 0.01,
+                          np.random.default_rng(n).standard_normal((n + 1, 2)))
+        artifacts._row_template.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            write_csv(tmp_path / "t.csv", traj)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_lone_write_keeps_no_template(tmp_path):

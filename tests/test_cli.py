@@ -554,20 +554,20 @@ real_write_artifacts = artifacts.write_artifacts
 TEST_PID = os.getpid()
 
 
-def write_artifacts_and_pid(cfg, traj, target, cache=None):
+def write_artifacts_and_pid(cfg, traj, target):
     """artifacts.write_artifacts, then the writing process's id in writer.pid."""
-    real_write_artifacts(cfg, traj, target, cache)
+    real_write_artifacts(cfg, traj, target)
     (Path(cfg.output_dir) / "writer.pid").write_text(str(os.getpid()))
 
 
-def write_unless_forked(cfg, traj, target, cache=None):
+def write_unless_forked(cfg, traj, target):
     """artifacts.write_artifacts, but a writer forked from this test process is
     killed first, as by the kernel's OOM killer, leaving a file `killed`
     two levels above its output directory."""
     if os.getpid() != TEST_PID:
         (Path(cfg.output_dir).parents[1] / "killed").touch()
         os.kill(os.getpid(), signal.SIGKILL)
-    real_write_artifacts(cfg, traj, target, cache)
+    real_write_artifacts(cfg, traj, target)
 
 
 E2_RUN = dict(target=("e2", -0.125), gains=(0.25, 1.5, 0.25, 2.0 / 3.0, 1.0), steps=600)
